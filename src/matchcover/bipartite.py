@@ -1,10 +1,10 @@
 """Maximum bipartite matching with certified witnesses.
 
 The matcher is an augmenting-path implementation (Hopcroft-Karp phasing)
-that returns an explicit matching.  The Hall deficiency, computed either by
-exhaustive subset enumeration or from alternating reachability on a maximum
-matching, certifies maximality from the dual side: matching size plus
-deficiency always equals the size of the left part.
+that returns an explicit matching.  The Hall deficiency, computed from
+alternating reachability on a maximum matching (Koenig's construction),
+certifies maximality from the dual side: matching size plus deficiency
+always equals the size of the left part.
 
 Covering-induced graphs connect x to y whenever some block of the covering
 contains both, so matching numbers between finite sets with respect to a
@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .cover import Covering, star_iterate
-
-DEFAULT_EXHAUSTIVE_LIMIT = 20
 
 _UNSET = -1
 
@@ -109,64 +107,53 @@ def max_matching(graph: BipartiteGraph) -> tuple[int, MatchingWitness]:
                     queue.append(w)
         return found
 
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = match_r[v]
-            if w == _UNSET or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = inf
+    def augment(root: int) -> bool:
+        # Depth-first search along the layered graph on an explicit stack, so
+        # long alternating paths cannot hit the recursion limit.  Each entry
+        # into a vertex scans its adjacency from the start, as the recursive
+        # formulation does; the witnesses depend on that scan order.
+        stack = [(root, iter(adj[root]))]  # path vertices and their scans
+        via: list = []  # right vertex taken out of each path vertex
+        while stack:
+            u, scan = stack[-1]
+            for v in scan:
+                w = match_r[v]
+                if w == _UNSET:
+                    via.append(v)
+                    for (x, _), y in zip(stack, via):
+                        match_l[x] = y
+                        match_r[y] = x
+                    return True
+                if dist[w] == dist[u] + 1:
+                    via.append(v)
+                    stack.append((w, iter(adj[w])))
+                    break
+            else:
+                dist[u] = inf
+                stack.pop()
+                if via:
+                    via.pop()
         return False
 
     size = 0
     while bfs():
         for u in range(nl):
-            if match_l[u] == _UNSET and dfs(u):
+            if match_l[u] == _UNSET and augment(u):
                 size += 1
     pairs = tuple((u, match_l[u]) for u in range(nl) if match_l[u] != _UNSET)
     return size, MatchingWitness(pairs)
 
 
-def neighborhood(graph: BipartiteGraph, left_indices: Iterable[int]) -> set:
-    probe = set(left_indices)
-    return {j for (i, j) in graph.edges if i in probe}
-
-
-def hall_deficiency(
-    graph: BipartiteGraph, exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT
-) -> tuple[int, tuple]:
+def hall_deficiency(graph: BipartiteGraph) -> tuple[int, tuple]:
     """Largest value of |S| - |N(S)| over S inside the left part.
 
-    Up to ``exhaustive_limit`` left vertices all subsets are enumerated and
-    the first maximizer in mask order is reported.  Beyond the limit the
-    deficiency is recovered from a maximum matching, with the attaining
-    subset rebuilt from alternating reachability (the Koenig construction),
-    which is exact as well.
+    The deficiency is recovered from a maximum matching, with the attaining
+    subset rebuilt from alternating reachability (the Koenig construction).
+    Every maximizer contains the left vertices the matching leaves unmatched
+    and is closed under alternating steps, so the reachable set is the
+    unique inclusion-minimal maximizer; it is reported in left order.
     """
     nl = len(graph.left)
-    if nl <= exhaustive_limit:
-        nbr_mask = [0] * nl
-        for i, j in graph.edges:
-            nbr_mask[i] |= 1 << j
-        best = 0
-        best_mask = 0
-        for mask in range(1 << nl):
-            union = 0
-            size = 0
-            m = mask
-            while m:
-                low = m & -m
-                union |= nbr_mask[low.bit_length() - 1]
-                size += 1
-                m ^= low
-            value = size - union.bit_count()
-            if value > best:
-                best = value
-                best_mask = mask
-        witness = tuple(graph.left[i] for i in range(nl) if best_mask >> i & 1)
-        return best, witness
-
     size, witness = max_matching(graph)
     matched_l = {i: j for i, j in witness.pairs}
     matched_r = {j: i for i, j in witness.pairs}

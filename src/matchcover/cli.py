@@ -21,14 +21,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .bipartite import (
-    covering_graph,
-    hall_deficiency,
-    max_matching,
-    mu as mu_value,
-    mu_partition,
-    mu_with_witness,
-)
+from .bipartite import covering_graph, hall_deficiency, max_matching
 from .cover import Covering, GroundSet, join, refines, star_iterate, star_refines
 from .folner import (
     BallsStrategy,
@@ -40,6 +33,7 @@ from .folner import (
     check_certificate,
     folner_search,
     adversary_coloring,
+    min_pair_mu,
     monochromatic_translate,
     perfect_net,
     required_pairs,
@@ -219,8 +213,8 @@ def _cmd_mu(args, argv) -> int:
     cover = ser.covering_from_json(_load_json(args.cover))
     left = ser.elems_from_json(None, _load_json(args.left))
     right = ser.elems_from_json(None, _load_json(args.right))
-    value, witness = mu_with_witness(left, right, cover)
     graph = covering_graph(left, right, cover)
+    value, witness = max_matching(graph)
     doc = {
         "mu": value,
         "left": list(graph.left),
@@ -506,15 +500,7 @@ def _cmd_sweep(args, argv) -> int:
     per_radius = []
     for radius in range(args.max_radius + 1):
         f_set = model.ball(radius)
-        values = []
-        for g, h in pairs:
-            gf = model.translate(g, f_set)
-            hf = model.translate(h, f_set)
-            values.append(
-                mu_partition(gf, hf, cover) if cover.is_partition() else mu_value(gf, hf, cover)
-            )
-        min_mu = min(values) if values else len(f_set)
-        per_radius.append((radius, len(f_set), min_mu))
+        per_radius.append((radius, len(f_set), min_pair_mu(model, f_set, pairs, cover)))
     rows = []
     for theta in grid:
         for radius, f_size, min_mu in per_radius:

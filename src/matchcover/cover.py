@@ -73,25 +73,18 @@ class GroundSet:
 class Covering:
     """A finite family of blocks whose union is the ground set.
 
-    Duplicate blocks are silently merged; empty blocks are rejected unless
-    ``allow_empty_blocks`` is set (they are never useful, the flag exists
-    for robustness testing only).
+    Duplicate blocks are silently merged; empty blocks are rejected.
     """
 
     __slots__ = ("ground", "blocks", "block_sets")
 
-    def __init__(
-        self,
-        ground: GroundSet,
-        blocks: Iterable[Iterable[Atom]],
-        allow_empty_blocks: bool = False,
-    ) -> None:
+    def __init__(self, ground: GroundSet, blocks: Iterable[Iterable[Atom]]) -> None:
         canon_blocks = []
         seen = set()
         covered: set = set()
         for raw in blocks:
             block = ground.canon(raw)
-            if not block and not allow_empty_blocks:
+            if not block:
                 raise ValueError("empty block not permitted")
             if block in seen:
                 continue

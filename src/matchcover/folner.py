@@ -147,12 +147,32 @@ def _require_window(model: GroupModel, elems: Iterable, ground: GroundSet, what:
         raise WindowEscape(f"{what} escapes the window at: {names}")
 
 
-def _pair_translates(model: GroupModel, f_set, pair, ground) -> tuple:
-    gf = model.translate(pair[0], f_set)
-    hf = model.translate(pair[1], f_set)
-    _require_window(model, gf, ground, f"translate {model.elem_str(pair[0])}F")
-    _require_window(model, hf, ground, f"translate {model.elem_str(pair[1])}F")
-    return gf, hf
+def _translates(model: GroupModel, f_canon: tuple, pairs, ground: GroundSet) -> list:
+    """The translate pair (gF, hF) of each pair, all inside the window.
+
+    F is checked against the window first; then each distinct translate is
+    built once and checked, in order of first use, so the first escape
+    raised is the first one met when walking the pairs.
+    """
+    _require_window(model, f_canon, ground, "candidate set F")
+    built: dict = {}
+    for pair in pairs:
+        for g in pair:
+            if g not in built:
+                built[g] = model.translate(g, f_canon)
+                _require_window(model, built[g], ground, f"translate {model.elem_str(g)}F")
+    return [(built[g], built[h]) for g, h in pairs]
+
+
+def min_pair_mu(model: GroupModel, f_canon: tuple, pairs, cover: Covering) -> int:
+    """Smallest mu(gF, hF) over the pairs; |F| when there are none.
+
+    Partitions take the closed form, other coverings the general matcher.
+    Raises WindowEscape if F or a translate leaves the covering's ground.
+    """
+    translates = _translates(model, f_canon, pairs, cover.ground)
+    evaluate = mu_partition if cover.is_partition() else mu
+    return min((evaluate(gf, hf, cover) for gf, hf in translates), default=len(f_canon))
 
 
 def build_certificate(
@@ -173,14 +193,11 @@ def build_certificate(
     f_canon = model.canon_set(f_set)
     if not f_canon:
         raise ValueError("candidate set F must be non-empty")
-    _require_window(model, f_canon, cover.ground, "candidate set F")
     e_canon = model.canon_set(e_set)
     pairs = required_pairs(model, e_canon, mode)
+    translates = _translates(model, f_canon, pairs, cover.ground)
     window: set = set(f_canon)
-    translates = []
-    for pair in pairs:
-        gf, hf = _pair_translates(model, f_canon, pair, cover.ground)
-        translates.append((gf, hf))
+    for gf, hf in translates:
         window.update(gf)
         window.update(hf)
     sub_cover = cover.restrict(window)
@@ -223,7 +240,10 @@ def check_certificate(cert: FolnerCertificate) -> CheckReport:
             Finding("pairs-mismatch", f"stored pairs {stored!r} != required {expected!r}")
         )
     for pair in cert.pairs:
-        gf, hf = _pair_translates(model, cert.f_set, (pair.g, pair.h), cert.cover.ground)
+        gf = model.translate(pair.g, cert.f_set)
+        hf = model.translate(pair.h, cert.f_set)
+        _require_window(model, gf, cert.cover.ground, f"translate {model.elem_str(pair.g)}F")
+        _require_window(model, hf, cert.cover.ground, f"translate {model.elem_str(pair.h)}F")
         graph = covering_graph(gf, hf, cert.cover)
         label = f"({model.elem_str(pair.g)},{model.elem_str(pair.h)})"
         try:
@@ -346,20 +366,6 @@ def _as_cover(cover_source) -> Covering:
     raise TypeError("cover_source must be a Covering or Coloring")
 
 
-def _min_ratio(model, f_canon, pairs, cover, fast_partition) -> Fraction:
-    _require_window(model, f_canon, cover.ground, "candidate set F")
-    values = []
-    for pair in pairs:
-        gf, hf = _pair_translates(model, f_canon, pair, cover.ground)
-        if fast_partition:
-            values.append(mu_partition(gf, hf, cover))
-        else:
-            values.append(mu(gf, hf, cover))
-    if not values:
-        return Fraction(1)
-    return Fraction(min(values), len(f_canon))
-
-
 def folner_search(
     model: GroupModel,
     e_set: Iterable,
@@ -381,7 +387,6 @@ def folner_search(
         raise ValueError("theta must lie in [0, 1]")
     strategy = strategy if strategy is not None else BallsStrategy()
     cover = _as_cover(cover_source)
-    fast = cover.is_partition()
     e_canon = model.canon_set(e_set)
     pairs = required_pairs(model, e_canon, mode)
     evaluations = 0
@@ -390,8 +395,8 @@ def folner_search(
 
     def consider(f_canon) -> Fraction:
         nonlocal evaluations, best_f, best_ratio
+        ratio = Fraction(min_pair_mu(model, f_canon, pairs, cover), len(f_canon))
         evaluations += 1
-        ratio = _min_ratio(model, f_canon, pairs, cover, fast)
         key = tuple(model.sort_key(x) for x in f_canon)
         best_key = tuple(model.sort_key(x) for x in best_f)
         if ratio > best_ratio or (ratio == best_ratio and key < best_key):
@@ -414,32 +419,36 @@ def folner_search(
         rng = random.Random(strategy.seed)
         gens = model.generators()
 
-        def valid(f_canon) -> bool:
-            if not f_canon or any(x not in cover.ground for x in f_canon):
-                return False
+        def attempt(f_canon) -> Fraction | None:
+            """The candidate's ratio, or None when it leaves the window."""
             try:
-                for pair in pairs:
-                    _pair_translates(model, f_canon, pair, cover.ground)
+                return consider(f_canon)
             except WindowEscape:
-                return False
-            return True
+                return None
 
         def random_start() -> tuple:
             pool = [x for x in model.ball(2) if x in cover.ground]
             rng.shuffle(pool)
             for size in range(min(4, len(pool)), 0, -1):
                 cand = model.canon_set(pool[:size])
-                if valid(cand):
-                    return cand
-            return model.canon_set([model.identity])
+                ratio = attempt(cand)
+                if ratio is not None:
+                    return cand, ratio
+            cand = model.canon_set([model.identity])
+            return cand, consider(cand)
 
-        current = model.canon_set(strategy.start) if strategy.start else None
-        if current is None or not valid(current):
-            start = model.canon_set([model.identity])
-            current = start if valid(start) else random_start()
-        if not valid(current):
-            raise WindowEscape("no valid starting candidate inside the window")
-        current_ratio = consider(current)
+        current_ratio = None
+        if strategy.start:
+            current = model.canon_set(strategy.start)
+            current_ratio = attempt(current)
+        if current_ratio is None:
+            current = model.canon_set([model.identity])
+            current_ratio = attempt(current)
+        if current_ratio is None:
+            try:
+                current, current_ratio = random_start()
+            except WindowEscape:
+                raise WindowEscape("no valid starting candidate inside the window") from None
         if passed(current, current_ratio):
             cert = build_certificate(model, current, e_canon, cover, theta, mode)
             return SearchResult("PASS", cert, current, current_ratio, evaluations)
@@ -457,10 +466,12 @@ def folner_search(
             seen = set()
             scored = []
             for cand in moves:
-                if cand in seen or not valid(cand):
+                if cand in seen:
+                    continue
+                ratio = attempt(cand)
+                if ratio is None:
                     continue
                 seen.add(cand)
-                ratio = consider(cand)
                 if passed(cand, ratio):
                     cert = build_certificate(model, cand, e_canon, cover, theta, mode)
                     return SearchResult("PASS", cert, cand, ratio, evaluations)
@@ -473,8 +484,7 @@ def folner_search(
                 _, _, current = improving[0]
                 current_ratio = improving[0][0]
             else:
-                current = random_start()
-                current_ratio = consider(current)
+                current, current_ratio = random_start()
                 if passed(current, current_ratio):
                     cert = build_certificate(
                         model, current, e_canon, cover, theta, mode
@@ -867,27 +877,3 @@ def monochromatic_translate(
                 return g, block
     return None
 
-
-def translate_witness(
-    model: GroupModel,
-    shift,
-    left: Sequence,
-    right: Sequence,
-    witness: MatchingWitness,
-) -> MatchingWitness:
-    """Reindex a matching between ``left`` and ``right`` after translating both by ``shift``.
-
-    The translated witness refers to the canonical orders of shift*left and
-    shift*right; whether it remains a matching with respect to a given
-    covering depends on that covering and is for the caller to validate.
-    """
-    new_left = model.translate(shift, left)
-    new_right = model.translate(shift, right)
-    left_pos = {a: i for i, a in enumerate(new_left)}
-    right_pos = {a: j for j, a in enumerate(new_right)}
-    pairs = []
-    for li, ri in witness.pairs:
-        a = model.multiply(shift, left[li])
-        b = model.multiply(shift, right[ri])
-        pairs.append((left_pos[a], right_pos[b]))
-    return MatchingWitness(tuple(sorted(pairs)))

@@ -2,7 +2,9 @@
 
 The matching oracle never touches augmenting paths: it enumerates matchings
 as injections directly (memoized over right-vertex subsets), after splitting
-the graph into connected components to keep the subset space small.
+the graph into connected components to keep the subset space small.  The
+Hall-deficiency oracle never touches a matching: it enumerates every subset
+of the left part.
 """
 
 from __future__ import annotations
@@ -73,6 +75,34 @@ def max_matching_bruteforce(graph: BipartiteGraph) -> int:
             masks.append(mask)
         total += _component_optimum(masks)
     return total
+
+
+def hall_deficiency_bruteforce(graph: BipartiteGraph) -> tuple[int, tuple]:
+    """Largest |S| - |N(S)| by enumerating every left subset S.
+
+    Reports the first maximizer in mask order (bit i set means left vertex
+    i is in S), as a tuple of left atoms in left order.
+    """
+    nl = len(graph.left)
+    nbr_mask = [0] * nl
+    for i, j in graph.edges:
+        nbr_mask[i] |= 1 << j
+    best = 0
+    best_mask = 0
+    for mask in range(1 << nl):
+        union = 0
+        size = 0
+        m = mask
+        while m:
+            low = m & -m
+            union |= nbr_mask[low.bit_length() - 1]
+            size += 1
+            m ^= low
+        value = size - union.bit_count()
+        if value > best:
+            best = value
+            best_mask = mask
+    return best, tuple(graph.left[i] for i in range(nl) if best_mask >> i & 1)
 
 
 def random_graph(rng, max_left: int, max_right: int, density: float = 0.4) -> BipartiteGraph:

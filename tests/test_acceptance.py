@@ -46,6 +46,7 @@ from matchcover.means import (
 from matchcover.ramsey import FinMetric, embeddings, ramsey_condition_check, ramsey_mu
 
 from oracles import (
+    hall_deficiency_bruteforce,
     max_matching_bruteforce,
     random_covering,
     random_graph,
@@ -78,13 +79,16 @@ def test_c01_hall_identity():
         g = random_graph(rng, 12, 12, density=rng.uniform(0.1, 0.7))
         size, witness = max_matching(g)
         validate_witness(g, witness)
-        deficiency, subset = hall_deficiency(g)  # exhaustive: |left| <= 12 < 20
+        deficiency, subset = hall_deficiency(g)  # Koenig: built from a matching
         assert size == len(g.left) - deficiency
         idx = {a: i for i, a in enumerate(g.left)}
         nbrs = {j for (i, j) in g.edges if g.left[i] in set(subset)}
         assert len(subset) - len(nbrs) == deficiency
+        # independent route: subset enumeration, no matching involved
+        assert (deficiency, subset) == hall_deficiency_bruteforce(g)
     budget.check()
-    report(1, "matching size + exhaustive Hall deficiency = |left| on 500 graphs")
+    report(1, "matching size + Hall deficiency = |left|, deficiency and subset"
+              " equal to subset enumeration, on 500 graphs")
 
 
 def test_c02_matching_oracle_equivalence():

@@ -19,6 +19,7 @@ from matchcover.bipartite import (
 from matchcover.cover import Covering, GroundSet, refines, star_iterate
 
 from oracles import (
+    hall_deficiency_bruteforce,
     max_matching_bruteforce,
     random_covering,
     random_graph,
@@ -61,6 +62,16 @@ class TestMaxMatching:
             g = random_graph(rng, 8, 8)
             assert max_matching(g) == max_matching(g)
 
+    def test_long_alternating_path_needs_no_recursion(self):
+        # left i sees rights i and i+1, the last left only right 0: the final
+        # augmenting path runs through every vertex
+        n = 100_000
+        edges = {(i, i) for i in range(n - 1)} | {(i, i + 1) for i in range(n - 1)}
+        g = BipartiteGraph(tuple(range(n)), tuple(range(n)), frozenset(edges | {(n - 1, 0)}))
+        size, witness = max_matching(g)
+        assert size == n
+        validate_witness(g, witness)
+
 
 class TestHallDeficiency:
     def test_complete_has_none(self):
@@ -79,14 +90,9 @@ class TestHallDeficiency:
         rng = random.Random(2)
         for _ in range(80):
             g = random_graph(rng, 9, 9)
-            exhaustive = hall_deficiency(g)
-            via_matching = hall_deficiency(g, exhaustive_limit=0)
-            assert exhaustive[0] == via_matching[0]
-            # the alternating-reachability witness attains the deficiency
-            s = set(via_matching[1])
-            idx = {a: i for i, a in enumerate(g.left)}
-            nbrs = {j for (i, j) in g.edges if g.left[i] in s}
-            assert len(s) - len(nbrs) == exhaustive[0]
+            # same deficiency and the same subset: the reachable set is the
+            # inclusion-minimal maximizer, hence the first one in mask order
+            assert hall_deficiency(g) == hall_deficiency_bruteforce(g)
 
 
 class TestPerfectMatching:

@@ -137,6 +137,20 @@ class TestMuAndMatch:
         assert doc["deficiency"] == 1
         assert doc["deficiency_witness"] == ["a", "b"]
 
+    def test_match_long_alternating_path(self, tmp_path, capsys):
+        n = 1200
+        edges = [[i, j] for i in range(n - 1) for j in (i, i + 1)] + [[n - 1, 0]]
+        graph = write(
+            tmp_path / "path.json",
+            {"left": [str(i) for i in range(n)], "right": [str(i) for i in range(n)],
+             "edges": edges},
+        )
+        code = dispatch(["match", "--graph", graph, "--deficiency", "--json"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        doc = json.loads(captured.out)
+        assert (doc["size"], doc["deficiency"]) == (n, 0)
+
 
 class TestFolnerCommands:
     def run_search(self, tmp_path, theta="9/10", radius="10"):

@@ -39,10 +39,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="empty"):
             cov([1, 2], [1, 2], [])
 
-    def test_empty_block_allowed_with_flag(self):
-        c = Covering(GroundSet([1, 2]), [[1, 2], []], allow_empty_blocks=True)
-        assert () in c.blocks
-
     def test_duplicate_blocks_merged(self):
         c = cov([1, 2], [1, 2], [2, 1])
         assert len(c.blocks) == 1

@@ -23,7 +23,6 @@ from matchcover.folner import (
     required_pairs,
     theta_boost_check,
     theta_threshold,
-    translate_witness,
 )
 from matchcover.groups import (
     FreeGroup,
@@ -39,6 +38,20 @@ from matchcover.bipartite import covering_graph
 
 Z = IntegerLattice(1)
 F2 = FreeGroup(2)
+
+
+def translate_witness(model, shift, left, right, witness):
+    """Reindex a matching between ``left`` and ``right`` after translating
+    both by ``shift``, into the canonical orders of shift*left and
+    shift*right."""
+    left_pos = {a: i for i, a in enumerate(model.translate(shift, left))}
+    right_pos = {a: j for j, a in enumerate(model.translate(shift, right))}
+    pairs = [
+        (left_pos[model.multiply(shift, left[li])],
+         right_pos[model.multiply(shift, right[ri])])
+        for li, ri in witness.pairs
+    ]
+    return MatchingWitness(tuple(sorted(pairs)))
 
 
 def z_atoms(lo, hi):
