@@ -14,6 +14,7 @@ covering reduce to plain maximum matching here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Sequence
 
 from .cover import Covering, star_iterate
@@ -42,8 +43,10 @@ class BipartiteGraph:
     def adjacency(self) -> list:
         """Right neighbors per left index, ascending (fixes determinism)."""
         adj: list = [[] for _ in self.left]
-        for i, j in sorted(self.edges):
+        for i, j in self.edges:
             adj[i].append(j)
+        for row in adj:
+            row.sort()
         return adj
 
 
@@ -189,14 +192,16 @@ def covering_graph(e: Iterable, f: Iterable, u: Covering) -> BipartiteGraph:
     right = u.ground.canon(f)
     left_pos = {a: i for i, a in enumerate(left)}
     right_pos = {a: j for j, a in enumerate(right)}
-    edges = set()
-    for block in u.block_sets:
-        block_left = [left_pos[a] for a in block if a in left_pos]
-        block_right = [right_pos[a] for a in block if a in right_pos]
-        for i in block_left:
-            for j in block_right:
-                edges.add((i, j))
-    return BipartiteGraph(left, right, frozenset(edges))
+    # built straight into the frozenset: no second hash table of every edge
+    edges = frozenset(
+        edge
+        for block in u.block_sets
+        for edge in product(
+            [left_pos[a] for a in block if a in left_pos],
+            [right_pos[a] for a in block if a in right_pos],
+        )
+    )
+    return BipartiteGraph(left, right, edges)
 
 
 def mu_with_witness(e: Iterable, f: Iterable, u: Covering) -> tuple[int, MatchingWitness]:

@@ -221,6 +221,46 @@ def build_certificate(
     )
 
 
+def _check_pair(model: GroupModel, f_set: tuple, cover: Covering, pair, need: int) -> list:
+    """Findings for one stored pair, recomputed on the checker's own route.
+
+    One pair's covering graph at a time: it is dropped on return, before
+    the next pair's graph is built.
+    """
+    gf = model.translate(pair.g, f_set)
+    hf = model.translate(pair.h, f_set)
+    _require_window(model, gf, cover.ground, f"translate {model.elem_str(pair.g)}F")
+    _require_window(model, hf, cover.ground, f"translate {model.elem_str(pair.h)}F")
+    graph = covering_graph(gf, hf, cover)
+    label = f"({model.elem_str(pair.g)},{model.elem_str(pair.h)})"
+    try:
+        validate_witness(graph, pair.witness)
+    except WitnessError as exc:
+        return [Finding("witness-invalid", f"pair {label}: {exc}")]
+    findings = []
+    if len(pair.witness) != pair.value:
+        findings.append(
+            Finding(
+                "witness-size",
+                f"pair {label}: witness has {len(pair.witness)} pairs, "
+                f"claimed {pair.value}",
+            )
+        )
+    value, _ = max_matching(graph)
+    if value != pair.value:
+        findings.append(
+            Finding("value-mismatch", f"pair {label}: stored {pair.value}, recomputed {value}")
+        )
+    if value < need:
+        findings.append(
+            Finding(
+                "threshold-miss",
+                f"pair {label}: mu = {value} < {need} = ceil(theta*|F|)",
+            )
+        )
+    return findings
+
+
 def check_certificate(cert: FolnerCertificate) -> CheckReport:
     """Recompute a certificate from scratch and compare field by field.
 
@@ -240,37 +280,7 @@ def check_certificate(cert: FolnerCertificate) -> CheckReport:
             Finding("pairs-mismatch", f"stored pairs {stored!r} != required {expected!r}")
         )
     for pair in cert.pairs:
-        gf = model.translate(pair.g, cert.f_set)
-        hf = model.translate(pair.h, cert.f_set)
-        _require_window(model, gf, cert.cover.ground, f"translate {model.elem_str(pair.g)}F")
-        _require_window(model, hf, cert.cover.ground, f"translate {model.elem_str(pair.h)}F")
-        graph = covering_graph(gf, hf, cert.cover)
-        label = f"({model.elem_str(pair.g)},{model.elem_str(pair.h)})"
-        try:
-            validate_witness(graph, pair.witness)
-        except WitnessError as exc:
-            findings.append(Finding("witness-invalid", f"pair {label}: {exc}"))
-            continue
-        if len(pair.witness) != pair.value:
-            findings.append(
-                Finding(
-                    "witness-size",
-                    f"pair {label}: witness has {len(pair.witness)} pairs, "
-                    f"claimed {pair.value}",
-                )
-            )
-        value, _ = max_matching(graph)
-        if value != pair.value:
-            findings.append(
-                Finding("value-mismatch", f"pair {label}: stored {pair.value}, recomputed {value}")
-            )
-        if value < need:
-            findings.append(
-                Finding(
-                    "threshold-miss",
-                    f"pair {label}: mu = {value} < {need} = ceil(theta*|F|)",
-                )
-            )
+        findings.extend(_check_pair(model, cert.f_set, cert.cover, pair, need))
     all_good = not findings
     if all_good != (cert.status == "PASS"):
         findings.append(
