@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -67,11 +68,13 @@ def _manifest(argv, input_paths, seed, outcome) -> dict:
     }
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(
+    path: str, text: str, suffix: str = ".json", newline: str | None = None
+) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=suffix)
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", newline=newline) as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -476,6 +479,8 @@ def _parse_grid(spec: str) -> list:
     start, stop, step = (ser.frac_parse(p) for p in parts)
     if step <= 0:
         raise ValueError("grid step must be positive")
+    if start > stop:
+        raise ValueError("theta grid is empty: start exceeds stop")
     grid = []
     t = start
     while t <= stop:
@@ -497,10 +502,10 @@ def _cmd_sweep(args, argv) -> int:
     else:
         cover = builtin_coloring(model, "parity", window).partition()
     pairs = required_pairs(model, e_set, args.mode)
-    per_radius = []
-    for radius in range(args.max_radius + 1):
-        f_set = model.ball(radius)
-        per_radius.append((radius, len(f_set), min_pair_mu(model, f_set, pairs, cover)))
+    per_radius = [
+        (radius, len(f_set), min_pair_mu(model, f_set, pairs, cover))
+        for radius, f_set in enumerate(model.balls(args.max_radius))
+    ]
     rows = []
     for theta in grid:
         for radius, f_size, min_mu in per_radius:
@@ -517,13 +522,11 @@ def _cmd_sweep(args, argv) -> int:
                 }
             )
     out = args.out or "sweep.csv"
-    directory = os.path.dirname(os.path.abspath(out)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")
-    with os.fdopen(fd, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    os.replace(tmp, out)
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=list(rows[0].keys()))
+    writer.writeheader()
+    writer.writerows(rows)
+    _atomic_write(out, text.getvalue(), suffix=".csv", newline="")
     print(f"wrote {len(rows)} rows to {out}", file=sys.stderr)
     return 0
 

@@ -21,6 +21,7 @@ colorings.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -150,7 +151,9 @@ def _require_window(model: GroupModel, elems: Iterable, ground: GroundSet, what:
 def _translates(model: GroupModel, f_canon: tuple, pairs, ground: GroundSet) -> list:
     """The translate pair (gF, hF) of each pair, all inside the window.
 
-    F is checked against the window first; then each distinct translate is
+    F must be canonical and the pairs must come from ``required_pairs``;
+    the translates are then built with the unchecked group law.  F is
+    checked against the window first; then each distinct translate is
     built once and checked, in order of first use, so the first escape
     raised is the first one met when walking the pairs.
     """
@@ -159,7 +162,7 @@ def _translates(model: GroupModel, f_canon: tuple, pairs, ground: GroundSet) -> 
     for pair in pairs:
         for g in pair:
             if g not in built:
-                built[g] = model.translate(g, f_canon)
+                built[g] = model.unchecked_translate(g, f_canon)
                 _require_window(model, built[g], ground, f"translate {model.elem_str(g)}F")
     return [(built[g], built[h]) for g, h in pairs]
 
@@ -167,8 +170,10 @@ def _translates(model: GroupModel, f_canon: tuple, pairs, ground: GroundSet) -> 
 def min_pair_mu(model: GroupModel, f_canon: tuple, pairs, cover: Covering) -> int:
     """Smallest mu(gF, hF) over the pairs; |F| when there are none.
 
-    Partitions take the closed form, other coverings the general matcher.
-    Raises WindowEscape if F or a translate leaves the covering's ground.
+    ``f_canon`` must be canonical (``canon_set`` or ``ball`` output) and the
+    pairs must come from ``required_pairs``.  Partitions take the closed
+    form, other coverings the general matcher.  Raises WindowEscape if F or
+    a translate leaves the covering's ground.
     """
     translates = _translates(model, f_canon, pairs, cover.ground)
     evaluate = mu_partition if cover.is_partition() else mu
@@ -402,14 +407,16 @@ def folner_search(
     evaluations = 0
     best_f: tuple = ()
     best_ratio = Fraction(-1)
+    key = model.sort_key
 
     def consider(f_canon) -> Fraction:
         nonlocal evaluations, best_f, best_ratio
         ratio = Fraction(min_pair_mu(model, f_canon, pairs, cover), len(f_canon))
         evaluations += 1
-        key = tuple(model.sort_key(x) for x in f_canon)
-        best_key = tuple(model.sort_key(x) for x in best_f)
-        if ratio > best_ratio or (ratio == best_ratio and key < best_key):
+        if ratio > best_ratio or (
+            ratio == best_ratio
+            and tuple(map(key, f_canon)) < tuple(map(key, best_f))
+        ):
             best_f, best_ratio = f_canon, ratio
         return ratio
 
@@ -417,8 +424,7 @@ def folner_search(
         return ratio * len(f_canon) >= theta_threshold(theta, len(f_canon))
 
     if isinstance(strategy, BallsStrategy):
-        for radius in range(strategy.max_radius + 1):
-            f_canon = model.ball(radius)
+        for f_canon in model.balls(strategy.max_radius):
             ratio = consider(f_canon)
             if passed(f_canon, ratio):
                 cert = build_certificate(model, f_canon, e_canon, cover, theta, mode)
@@ -428,6 +434,7 @@ def folner_search(
     if isinstance(strategy, LocalSetStrategy):
         rng = random.Random(strategy.seed)
         gens = model.generators()
+        mul = model.unchecked_multiply
 
         def attempt(f_canon) -> Fraction | None:
             """The candidate's ratio, or None when it leaves the window."""
@@ -463,16 +470,18 @@ def folner_search(
             cert = build_certificate(model, current, e_canon, cover, theta, mode)
             return SearchResult("PASS", cert, current, current_ratio, evaluations)
         while evaluations < strategy.budget:
+            # moves keep canonical order: insert or drop at the sorted position
             moves = []
             fset = set(current)
             for x in current:
                 for s in gens:
-                    y = model.multiply(x, s)
+                    y = mul(x, s)
                     if y not in fset and y in cover.ground:
-                        moves.append(model.canon_set(fset | {y}))
+                        at = bisect.bisect_left(current, key(y), key=key)
+                        moves.append(current[:at] + (y,) + current[at:])
             if len(current) > 1:
-                for x in current:
-                    moves.append(model.canon_set(fset - {x}))
+                for at in range(len(current)):
+                    moves.append(current[:at] + current[at + 1 :])
             seen = set()
             scored = []
             for cand in moves:
@@ -485,14 +494,14 @@ def folner_search(
                 if passed(cand, ratio):
                     cert = build_certificate(model, cand, e_canon, cover, theta, mode)
                     return SearchResult("PASS", cert, cand, ratio, evaluations)
-                scored.append((ratio, tuple(model.sort_key(v) for v in cand), cand))
+                scored.append((ratio, cand))
                 if evaluations >= strategy.budget:
                     break
             improving = [s for s in scored if s[0] > current_ratio]
             if improving:
-                improving.sort(key=lambda s: (-s[0], s[1]))
-                _, _, current = improving[0]
-                current_ratio = improving[0][0]
+                current_ratio, current = min(
+                    improving, key=lambda s: (-s[0], tuple(map(key, s[1])))
+                )
             else:
                 current, current_ratio = random_start()
                 if passed(current, current_ratio):
@@ -521,14 +530,6 @@ class LocalColorings:
     plateau: int = 20
 
 
-def _adversary_window(model, f_canon, pairs) -> GroundSet:
-    window: set = set(f_canon)
-    for g, h in pairs:
-        window.update(model.translate(g, f_canon))
-        window.update(model.translate(h, f_canon))
-    return GroundSet(sorted(window, key=model.sort_key))
-
-
 def adversary_coloring(
     model: GroupModel,
     f_set: Iterable,
@@ -544,6 +545,11 @@ def adversary_coloring(
     minimize min over required pairs of mu(gF, hF, partition)/|F|.  The
     reported ratio is recomputed exactly through the general matcher, not
     the partition shortcut used during the search.
+
+    |F| is fixed, so the search compares the integer min over pairs of
+    sum over colors of min(#c in gF, #c in hF).  The local strategy keeps
+    those per-pair color counts and scores a single-atom recoloring by
+    updating only the pairs whose translates contain the atom.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -552,45 +558,45 @@ def adversary_coloring(
     if not f_canon:
         raise ValueError("candidate set F must be non-empty")
     pairs = required_pairs(model, model.canon_set(e_set), mode)
-    ground = _adversary_window(model, f_canon, pairs)
+    translates = {g: model.unchecked_translate(g, f_canon) for pair in pairs for g in pair}
+    ground = GroundSet(
+        sorted(set(f_canon).union(*translates.values()), key=model.sort_key)
+    )
     n = len(ground)
     f_size = len(f_canon)
-
-    pair_indices = []
-    for g, h in pairs:
-        gf = model.translate(g, f_canon)
-        hf = model.translate(h, f_canon)
-        pair_indices.append(
-            (
-                tuple(ground.position(x) for x in gf),
-                tuple(ground.position(x) for x in hf),
-            )
+    colors = range(k + 1)
+    pair_indices = [
+        (
+            tuple(map(ground.position, translates[g])),
+            tuple(map(ground.position, translates[h])),
         )
+        for g, h in pairs
+    ]
 
-    def objective(colors) -> Fraction:
-        worst = None
+    def recount(vec) -> list:
+        """Per pair, the color counts (of gF, of hF) under ``vec``."""
+        counts = []
         for left_idx, right_idx in pair_indices:
             counts_l = [0] * (k + 1)
             counts_r = [0] * (k + 1)
             for i in left_idx:
-                counts_l[colors[i]] += 1
+                counts_l[vec[i]] += 1
             for j in right_idx:
-                counts_r[colors[j]] += 1
-            value = sum(min(a, b) for a, b in zip(counts_l, counts_r))
-            if worst is None or value < worst:
-                worst = value
-        if worst is None:
-            worst = f_size
-        return Fraction(worst, f_size)
+                counts_r[vec[j]] += 1
+            counts.append((counts_l, counts_r))
+        return counts
 
-    best_vec: tuple | None = None
-    best_obj: Fraction | None = None
+    def pair_values(counts) -> list:
+        return [sum(map(min, counts_l, counts_r)) for counts_l, counts_r in counts]
+
+    best_vec: list | None = None
+    best_obj: int | None = None
 
     def track(vec, obj) -> None:
+        """Keep the least objective, ties going to the least vector."""
         nonlocal best_vec, best_obj
-        vec = tuple(vec)
         if best_obj is None or obj < best_obj or (obj == best_obj and vec < best_vec):
-            best_vec, best_obj = vec, obj
+            best_vec, best_obj = list(vec), obj
 
     if isinstance(strategy, ExhaustiveColorings):
         total = (k + 1) ** n
@@ -598,14 +604,28 @@ def adversary_coloring(
             raise ValueError(
                 f"exhaustive coloring space {total} exceeds cap {strategy.cap}"
             )
-        for vec in itertools.product(range(k + 1), repeat=n):
-            track(vec, objective(vec))
+        for vec in itertools.product(colors, repeat=n):
+            vec = list(vec)
+            track(vec, min(pair_values(recount(vec)), default=f_size))
     elif isinstance(strategy, LocalColorings):
+        # per atom: (pair, in gF, in hF) for the pairs it touches, and the
+        # pairs it leaves alone
+        touches: list = [[] for _ in range(n)]
+        for p, (left_idx, right_idx) in enumerate(pair_indices):
+            left, right = set(left_idx), set(right_idx)
+            for i in left | right:
+                touches[i].append((p, int(i in left), int(i in right)))
+        untouched = []
+        for touched in touches:
+            hit = {p for p, _, _ in touched}
+            untouched.append([p for p in range(len(pairs)) if p not in hit])
         rng = random.Random(strategy.seed)
         evaluations = 0
         while evaluations < strategy.budget:
             current = [rng.randint(0, k) for _ in range(n)]
-            current_obj = objective(current)
+            counts = recount(current)
+            values = pair_values(counts)
+            current_obj = min(values, default=f_size)
             evaluations += 1
             track(current, current_obj)
             plateau_left = strategy.plateau
@@ -613,11 +633,24 @@ def adversary_coloring(
                 move_best = None
                 for i in range(n):
                     old = current[i]
-                    for c in range(k + 1):
+                    touched = touches[i]
+                    rest = min((values[p] for p in untouched[i]), default=f_size)
+                    for c in colors:
                         if c == old:
                             continue
+                        obj = rest
+                        for p, dl, dr in touched:
+                            counts_l, counts_r = counts[p]
+                            value = (
+                                values[p]
+                                - min(counts_l[old], counts_r[old])
+                                - min(counts_l[c], counts_r[c])
+                                + min(counts_l[old] - dl, counts_r[old] - dr)
+                                + min(counts_l[c] + dl, counts_r[c] + dr)
+                            )
+                            if value < obj:
+                                obj = value
                         current[i] = c
-                        obj = objective(current)
                         evaluations += 1
                         track(current, obj)
                         cand = (obj, i, c)
@@ -632,28 +665,31 @@ def adversary_coloring(
                     break
                 obj, i, c = move_best
                 if obj < current_obj:
-                    current[i] = c
-                    current_obj = obj
                     plateau_left = strategy.plateau
                 elif obj == current_obj and plateau_left > 0:
-                    current[i] = c
                     plateau_left -= 1
                 else:
                     break
+                old = current[i]
+                current[i] = c
+                current_obj = obj
+                for p, dl, dr in touches[i]:
+                    counts_l, counts_r = counts[p]
+                    counts_l[old] -= dl
+                    counts_l[c] += dl
+                    counts_r[old] -= dr
+                    counts_r[c] += dr
+                    values[p] = sum(map(min, counts_l, counts_r))
     else:
         raise TypeError(f"unknown strategy: {strategy!r}")
 
-    coloring = Coloring(ground, best_vec, k)
+    coloring = Coloring(ground, tuple(best_vec), k)
     partition = coloring.partition()
-    exact = None
-    for g, h in pairs:
-        gf = model.translate(g, f_canon)
-        hf = model.translate(h, f_canon)
-        value = mu(gf, hf, partition)
-        if exact is None or value < exact:
-            exact = value
-    ratio = Fraction(f_size if exact is None else exact, f_size)
-    return coloring, ratio
+    exact = min(
+        (mu(translates[g], translates[h], partition) for g, h in pairs),
+        default=f_size,
+    )
+    return coloring, Fraction(exact, f_size)
 
 
 # ---------------------------------------------------------------------------
@@ -877,11 +913,11 @@ def monochromatic_translate(
     win = model.canon_set(window)
     win_set = set(win)
     e_canon = model.canon_set(e_set)
+    mul = model.unchecked_multiply
     for g in win:
-        eg = model.canon_set(model.multiply(x, g) for x in e_canon)
-        if any(x not in win_set for x in eg):
+        eg_set = {mul(x, g) for x in e_canon}
+        if not eg_set <= win_set:
             continue
-        eg_set = set(eg)
         for block, block_set in zip(cover.blocks, cover.block_sets):
             if eg_set <= block_set:
                 return g, block

@@ -6,11 +6,18 @@ validated on load.  Elements are plain values (int tuples, freely reduced
 words as signed-int tuples, table indices); the model supplies the group
 law, canonical ordering, ball enumeration, and the string codecs used by
 the JSON layer.
+
+Elements are checked where they enter: by the string codecs and by the
+public ``multiply``, ``inverse``, ``canon_set`` and ``translate``.  Each
+model also has one unchecked product, ``unchecked_multiply``, for callers
+whose elements are already valid; the public ``multiply`` is ``validate``
+on both arguments followed by it, so each model has one group law.
 """
 
 from __future__ import annotations
 
 import string
+from operator import add
 from typing import Iterable, Sequence
 
 DEFAULT_BALL_LIMIT = 10**6
@@ -32,6 +39,10 @@ class GroupModel:
         raise NotImplementedError
 
     def multiply(self, g, h):
+        raise NotImplementedError
+
+    def unchecked_multiply(self, g, h):
+        """The group law on elements already known to be valid."""
         raise NotImplementedError
 
     def inverse(self, g):
@@ -64,20 +75,36 @@ class GroupModel:
     def translate(self, g, f: Iterable) -> tuple:
         """Left translate {g*x : x in f}, canonically ordered."""
         g = self.validate(g)
-        return self.canon_set(self.multiply(g, x) for x in f)
+        return self.unchecked_translate(g, {self.validate(x) for x in f})
 
-    def ball(self, radius: int, max_size: int = DEFAULT_BALL_LIMIT) -> tuple:
-        """All elements of word length <= radius over the symmetric generators."""
+    def unchecked_translate(self, g, f: Iterable) -> tuple:
+        """``translate`` for a valid g and distinct valid elements f.
+
+        Left translation is injective, so the products are distinct too.
+        """
+        mul = self.unchecked_multiply
+        return tuple(sorted([mul(g, x) for x in f], key=self.sort_key))
+
+    def balls(self, radius: int, max_size: int = DEFAULT_BALL_LIMIT):
+        """Yield the ball of each radius 0..radius from a single BFS.
+
+        Each ball is canonically ordered; the ball of radius r + 1 is the
+        ball of radius r merged with the new sphere.
+        """
         if radius < 0:
             raise ValueError("radius must be non-negative")
+        mul = self.unchecked_multiply
+        key = self.sort_key
+        gens = self.generators()
         seen = {self.identity}
         frontier = [self.identity]
-        gens = self.generators()
+        ball = (self.identity,)
+        yield ball
         for _ in range(radius):
             nxt = []
             for g in frontier:
                 for s in gens:
-                    h = self.multiply(g, s)
+                    h = mul(g, s)
                     if h not in seen:
                         seen.add(h)
                         nxt.append(h)
@@ -86,7 +113,15 @@ class GroupModel:
                                 f"ball size exceeds cap {max_size}"
                             )
             frontier = nxt
-        return tuple(sorted(seen, key=self.sort_key))
+            nxt.sort(key=key)
+            ball = tuple(sorted(ball + tuple(nxt), key=key))
+            yield ball
+
+    def ball(self, radius: int, max_size: int = DEFAULT_BALL_LIMIT) -> tuple:
+        """All elements of word length <= radius over the symmetric generators."""
+        for last in self.balls(radius, max_size):
+            pass
+        return last
 
 
 class IntegerLattice(GroupModel):
@@ -113,8 +148,10 @@ class IntegerLattice(GroupModel):
         raise GroupError(f"not a Z^{self.d} element: {g!r}")
 
     def multiply(self, g, h):
-        g, h = self.validate(g), self.validate(h)
-        return tuple(a + b for a, b in zip(g, h))
+        return self.unchecked_multiply(self.validate(g), self.validate(h))
+
+    def unchecked_multiply(self, g, h):
+        return tuple(map(add, g, h))
 
     def inverse(self, g):
         g = self.validate(g)
@@ -178,14 +215,16 @@ class FreeGroup(GroupModel):
         return g
 
     def multiply(self, g, h):
-        g, h = self.validate(g), self.validate(h)
-        out = list(g)
-        for x in h:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-        return tuple(out)
+        return self.unchecked_multiply(self.validate(g), self.validate(h))
+
+    def unchecked_multiply(self, g, h):
+        # both words are reduced: cancel the longest suffix of g that is
+        # inverse to a prefix of h, and nothing else cancels
+        n = 0
+        limit = min(len(g), len(h))
+        while n < limit and g[-1 - n] == -h[n]:
+            n += 1
+        return g[: len(g) - n] + h[n:]
 
     def inverse(self, g):
         g = self.validate(g)
@@ -307,7 +346,10 @@ class FiniteTableGroup(GroupModel):
         raise GroupError(f"not an element index: {g!r}")
 
     def multiply(self, g, h):
-        return self.table[self.validate(g)][self.validate(h)]
+        return self.unchecked_multiply(self.validate(g), self.validate(h))
+
+    def unchecked_multiply(self, g, h):
+        return self.table[g][h]
 
     def inverse(self, g):
         return self._inverses[self.validate(g)]

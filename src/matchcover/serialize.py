@@ -175,7 +175,18 @@ def certificate_to_json(cert: FolnerCertificate) -> dict:
 
 
 def certificate_from_json(obj: dict) -> FolnerCertificate:
+    """Decode a certificate; a vacuous or out-of-range claim is invalid input.
+
+    F must be non-empty (an empty F passes every threshold) and theta must
+    lie in [0, 1].
+    """
     model = group_from_json(obj["group"])
+    f_set = tuple(elems_from_json(model, obj["f"]))
+    if not f_set:
+        raise ValueError("certificate has an empty candidate set F")
+    theta = frac_parse(obj["theta"])
+    if not (0 <= theta <= 1):
+        raise ValueError(f"certificate theta {theta} is outside [0, 1]")
     cover = covering_from_json(obj["cover"], model)
     pairs = tuple(
         PairResult(
@@ -188,9 +199,9 @@ def certificate_from_json(obj: dict) -> FolnerCertificate:
     )
     return FolnerCertificate(
         group=model,
-        f_set=tuple(elems_from_json(model, obj["f"])),
+        f_set=f_set,
         e_set=tuple(elems_from_json(model, obj["e"])),
-        theta=frac_parse(obj["theta"]),
+        theta=theta,
         mode=obj["mode"],
         cover=cover,
         pairs=pairs,

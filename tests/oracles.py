@@ -4,15 +4,19 @@ The matching oracle never touches augmenting paths: it enumerates matchings
 as injections directly (memoized over right-vertex subsets), after splitting
 the graph into connected components to keep the subset space small.  The
 Hall-deficiency oracle never touches a matching: it enumerates every subset
-of the left part.
+of the left part.  The ball oracle runs one BFS per radius on the validating
+group law, and the adversary oracle recounts every pair on every move.
 """
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
 from functools import lru_cache
 
-from matchcover.bipartite import BipartiteGraph
+from matchcover.bipartite import BipartiteGraph, mu
 from matchcover.cover import Covering, GroundSet
+from matchcover.folner import Coloring, required_pairs
 
 
 def _component_optimum(adj_masks: list) -> int:
@@ -157,3 +161,114 @@ def zd_ball_size_oracle(d: int, radius: int) -> int:
                 total += 2 * table[dim - 1][r - step]
             table[dim][r] = total
     return table[d][radius]
+
+
+def ball_reference(model, radius: int) -> tuple:
+    """Ball of one radius by its own BFS, every product through ``multiply``."""
+    seen = {model.identity}
+    frontier = [model.identity]
+    for _ in range(radius):
+        nxt = []
+        for g in frontier:
+            for s in model.generators():
+                h = model.multiply(g, s)
+                if h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return model.canon_set(seen)
+
+
+def adversary_local_reference(
+    model, f_set, e_set, k: int, mode: str, seed: int, budget: int, plateau: int
+) -> tuple:
+    """Local recoloring descent that recounts every pair on every move.
+
+    Same moves, order, tie-breaks and evaluation count as
+    ``adversary_coloring`` with ``LocalColorings``; the objective is the
+    exact ratio, recomputed from scratch for each coloring it scores.
+    """
+    f_canon = model.canon_set(f_set)
+    pairs = required_pairs(model, model.canon_set(e_set), mode)
+    window = set(f_canon)
+    for g, h in pairs:
+        window.update(model.translate(g, f_canon))
+        window.update(model.translate(h, f_canon))
+    ground = GroundSet(sorted(window, key=model.sort_key))
+    n = len(ground)
+    f_size = len(f_canon)
+    pair_indices = [
+        (
+            [ground.position(x) for x in model.translate(g, f_canon)],
+            [ground.position(x) for x in model.translate(h, f_canon)],
+        )
+        for g, h in pairs
+    ]
+
+    def objective(colors) -> Fraction:
+        worst = f_size
+        for left_idx, right_idx in pair_indices:
+            counts_l = [0] * (k + 1)
+            counts_r = [0] * (k + 1)
+            for i in left_idx:
+                counts_l[colors[i]] += 1
+            for j in right_idx:
+                counts_r[colors[j]] += 1
+            worst = min(worst, sum(min(a, b) for a, b in zip(counts_l, counts_r)))
+        return Fraction(worst, f_size)
+
+    best = None
+
+    def track(vec, obj) -> None:
+        nonlocal best
+        if best is None or (obj, tuple(vec)) < best:
+            best = (obj, tuple(vec))
+
+    rng = random.Random(seed)
+    evaluations = 0
+    while evaluations < budget:
+        current = [rng.randint(0, k) for _ in range(n)]
+        current_obj = objective(current)
+        evaluations += 1
+        track(current, current_obj)
+        plateau_left = plateau
+        while evaluations < budget:
+            move_best = None
+            for i in range(n):
+                old = current[i]
+                for c in range(k + 1):
+                    if c == old:
+                        continue
+                    current[i] = c
+                    obj = objective(current)
+                    evaluations += 1
+                    track(current, obj)
+                    if move_best is None or (obj, i, c) < move_best:
+                        move_best = (obj, i, c)
+                    if evaluations >= budget:
+                        break
+                current[i] = old
+                if evaluations >= budget:
+                    break
+            if move_best is None:
+                break
+            obj, i, c = move_best
+            if obj < current_obj:
+                current[i] = c
+                current_obj = obj
+                plateau_left = plateau
+            elif obj == current_obj and plateau_left > 0:
+                current[i] = c
+                plateau_left -= 1
+            else:
+                break
+    coloring = Coloring(ground, best[1], k)
+    partition = coloring.partition()
+    exact = min(
+        (
+            mu(model.translate(g, f_canon), model.translate(h, f_canon), partition)
+            for g, h in pairs
+        ),
+        default=f_size,
+    )
+    return coloring, Fraction(exact, f_size)

@@ -194,6 +194,28 @@ class TestFolnerCommands:
         out.write_text(json.dumps(doc))
         assert dispatch(["verify", str(out)]) == 2
 
+    def test_negative_theta_is_exit_two(self, tmp_path, capsys):
+        _, out = self.run_search(tmp_path)
+        doc = json.loads(out.read_text())
+        doc["theta"] = "-5"
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert dispatch(["verify", str(out)]) == 2
+        assert "outside [0, 1]" in capsys.readouterr().err
+
+    def test_empty_candidate_set_is_exit_two(self, tmp_path, capsys):
+        _, out = self.run_search(tmp_path)
+        doc = json.loads(out.read_text())
+        # a vacuous claim: with |F| = 0 every threshold ceil(theta*0) is met
+        doc["f"] = []
+        for pair in doc["pairs"]:
+            pair["mu"] = 0
+            pair["witness"]["pairs"] = []
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert dispatch(["verify", str(out)]) == 2
+        assert "empty candidate set" in capsys.readouterr().err
+
     def test_search_exhausted_exit_one(self, tmp_path):
         out = tmp_path / "report.json"
         code = dispatch(
@@ -355,6 +377,20 @@ class TestSweep:
         header = lines[0].split(",")
         assert "min_ratio" in header and "min_ratio_decimal_lossy" in header
         assert len(lines) == 1 + 3 * 4  # three thetas, radii 0..3
+
+    def test_empty_grid_is_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = dispatch(
+            [
+                "sweep", "--group", "zd2", "--theta-grid", "1:1/2:1/10",
+                "--max-radius", "2", "--out", str(out),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: theta grid is empty")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_decimal_grid(self, tmp_path):
         out = tmp_path / "sweep.csv"

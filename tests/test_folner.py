@@ -33,7 +33,12 @@ from matchcover.groups import (
 )
 from matchcover.serialize import certificate_to_json, canonical_dumps
 
-from oracles import max_matching_bruteforce, random_partition, random_subset
+from oracles import (
+    adversary_local_reference,
+    max_matching_bruteforce,
+    random_partition,
+    random_subset,
+)
 from matchcover.bipartite import covering_graph
 
 Z = IntegerLattice(1)
@@ -306,6 +311,28 @@ class TestAdversary:
         )
         gf = g6.translate(2, (0, 1))
         assert ratio == Fraction(mu((0, 1), gf, coloring.partition()), 2)
+
+    @pytest.mark.parametrize(
+        "model, f, e_set",
+        [
+            (IntegerLattice(2), IntegerLattice(2).ball(3), [(1, 0), (0, 1)]),
+            (IntegerLattice(2), IntegerLattice(2).ball(2), [(0, 0), (1, 1), (2, 0)]),
+            (F2, F2.ball(2), [(1,), (2,)]),
+            (F2, F2.ball(2), [(), (1, 2), (-2,)]),
+        ],
+    )
+    def test_local_matches_full_recount_reference(self, model, f, e_set):
+        for k in (1, 2):
+            for mode in ("asym", "sym"):
+                for seed, budget, plateau in ((0, 40, 3), (1, 600, 20), (2, 2500, 5)):
+                    got = adversary_coloring(
+                        model, f, e_set, k, mode,
+                        strategy=LocalColorings(seed=seed, budget=budget, plateau=plateau),
+                    )
+                    want = adversary_local_reference(
+                        model, f, e_set, k, mode, seed, budget, plateau
+                    )
+                    assert got == want, (k, mode, seed, budget)
 
 
 class TestThetaBoost:

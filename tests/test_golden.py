@@ -30,6 +30,8 @@ INPUTS = {
     },
     "left.json": [str(i) for i in range(-4, 3)],
     "right.json": [str(i) for i in range(-1, 6)],
+    "f2-ball2.json": ["1", "a", "A", "b", "B", "aa", "ab", "aB", "AA", "Ab", "AB",
+                      "ba", "bA", "bb", "Ba", "BA", "BB"],
     "a.json": {"points": ["p"], "dist": [["0"]]},
     "b.json": {"points": ["x", "y"], "dist": [["0", "1"], ["1", "0"]]},
     "c.json": {
@@ -63,6 +65,15 @@ CORPUS = [
     ("sweep-sym-overlap.csv",
      ["sweep", "--group", "zd1", "--cover", "overlap.json", "--e", "0;2;-3",
       "--mode", "sym", "--theta-grid", "1/2:1:1/4", "--max-radius", "6"], 0),
+    ("adversary-f2.json",
+     ["folner", "adversary", "--group", "free2", "--f-file", "f2-ball2.json",
+      "--e", "a;b;ab", "--colors", "2", "--budget", "600", "--seed", "4"], 0),
+    ("sweep-zd3.csv",
+     ["sweep", "--group", "zd3", "--e", "1,0,0;0,1,1", "--theta-grid", "1/2:1:1/4",
+      "--max-radius", "4"], 0),
+    ("balls-free2-exhausted.json",
+     ["folner", "search", "--group", "free2", "--coloring", "first-letter",
+      "--e", "a;b;aB", "--theta", "99/100", "--max-radius", "3"], 1),
     ("match.json",
      ["match", "--graph", "graph.json", "--deficiency", "--json"], 0),
     ("mu.json",
@@ -81,6 +92,9 @@ DIGESTS = {
     "local-f2.json": "e7b986f856e02bee4714ec146aa9a9a0a0f8caf1a5a98f9f1086f3288febac3a",
     "sweep.csv": "cc9d26c3aa71767e46f6a7a1d956555129a1d53f01388584d02dc0af387df3a1",
     "sweep-sym-overlap.csv": "53f1ce0bc87556eea39bda5b5438b96f2f54303cf7115db32f8c7f4a9c2b6acb",
+    "adversary-f2.json": "b175097efda74572b7e9defeedc7e10c00e81fcc09675e1427329abe98aac52a",
+    "sweep-zd3.csv": "38bea0e0c432819e2fe6f00995cd0a0336fe83c7c925b5c0097193b46938a6c5",
+    "balls-free2-exhausted.json": "759e982e59225d71df480819b1829afbb18a7f66669b59a6052a8640d1076f14",
     "match.json": "2f881cd7c14f59e32db11dc61104b25852761875f645a6c45a28f359460a6fd7",
     "mu.json": "38c7e46f4b3cb650659545340b5782e6427e96d8447116b0aee9e885f7b3df2a",
     "ramsey.json": "450972ed261221f6951f8030c1effb1b29984097a9a649bb3272bc23121eeb25",

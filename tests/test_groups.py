@@ -14,7 +14,7 @@ from matchcover.groups import (
     symmetric_group,
 )
 
-from oracles import zd_ball_size_oracle
+from oracles import ball_reference, zd_ball_size_oracle
 
 
 F2 = FreeGroup(2)
@@ -47,6 +47,45 @@ class TestMultiply:
             Z2.multiply((1, 0), (1,))
         with pytest.raises(GroupError):
             F2.multiply((1,), (1, 0))
+
+    def test_public_api_rejects_mixed_groups(self):
+        # the search loops run on the unchecked product; the public API
+        # must keep checking every element it is given
+        with pytest.raises(GroupError):
+            Z2.translate((1, 0), [(0, 0), (1,)])
+        with pytest.raises(GroupError):
+            Z2.translate((1,), [(0, 0)])
+        with pytest.raises(GroupError):
+            F2.translate((1,), [(1, 0)])
+        with pytest.raises(GroupError):
+            Z2.canon_set([(0, 0), (1,)])
+        with pytest.raises(GroupError):
+            F2.canon_set([(1,), (0, 1)])
+        with pytest.raises(GroupError):
+            F2.canon_set([(1, -1)])
+        with pytest.raises(GroupError):
+            Z2.inverse((1,))
+        with pytest.raises(GroupError):
+            F2.inverse((1, 0))
+        s3 = symmetric_group(3)
+        with pytest.raises(GroupError):
+            s3.translate(1, [0, 6])
+        with pytest.raises(GroupError):
+            s3.canon_set([0, (1,)])
+        with pytest.raises(GroupError):
+            s3.inverse(6)
+
+    def test_unchecked_product_is_the_group_law(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            g = random_word(rng, 2, 8)
+            h = random_word(rng, 2, 8)
+            assert F2.unchecked_multiply(g, h) == F2.multiply(g, h)
+        assert Z2.unchecked_multiply((1, -2), (3, 5)) == Z2.multiply((1, -2), (3, 5))
+        s3 = symmetric_group(3)
+        for g in s3.elements():
+            for h in s3.elements():
+                assert s3.unchecked_multiply(g, h) == s3.multiply(g, h)
 
     def test_associativity_on_random_words(self):
         rng = random.Random(1)
@@ -91,6 +130,27 @@ class TestBall:
             model = IntegerLattice(d)
             for r in range(0, 5):
                 assert len(model.ball(r)) == zd_ball_size_oracle(d, r)
+
+    def test_single_bfs_matches_reference_at_every_radius(self):
+        models = [
+            (IntegerLattice(1), 10),
+            (IntegerLattice(2), 7),
+            (IntegerLattice(3), 5),
+            (F2, 4),
+            (symmetric_group(4), 3),
+        ]
+        for model, radius in models:
+            balls = list(model.balls(radius))
+            assert len(balls) == radius + 1
+            for r, ball in enumerate(balls):
+                assert ball == ball_reference(model, r), (model.describe(), r)
+                assert model.ball(r) == ball
+
+    def test_balls_cap_and_negative_radius(self):
+        with pytest.raises(GroupError, match="cap"):
+            list(F2.balls(8, max_size=100))
+        with pytest.raises(ValueError):
+            F2.ball(-1)
 
     def test_ball_cap(self):
         with pytest.raises(GroupError, match="cap"):
