@@ -80,5 +80,4 @@ from .ramsey import (
     embeddings,
     ramsey_condition_check,
     ramsey_mu,
-    rho,
 )

@@ -42,7 +42,7 @@ from .folner import (
 )
 from .groups import FreeGroup, GroupModel, IntegerLattice, group_from_json
 from .means import convolve, rationalize
-from .ramsey import ramsey_condition_check, ramsey_mu, embeddings
+from .ramsey import check_report, ramsey_condition_check
 from . import serialize as ser
 
 
@@ -86,6 +86,13 @@ def _atomic_write(
 def _load_json(path: str):
     with open(path) as fh:
         return json.load(fh)
+
+
+def _load_document(path: str) -> dict:
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    return doc
 
 
 def _status_text(word: str) -> str:
@@ -307,47 +314,15 @@ def _verify_certificate_doc(doc) -> int:
 
 
 def _verify_ramsey_doc(doc) -> int:
-    a = ser.finmetric_from_json(doc["a"])
-    b = ser.finmetric_from_json(doc["b"])
-    c = ser.finmetric_from_json(doc["c"])
-    eps = ser.frac_parse(doc["eps"])
-    k = int(doc["k"])
-    emb_ab = embeddings(a, b)
-    emb_ac = embeddings(a, c)
-    emb_bc = embeddings(b, c)
-    if doc["vacuous"]:
-        ok = doc["holds"] and not emb_ab
-    elif doc["holds"]:
-        ok = True
-        for item in doc["witnesses"]:
-            vector = item["coloring"]
-            phi = {emb: col for emb, col in zip(emb_ac, vector)}
-            psi = [emb_bc[i] for i in item["family"]]
-            need = (1 - eps) * len(psi)
-            for alpha in emb_ab:
-                for beta in emb_ab:
-                    if ramsey_mu(psi, alpha, beta, phi, eps, validate=False) < need:
-                        ok = False
-                        print(
-                            f"witness fails for coloring {vector}", file=sys.stderr
-                        )
-    else:
-        outcome = ramsey_condition_check(
-            a,
-            b,
-            c,
-            k,
-            eps,
-            max_family=int(doc["max_family"]),
-            family_budget=int(doc["family_budget"]),
-        )
-        ok = not outcome.holds
-    print(_status_text("OK" if ok else "FAIL"))
-    return 0 if ok else 1
+    report = check_report(*ser.ramsey_outcome_from_json(doc))
+    for finding in report.findings:
+        print(f"{finding.code}: {finding.message}", file=sys.stderr)
+    print(_status_text("OK" if report.ok else "FAIL"))
+    return 0 if report.ok else 1
 
 
 def _cmd_verify(args, argv) -> int:
-    doc = _load_json(args.path)
+    doc = _load_document(args.path)
     schema = doc.get("schema")
     if schema in (ser.FOLNER_CERT_SCHEMA, ser.FOLNER_EXHAUSTED_SCHEMA):
         return _verify_certificate_doc(doc)
@@ -451,14 +426,7 @@ def _cmd_ramsey(args, argv) -> int:
     c = ser.finmetric_from_json(_load_json(args.c))
     eps = ser.frac_parse(args.eps)
     outcome = ramsey_condition_check(
-        a,
-        b,
-        c,
-        args.colors,
-        eps,
-        max_family=args.max_family,
-        family_budget=args.budget,
-        seed=args.seed,
+        a, b, c, args.colors, eps, max_family=args.max_family, family_budget=args.budget
     )
     doc = ser.ramsey_outcome_to_json(outcome, a, b, c, args.max_family, args.budget)
     doc["manifest"] = _manifest(argv, [args.a, args.b, args.c], args.seed, 0 if outcome.holds else 1)
@@ -532,7 +500,7 @@ def _cmd_sweep(args, argv) -> int:
 
 
 def _cmd_folner_check(args, argv) -> int:
-    doc = _load_json(args.path)
+    doc = _load_document(args.path)
     if doc.get("schema") not in (ser.FOLNER_CERT_SCHEMA, ser.FOLNER_EXHAUSTED_SCHEMA):
         raise ValueError("not a certificate document")
     return _verify_certificate_doc(doc)

@@ -13,6 +13,10 @@ bipartite graphs (composites landing near a common color class) have
 matching number at least (1-eps) times the family size, for every pair of
 source-to-mid embeddings.  Eps-balls around color classes use strict
 inequality.
+
+Inputs are validated where they enter; inside, one evaluator works on image
+tuples and the large space's distance matrix and builds no ``Embedding``.
+``check_report`` replays a stored outcome for ``matchcover verify``.
 """
 
 from __future__ import annotations
@@ -20,12 +24,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .bipartite import BipartiteGraph, max_matching
+from .folner import CheckReport, Finding
 
 MAX_SOURCE_POINTS = 6
 MAX_TARGET_POINTS = 12
+MAX_COLORINGS = 65536
 
 
 class CapExceeded(ValueError):
@@ -136,31 +142,38 @@ def embeddings(a: FinMetric, c: FinMetric) -> tuple:
     return tuple(found)
 
 
-def compose(inner: Embedding, outer: Embedding) -> Embedding:
-    """Composite embedding; isometry is closed under composition."""
-    if inner.target != outer.source:
-        raise ValueError("embeddings do not chain")
-    return Embedding(
-        inner.source, outer.target, tuple(outer.images[i] for i in inner.images)
-    )
+def _classes(emb_ac: Sequence, vector: Sequence) -> dict:
+    """Color -> image tuples of that color, from a vector in emb(a, c) order."""
+    classes: dict = {}
+    for images, color in zip(emb_ac, vector):
+        classes.setdefault(color, []).append(images)
+    return classes
 
 
-def rho(alpha: Embedding, beta: Embedding) -> Fraction:
-    """Sup distance between two embeddings with common source and target."""
-    if alpha.source != beta.source or alpha.target != beta.target:
-        raise ValueError("embeddings must share source and target")
-    return max(
-        alpha.target.d(i, j) for i, j in zip(alpha.images, beta.images)
-    )
+def _family_mu(dist, classes: dict, eps: Fraction, family, alpha, beta) -> int:
+    """``ramsey_mu`` on image tuples, with ``dist`` the large space's matrix.
+
+    The composite of p after alpha is ``tuple(p[j] for j in alpha)``, and
+    its sup-distance to an image tuple m is the max of dist over the pairs.
+    """
+
+    def near(images) -> set:
+        return {
+            color
+            for color, members in classes.items()
+            if any(max(dist[i][j] for i, j in zip(images, m)) < eps for m in members)
+        }
+
+    left = [near(tuple(p[j] for j in alpha)) for p in family]
+    right = [near(tuple(p[j] for j in beta)) for p in family]
+    m = len(family)
+    edges = frozenset((i, j) for i in range(m) for j in range(m) if left[i] & right[j])
+    return max_matching(BipartiteGraph(tuple(range(m)), tuple(range(m)), edges))[0]
 
 
-def _near_colors(delta: Embedding, classes: dict, eps: Fraction) -> frozenset:
-    """Colors whose class contains an embedding strictly within eps."""
-    out = set()
-    for color, members in classes.items():
-        if any(rho(delta, member) < eps for member in members):
-            out.add(color)
-    return frozenset(out)
+def _family_holds(dist, classes: dict, eps: Fraction, family, pairs) -> bool:
+    need = (1 - eps) * len(family)
+    return all(_family_mu(dist, classes, eps, family, x, y) >= need for x, y in pairs)
 
 
 def ramsey_mu(
@@ -169,7 +182,6 @@ def ramsey_mu(
     beta: Embedding,
     phi: Mapping[Embedding, int],
     eps,
-    validate: bool = True,
 ) -> int:
     """Matching number of the color-proximity graph on a family of embeddings.
 
@@ -177,32 +189,25 @@ def ramsey_mu(
     ``alpha`` and ``beta`` are source-to-mid embeddings.  Indices gamma and
     gamma' are joined when the composites psi[gamma] o alpha and
     psi[gamma'] o beta both lie strictly within eps of a single color class
-    of ``phi``.  Computed through the bipartite matcher.
+    of ``phi``.  Validates eps, the family and the coloring, then runs the
+    evaluator, whose matcher is ``max_matching``.
     """
     eps = _as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if not psi:
         raise ValueError("family must be non-empty")
-    if validate:
-        expected = embeddings(alpha.source, psi[0].target)
-        if set(phi.keys()) != set(expected):
-            raise ValueError("coloring is not total on the source-to-large embeddings")
-    classes: dict = {}
-    for emb, color in phi.items():
-        classes.setdefault(color, []).append(emb)
-    left_colors = [_near_colors(compose(alpha, p), classes, eps) for p in psi]
-    right_colors = [_near_colors(compose(beta, p), classes, eps) for p in psi]
-    m = len(psi)
-    edges = frozenset(
-        (i, j)
-        for i in range(m)
-        for j in range(m)
-        if left_colors[i] & right_colors[j]
-    )
-    graph = BipartiteGraph(tuple(range(m)), tuple(range(m)), edges)
-    size, _ = max_matching(graph)
-    return size
+    mid, large = alpha.target, psi[0].target
+    if (beta.source, beta.target) != (alpha.source, mid) or any(
+        (p.source, p.target) != (mid, large) for p in psi
+    ):
+        raise ValueError("embeddings do not chain")
+    emb_ac = embeddings(alpha.source, large)
+    if set(phi.keys()) != set(emb_ac):
+        raise ValueError("coloring is not total on the source-to-large embeddings")
+    classes = _classes([e.images for e in emb_ac], [phi[e] for e in emb_ac])
+    family = [p.images for p in psi]
+    return _family_mu(large.dist, classes, eps, family, alpha.images, beta.images)
 
 
 @dataclass(frozen=True)
@@ -216,6 +221,26 @@ class RamseyOutcome:
     counterexample: tuple | None  # failing coloring vector, or None
 
 
+def _image_spaces(a, b, c, k: int, eps: Fraction) -> tuple:
+    """Check k and eps; return the pairs of emb(a, b), then emb(a, c) and
+    emb(b, c), all as image tuples.  Unless there are no pairs, emb(a, c)
+    must be non-empty and its colorings must fit under ``MAX_COLORINGS``."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if not (0 < eps < 1):
+        raise ValueError("eps must lie strictly between 0 and 1")
+    emb_ab, emb_ac, emb_bc = (
+        [e.images for e in embeddings(x, y)] for x, y in ((a, b), (a, c), (b, c))
+    )
+    if emb_ab and not emb_ac:
+        raise ValueError("no embeddings of the small space into the large one")
+    n = len(emb_ac)
+    # (k+1)^n >= 2^n, so a long emb(a, c) is over the cap for every k
+    if emb_ab and (n >= MAX_COLORINGS.bit_length() or (k + 1) ** n > MAX_COLORINGS):
+        raise CapExceeded(f"coloring space {k + 1}^{n} exceeds cap {MAX_COLORINGS}")
+    return [(x, y) for x in emb_ab for y in emb_ab], emb_ac, emb_bc
+
+
 def ramsey_condition_check(
     a: FinMetric,
     b: FinMetric,
@@ -224,81 +249,84 @@ def ramsey_condition_check(
     eps,
     max_family: int = 4,
     family_budget: int = 2000,
-    coloring_cap: int = 65536,
-    sample_colorings: int | None = None,
-    seed: int = 0,
 ) -> RamseyOutcome:
     """Check the matching condition for every coloring of emb(a, c).
 
-    For each coloring with colors 0..k, searches multiset families psi of
-    embeddings b -> c (sizes 1..max_family, at most ``family_budget``
-    candidates per coloring) achieving
-    min over alpha, beta in emb(a, b) of ramsey_mu >= (1-eps)*|F|.
+    For each coloring with colors 0..k, in ``itertools.product`` order,
+    searches multiset families psi of embeddings b -> c (sizes
+    1..max_family, at most ``family_budget`` candidates per coloring)
+    achieving min over alpha, beta in emb(a, b) of ramsey_mu >= (1-eps)*|F|.
     Returns per-coloring witnesses, or the first coloring whose budgeted
     search fails.  When emb(a, b) is empty the condition holds vacuously.
-    Full enumeration requires (k+1)^|emb(a,c)| <= coloring_cap; pass
-    ``sample_colorings`` to check a seeded random sample instead.
+    Raises ``CapExceeded`` beyond ``MAX_COLORINGS`` colorings.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
     eps = _as_fraction(eps)
-    if not (0 < eps < 1):
-        raise ValueError("eps must lie strictly between 0 and 1")
-    emb_ab = embeddings(a, b)
-    emb_ac = embeddings(a, c)
-    emb_bc = embeddings(b, c)
-    if not emb_ab:
+    pairs, emb_ac, emb_bc = _image_spaces(a, b, c, k, eps)
+    if not pairs:
         return RamseyOutcome(True, True, eps, k, 0, (), None)
-    if not emb_ac:
-        raise ValueError("no embeddings of the small space into the large one")
-
-    n = len(emb_ac)
-    total = (k + 1) ** n
-    if sample_colorings is None:
-        if total > coloring_cap:
-            raise CapExceeded(
-                f"coloring space {total} exceeds cap {coloring_cap}; "
-                "pass sample_colorings to sample instead"
-            )
-        coloring_iter: Iterable = itertools.product(range(k + 1), repeat=n)
-    else:
-        import random as _random
-
-        rng = _random.Random(seed)
-        coloring_iter = (
-            tuple(rng.randint(0, k) for _ in range(n))
-            for _ in range(sample_colorings)
-        )
-
-    pair_list = [(alpha, beta) for alpha in emb_ab for beta in emb_ab]
+    # no b -> c embedding means no family, however large max_family is
+    sizes = range(1, max_family + 1) if emb_bc else ()
     witnesses = []
-    checked = 0
-    for vector in coloring_iter:
-        checked += 1
-        phi = {emb: color for emb, color in zip(emb_ac, vector)}
-        found = None
-        spent = 0
-        for size in range(1, max_family + 1):
-            if found or not emb_bc:
+    for checked, vector in enumerate(itertools.product(range(k + 1), repeat=len(emb_ac)), 1):
+        classes = _classes(emb_ac, vector)
+        families = itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(range(len(emb_bc)), size)
+            for size in sizes
+        )
+        for combo in itertools.islice(families, max(family_budget, 0)):
+            if _family_holds(c.dist, classes, eps, [emb_bc[i] for i in combo], pairs):
+                witnesses.append((vector, combo))
                 break
-            for combo in itertools.combinations_with_replacement(
-                range(len(emb_bc)), size
-            ):
-                spent += 1
-                if spent > family_budget:
-                    break
-                psi = [emb_bc[i] for i in combo]
-                need = (1 - eps) * size
-                ok = all(
-                    ramsey_mu(psi, alpha, beta, phi, eps, validate=False) >= need
-                    for alpha, beta in pair_list
-                )
-                if ok:
-                    found = combo
-                    break
-            if spent > family_budget:
-                break
-        if found is None:
+        else:
             return RamseyOutcome(False, False, eps, k, checked, tuple(witnesses), vector)
-        witnesses.append((vector, found))
-    return RamseyOutcome(True, False, eps, k, checked, tuple(witnesses), None)
+    return RamseyOutcome(True, False, eps, k, len(witnesses), tuple(witnesses), None)
+
+
+def check_report(
+    outcome: RamseyOutcome,
+    a: FinMetric,
+    b: FinMetric,
+    c: FinMetric,
+    max_family: int,
+    family_budget: int,
+) -> CheckReport:
+    """Replay a stored ``ramsey_condition_check`` outcome.
+
+    Raises ``ValueError`` on a malformed report: eps outside (0, 1), k < 1,
+    or a witness family that is not a non-empty list of emb(b, c) indices.
+    A report that holds must pair each coloring, in ``itertools.product``
+    order, with a family that passes on the evaluator.  Any other report
+    must equal a rerun of the budgeted search.
+    """
+    k, eps = outcome.k, outcome.eps
+    pairs, emb_ac, emb_bc = _image_spaces(a, b, c, k, eps)
+    for _, family in outcome.witnesses:
+        if not family or not all(0 <= i < len(emb_bc) for i in family):
+            raise ValueError(
+                f"witness family {list(family)} is not a non-empty list of "
+                f"indices into emb(B, C), which has {len(emb_bc)} elements"
+            )
+    replay = bool(pairs) and outcome.holds
+    if replay:
+        vectors = tuple(itertools.product(range(k + 1), repeat=len(emb_ac)))
+        # pad with (), which matches no stored family, so a missing one shows
+        families = [family for _, family in outcome.witnesses] + [()] * len(vectors)
+        paired = tuple(zip(vectors, families))
+        expected = RamseyOutcome(True, False, eps, k, len(vectors), paired, None)
+    else:
+        expected = ramsey_condition_check(a, b, c, k, eps, max_family, family_budget)
+    findings = []
+    for name in ("holds", "vacuous", "colorings_checked", "counterexample"):
+        stored, want = getattr(outcome, name), getattr(expected, name)
+        if stored != want:
+            findings.append(Finding(f"{name}-mismatch", f"stored {stored}, expected {want}"))
+    if outcome.witnesses != expected.witnesses:
+        n, m = len(outcome.witnesses), len(expected.witnesses)
+        message = f"the {n} stored witnesses differ from the {m} expected"
+        findings.append(Finding("witnesses-mismatch", message))
+    for vector, family in outcome.witnesses if replay else ():
+        psi = [emb_bc[i] for i in family]
+        if not _family_holds(c.dist, _classes(emb_ac, vector), eps, psi, pairs):
+            message = f"family {list(family)} fails for coloring {list(vector)}"
+            findings.append(Finding("witness-fails", message))
+    return CheckReport("PASS" if not findings else "FAIL", tuple(findings))

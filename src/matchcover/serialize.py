@@ -177,13 +177,15 @@ def certificate_to_json(cert: FolnerCertificate) -> dict:
 def certificate_from_json(obj: dict) -> FolnerCertificate:
     """Decode a certificate; a vacuous or out-of-range claim is invalid input.
 
-    F must be non-empty (an empty F passes every threshold) and theta must
-    lie in [0, 1].
+    F must be non-empty (an empty F passes every threshold) with no
+    duplicate entries, and theta must lie in [0, 1].
     """
     model = group_from_json(obj["group"])
     f_set = tuple(elems_from_json(model, obj["f"]))
     if not f_set:
         raise ValueError("certificate has an empty candidate set F")
+    if len(set(f_set)) != len(f_set):
+        raise ValueError("certificate candidate set F has duplicate entries")
     theta = frac_parse(obj["theta"])
     if not (0 <= theta <= 1):
         raise ValueError(f"certificate theta {theta} is outside [0, 1]")
@@ -237,3 +239,40 @@ def ramsey_outcome_to_json(
             list(outcome.counterexample) if outcome.counterexample else None
         ),
     }
+
+
+def _index_tuple(arr, what: str) -> tuple:
+    if not isinstance(arr, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in arr
+    ):
+        raise ValueError(f"{what} must be a list of integers")
+    return tuple(arr)
+
+
+def _flag(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{what} must be true or false")
+    return value
+
+
+def ramsey_outcome_from_json(obj: dict) -> tuple:
+    """Decode a report into the arguments of ``ramsey.check_report``:
+    (outcome, a, b, c, max_family, family_budget).  Types only; the ranges
+    of eps, k and the families are checked by ``check_report``."""
+    counterexample = obj["counterexample"]
+    outcome = RamseyOutcome(
+        holds=_flag(obj["holds"], "holds"),
+        vacuous=_flag(obj["vacuous"], "vacuous"),
+        eps=frac_parse(obj["eps"]),
+        k=int(obj["k"]),
+        colorings_checked=int(obj["colorings_checked"]),
+        witnesses=tuple(
+            (_index_tuple(w["coloring"], "coloring"), _index_tuple(w["family"], "family"))
+            for w in obj["witnesses"]
+        ),
+        counterexample=(
+            None if counterexample is None else _index_tuple(counterexample, "counterexample")
+        ),
+    )
+    metrics = (finmetric_from_json(obj[name]) for name in "abc")
+    return (outcome, *metrics, int(obj["max_family"]), int(obj["family_budget"]))

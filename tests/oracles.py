@@ -5,18 +5,22 @@ as injections directly (memoized over right-vertex subsets), after splitting
 the graph into connected components to keep the subset space small.  The
 Hall-deficiency oracle never touches a matching: it enumerates every subset
 of the left part.  The ball oracle runs one BFS per radius on the validating
-group law, and the adversary oracle recounts every pair on every move.
+group law, and the adversary oracle recounts every pair on every move.  The
+ramsey oracle is the object-level loop: ``Embedding`` composites, ``rho``
+on each pair of embeddings, and colorings as dicts keyed by embedding.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
 
-from matchcover.bipartite import BipartiteGraph, mu
+from matchcover.bipartite import BipartiteGraph, max_matching, mu
 from matchcover.cover import Covering, GroundSet
 from matchcover.folner import Coloring, required_pairs
+from matchcover.ramsey import Embedding, RamseyOutcome, embeddings
 
 
 def _component_optimum(adj_masks: list) -> int:
@@ -272,3 +276,80 @@ def adversary_local_reference(
         default=f_size,
     )
     return coloring, Fraction(exact, f_size)
+
+
+def compose(inner: Embedding, outer: Embedding) -> Embedding:
+    """Composite embedding; isometry is closed under composition."""
+    if inner.target != outer.source:
+        raise ValueError("embeddings do not chain")
+    return Embedding(
+        inner.source, outer.target, tuple(outer.images[i] for i in inner.images)
+    )
+
+
+def rho(alpha: Embedding, beta: Embedding) -> Fraction:
+    """Sup distance between two embeddings with common source and target."""
+    if alpha.source != beta.source or alpha.target != beta.target:
+        raise ValueError("embeddings must share source and target")
+    return max(alpha.target.d(i, j) for i, j in zip(alpha.images, beta.images))
+
+
+def _ramsey_mu_reference(psi, alpha, beta, phi, eps) -> int:
+    classes: dict = {}
+    for emb, color in phi.items():
+        classes.setdefault(color, []).append(emb)
+
+    def near(delta) -> frozenset:
+        return frozenset(
+            color
+            for color, members in classes.items()
+            if any(rho(delta, member) < eps for member in members)
+        )
+
+    left = [near(compose(alpha, p)) for p in psi]
+    right = [near(compose(beta, p)) for p in psi]
+    m = len(psi)
+    edges = frozenset((i, j) for i in range(m) for j in range(m) if left[i] & right[j])
+    return max_matching(BipartiteGraph(tuple(range(m)), tuple(range(m)), edges))[0]
+
+
+def ramsey_check_reference(
+    a, b, c, k: int, eps, max_family: int = 4, family_budget: int = 2000
+):
+    """The family search on embedding objects, with its own budget counter.
+
+    Same coloring order, family order and budget accounting as
+    ``ramsey_condition_check``; no cap, since the tests keep it small.
+    """
+    eps = Fraction(eps)
+    emb_ab, emb_ac, emb_bc = embeddings(a, b), embeddings(a, c), embeddings(b, c)
+    if not emb_ab:
+        return RamseyOutcome(True, True, eps, k, 0, (), None)
+    witnesses = []
+    checked = 0
+    for vector in itertools.product(range(k + 1), repeat=len(emb_ac)):
+        checked += 1
+        phi = dict(zip(emb_ac, vector))
+        found = None
+        spent = 0
+        for size in range(1, max_family + 1):
+            if found or not emb_bc:
+                break
+            for combo in itertools.combinations_with_replacement(range(len(emb_bc)), size):
+                spent += 1
+                if spent > family_budget:
+                    break
+                psi = [emb_bc[i] for i in combo]
+                if all(
+                    _ramsey_mu_reference(psi, alpha, beta, phi, eps) >= (1 - eps) * size
+                    for alpha in emb_ab
+                    for beta in emb_ab
+                ):
+                    found = combo
+                    break
+            if spent > family_budget:
+                break
+        if found is None:
+            return RamseyOutcome(False, False, eps, k, checked, tuple(witnesses), vector)
+        witnesses.append((vector, found))
+    return RamseyOutcome(True, False, eps, k, checked, tuple(witnesses), None)

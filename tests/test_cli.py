@@ -216,6 +216,22 @@ class TestFolnerCommands:
         assert dispatch(["verify", str(out)]) == 2
         assert "empty candidate set" in capsys.readouterr().err
 
+    def test_duplicate_f_entry_is_exit_two(self, tmp_path, capsys):
+        _, out = self.run_search(tmp_path)
+        doc = json.loads(out.read_text())
+        doc["f"].append(doc["f"][0])
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert dispatch(["verify", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: certificate candidate set F has duplicate entries\n"
+
+    def test_folner_check_non_object_is_exit_two(self, tmp_path, capsys):
+        bad = write(tmp_path / "list.json", [1, 2])
+        assert dispatch(["folner", "check", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_search_exhausted_exit_one(self, tmp_path):
         out = tmp_path / "report.json"
         code = dispatch(
@@ -361,6 +377,121 @@ class TestRamseyCommand:
         doc["witnesses"][5]["coloring"] = [0, 1, 0, 1]
         out.write_text(json.dumps(doc))
         assert dispatch(["verify", str(out)]) == 1
+
+
+class TestVerifyRamseyReport:
+    """Hand-edited reports: malformed ones exit 2 with one line, false or
+    incomplete claims exit 1, and neither gives a traceback."""
+
+    def report(self, tmp_path, *extra):
+        a, b, c = TestRamseyCommand().metrics(tmp_path)
+        out = tmp_path / "ramsey.json"
+        dispatch(
+            ["ramsey", "check", "--a", a, "--b", b, "--c", c, "--colors", "1",
+             "--eps", "1/2", "--out", str(out), *extra]
+        )
+        return out, json.loads(out.read_text())
+
+    def failing_report(self, tmp_path):
+        # a point into a 3-point path, one edge per family: fails at (0, 1, 0)
+        write(tmp_path / "path3.json", {
+            "points": ["u", "v", "w"],
+            "dist": [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]],
+        })
+        a, b, _ = TestRamseyCommand().metrics(tmp_path)
+        out = tmp_path / "ramsey.json"
+        code = dispatch(
+            ["ramsey", "check", "--a", a, "--b", b, "--c", str(tmp_path / "path3.json"),
+             "--colors", "1", "--eps", "1/2", "--max-family", "1", "--out", str(out)]
+        )
+        doc = json.loads(out.read_text())
+        assert code == 1 and doc["counterexample"] == [0, 1, 0]
+        return out, doc
+
+    def verify(self, out, doc, capsys):
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = dispatch(["verify", str(out)])
+        return code, capsys.readouterr()
+
+    def assert_malformed(self, out, doc, capsys):
+        code, captured = self.verify(out, doc, capsys)
+        assert code == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_genuine_reports_verify(self, tmp_path, capsys):
+        for out, doc in (self.report(tmp_path), self.failing_report(tmp_path)):
+            assert self.verify(out, doc, capsys) == (0, ("OK\n", ""))
+
+    def test_eps_out_of_range_is_exit_two(self, tmp_path, capsys):
+        out, doc = self.report(tmp_path)
+        doc["eps"] = "5"
+        self.assert_malformed(out, doc, capsys)
+
+    def test_k_zero_is_exit_two(self, tmp_path, capsys):
+        out, doc = self.report(tmp_path)
+        doc["k"] = 0
+        self.assert_malformed(out, doc, capsys)
+
+    def test_negative_family_index_is_exit_two(self, tmp_path, capsys):
+        out, doc = self.report(tmp_path)
+        doc["witnesses"][0]["family"] = [-1]
+        self.assert_malformed(out, doc, capsys)
+
+    def test_family_index_past_the_end_is_exit_two(self, tmp_path, capsys):
+        out, doc = self.report(tmp_path)
+        doc["witnesses"][0]["family"] = [999]
+        self.assert_malformed(out, doc, capsys)
+
+    @pytest.mark.parametrize("family", [[], 0, "0", [0.0], [True]])
+    def test_family_not_a_list_of_indices_is_exit_two(self, tmp_path, capsys, family):
+        out, doc = self.report(tmp_path)
+        doc["witnesses"][0]["family"] = family
+        self.assert_malformed(out, doc, capsys)
+
+    def test_missing_witnesses_fail(self, tmp_path, capsys):
+        out, doc = self.report(tmp_path)
+        doc["witnesses"] = []
+        code, captured = self.verify(out, doc, capsys)
+        assert (code, captured.out) == (1, "FAIL\n")
+        assert captured.err.startswith("witnesses-mismatch: ")
+
+    def test_copies_of_the_first_witness_fail(self, tmp_path, capsys):
+        out, doc = self.report(tmp_path)
+        doc["witnesses"] = [doc["witnesses"][0]] * len(doc["witnesses"])
+        code, captured = self.verify(out, doc, capsys)
+        assert (code, captured.out) == (1, "FAIL\n")
+        assert "Traceback" not in captured.err
+
+    def test_changed_counterexample_fails(self, tmp_path, capsys):
+        out, doc = self.failing_report(tmp_path)
+        doc["counterexample"] = [7, 7, 7]
+        code, captured = self.verify(out, doc, capsys)
+        assert (code, captured.out) == (1, "FAIL\n")
+        assert captured.err == (
+            "counterexample-mismatch: stored (7, 7, 7), expected (0, 1, 0)\n"
+        )
+
+    def test_null_counterexample_fails(self, tmp_path, capsys):
+        out, doc = self.failing_report(tmp_path)
+        doc["counterexample"] = None
+        code, captured = self.verify(out, doc, capsys)
+        assert (code, captured.out) == (1, "FAIL\n")
+        assert captured.err.startswith("counterexample-mismatch: stored None")
+
+    def test_changed_colorings_checked_fails(self, tmp_path, capsys):
+        out, doc = self.failing_report(tmp_path)
+        doc["colorings_checked"] = 99
+        code, captured = self.verify(out, doc, capsys)
+        assert (code, captured.out) == (1, "FAIL\n")
+        assert captured.err == "colorings_checked-mismatch: stored 99, expected 3\n"
+
+    def test_verify_non_object_is_exit_two(self, tmp_path, capsys):
+        bad = write(tmp_path / "list.json", [1, 2])
+        assert dispatch(["verify", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSweep:

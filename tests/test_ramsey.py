@@ -1,20 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from matchcover.bipartite import BipartiteGraph
 from matchcover.ramsey import (
+    MAX_COLORINGS,
     CapExceeded,
     Embedding,
     FinMetric,
-    compose,
     embeddings,
     ramsey_condition_check,
     ramsey_mu,
-    rho,
 )
 
-from oracles import max_matching_bruteforce
+from oracles import compose, max_matching_bruteforce, ramsey_check_reference, rho
 
 
 POINT = FinMetric.build(["p"], [["0"]])
@@ -180,6 +180,13 @@ class TestRamseyMu:
                     psi, beta, alpha, phi, Fraction(1, 2)
                 )
 
+    def test_family_must_chain(self):
+        emb_ac = embeddings(POINT, PATH4)
+        phi = {e: 0 for e in emb_ac}
+        alpha = embeddings(POINT, EDGE)[0]
+        with pytest.raises(ValueError, match="chain"):
+            ramsey_mu([embeddings(PATH3, PATH4)[0]], alpha, alpha, phi, Fraction(1, 2))
+
     def test_coloring_must_be_total(self):
         emb_ab = embeddings(POINT, EDGE)
         emb_bc = embeddings(EDGE, PATH4)
@@ -216,13 +223,77 @@ class TestConditionCheck:
                     assert ramsey_mu(psi, alpha, beta, phi, Fraction(1, 2)) >= need
 
     def test_cap_guard(self):
-        with pytest.raises(CapExceeded):
-            ramsey_condition_check(
-                POINT, EDGE, PATH4, 3, Fraction(1, 2), coloring_cap=10
-            )
+        # a point has 12 placements in a 12-point path: 4^12 colorings at k = 3
+        assert 4**12 > MAX_COLORINGS
+        with pytest.raises(CapExceeded, match="4\\^12"):
+            ramsey_condition_check(POINT, EDGE, path(12), 3, Fraction(1, 2))
+        # a vacuous check enumerates nothing, so the cap does not apply
+        wide = FinMetric.build(["x", "y"], [["0", "5"], ["5", "0"]])
+        assert ramsey_condition_check(wide, EDGE, path(12), 3, Fraction(1, 2)).vacuous
 
-    def test_sampling_mode(self):
-        outcome = ramsey_condition_check(
-            POINT, EDGE, PATH4, 1, Fraction(1, 2), sample_colorings=5, seed=9
-        )
-        assert outcome.colorings_checked == 5
+
+def path(n, spacing=1):
+    return FinMetric.build(
+        [f"p{i}" for i in range(n)],
+        [[abs(i - j) * spacing for j in range(n)] for i in range(n)],
+    )
+
+
+def cycle(n):
+    return FinMetric.build(
+        [f"c{i}" for i in range(n)],
+        [[min(abs(i - j), n - abs(i - j)) for j in range(n)] for i in range(n)],
+    )
+
+
+def random_metric(rng, n):
+    """Shortest-path metric of a complete graph with random rational weights."""
+    d = [[Fraction(0) if i == j else None for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = Fraction(rng.randint(1, 4), rng.choice((1, 2)))
+    for m in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][m] + d[m][j])
+    return FinMetric.build([f"r{i}" for i in range(n)], d)
+
+
+def equivalence_cases():
+    rng = random.Random(20150209)
+    half = Fraction(1, 2)
+    cases = [
+        # name, expected holds, then a, b, c, k, eps, max_family, family_budget
+        ("pt-p3-p5-k1", True, POINT, PATH3, path(5), 1, half, 4, 2000),
+        ("pt-p3-p5-k2", True, POINT, PATH3, path(5), 2, half, 4, 2000),
+        ("pt-edge-c5-k2", True, POINT, EDGE, cycle(5), 2, half, 4, 2000),
+        ("edge-p3-p5-k1", True, EDGE, PATH3, path(5), 1, half, 4, 2000),
+        ("edge-c4-p6-fail", False, EDGE, cycle(4), path(6), 1, half, 4, 2000),
+        ("pt-p3-p5-small-eps-fail", False, POINT, PATH3, path(5), 1, Fraction(1, 10), 2, 2000),
+        # 11 families per coloring are just enough, 10 are not
+        ("pt-p3-p6", True, POINT, PATH3, path(6), 1, half, 4, 11),
+        ("pt-p3-p6-budget", False, POINT, PATH3, path(6), 1, half, 4, 10),
+        # eps equals the spacing: closeness is strict, so neighbours are not near
+        ("pt-p3-p5-eps-at-spacing", True, POINT, path(3, half), path(5, half), 1, half, 4, 2000),
+        ("vacuous", True, cycle(4), EDGE, path(5), 1, half, 4, 2000),
+    ]
+    for i in range(6):
+        big = random_metric(rng, rng.randint(3, 5))
+        # a sub-space of c, so that b embeds in c and families get searched
+        sub = rng.sample(range(len(big)), 2)
+        mid = FinMetric.build(["m0", "m1"], [[big.d(x, y) for y in sub] for x in sub])
+        eps = Fraction(rng.randint(1, 9), 10)
+        budget = rng.choice((5, 40, 2000))
+        cases.append((f"random-{i}", None, POINT, mid, big, 1 + i % 2, eps, 3, budget))
+    return cases
+
+
+CASES = equivalence_cases()
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case[0] for case in CASES])
+def test_matches_object_level_reference(case):
+    _, holds, *args = case
+    outcome = ramsey_condition_check(*args)
+    assert outcome == ramsey_check_reference(*args)
+    assert holds in (None, outcome.holds)
