@@ -288,12 +288,27 @@ def _cmd_folner_search(args, argv) -> int:
     return outcome
 
 
+def _vacuity(cert) -> str | None:
+    """Why a PASS claim holds whatever F is, or None: no pair to check, or
+    a threshold of 0."""
+    reasons = []
+    if not cert.e_set:
+        reasons.append("E is empty")
+    elif not required_pairs(cert.group, cert.e_set, cert.mode):
+        reasons.append("sym mode with one translate has no pair to check")
+    if cert.theta == 0:
+        reasons.append("theta = 0")
+    return "; ".join(reasons) or None
+
+
 def _verify_certificate_doc(doc) -> int:
     cert = ser.certificate_from_json(doc)
     report = check_certificate(cert)
     schema = doc.get("schema")
+    vacuous = None
     if schema == ser.FOLNER_CERT_SCHEMA:
         ok = report.ok and cert.status == "PASS"
+        vacuous = _vacuity(cert)
     else:
         # exhausted reports store FAIL pair data; values and witnesses must
         # replay exactly, only threshold misses are expected
@@ -309,6 +324,11 @@ def _verify_certificate_doc(doc) -> int:
             ok = False
     for finding in report.findings:
         print(f"{finding.code}: {finding.message}", file=sys.stderr)
+    if vacuous:
+        print(f"vacuous: {vacuous}", file=sys.stderr)
+        if ok:
+            print(_status_text("VACUOUS"))
+            return 1
     print(_status_text("OK" if ok else "FAIL"))
     return 0 if ok else 1
 

@@ -29,6 +29,12 @@ class GroupError(ValueError):
     """Invalid element, invalid table, or mixed-group operation."""
 
 
+def _require_str(s) -> None:
+    """``parse_elem`` decodes strings only; anything else is a GroupError."""
+    if not isinstance(s, str):
+        raise GroupError(f"element must be a string: {s!r}")
+
+
 class GroupModel:
     """Common interface: group law, canonical order, enumeration."""
 
@@ -174,6 +180,7 @@ class IntegerLattice(GroupModel):
         return ",".join(str(x) for x in self.validate(g))
 
     def parse_elem(self, s: str):
+        _require_str(s)
         try:
             vec = tuple(int(part) for part in s.split(","))
         except ValueError:
@@ -251,8 +258,11 @@ class FreeGroup(GroupModel):
         )
 
     def parse_elem(self, s: str):
+        _require_str(s)
         if s == "1":
             return ()
+        if not s:
+            raise GroupError("empty word string (the identity is written 1)")
         word = []
         for ch in s:
             if ch in _LETTERS[: self.rank]:
@@ -367,6 +377,7 @@ class FiniteTableGroup(GroupModel):
         return self.names[self.validate(g)]
 
     def parse_elem(self, s: str):
+        _require_str(s)
         try:
             return self.names.index(s)
         except ValueError:
@@ -403,6 +414,8 @@ def symmetric_group(n: int) -> FiniteTableGroup:
 
 
 def group_from_json(obj: dict) -> GroupModel:
+    if not isinstance(obj, dict):
+        raise GroupError(f"group must be a JSON object, not {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "zd":
         return IntegerLattice(int(obj["d"]))

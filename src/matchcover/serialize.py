@@ -112,8 +112,27 @@ def witness_to_json(w: MatchingWitness) -> dict:
     return {"pairs": sorted([i, j] for i, j in w.pairs)}
 
 
+def _is_integer(value) -> bool:
+    """A JSON integer: bools, floats and strings are not coerced."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(value, what: str) -> int:
+    if not _is_integer(value):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def witness_from_json(obj: dict) -> MatchingWitness:
-    return MatchingWitness(tuple(sorted((int(i), int(j)) for i, j in obj["pairs"])))
+    pairs = obj.get("pairs") if isinstance(obj, dict) else None
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 for p in pairs
+    ):
+        raise ValueError("witness must be an object whose pairs are [i, j] lists")
+    return MatchingWitness(
+        tuple(sorted((_integer(i, "witness index"), _integer(j, "witness index"))
+                     for i, j in pairs))
+    )
 
 
 # -- means ------------------------------------------------------------------
@@ -194,7 +213,7 @@ def certificate_from_json(obj: dict) -> FolnerCertificate:
         PairResult(
             model.parse_elem(p["g"]),
             model.parse_elem(p["h"]),
-            int(p["mu"]),
+            _integer(p["mu"], "pair mu"),
             witness_from_json(p["witness"]),
         )
         for p in obj["pairs"]
@@ -242,9 +261,7 @@ def ramsey_outcome_to_json(
 
 
 def _index_tuple(arr, what: str) -> tuple:
-    if not isinstance(arr, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in arr
-    ):
+    if not isinstance(arr, list) or not all(map(_is_integer, arr)):
         raise ValueError(f"{what} must be a list of integers")
     return tuple(arr)
 

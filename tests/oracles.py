@@ -7,7 +7,9 @@ Hall-deficiency oracle never touches a matching: it enumerates every subset
 of the left part.  The ball oracle runs one BFS per radius on the validating
 group law, and the adversary oracle recounts every pair on every move.  The
 ramsey oracle is the object-level loop: ``Embedding`` composites, ``rho``
-on each pair of embeddings, and colorings as dicts keyed by embedding.
+on each pair of embeddings, and colorings as dicts keyed by embedding.  The
+certificate-pair oracle builds the whole covering graph, validates the
+witness against its edge set and reruns Hopcroft-Karp.
 """
 
 from __future__ import annotations
@@ -17,9 +19,16 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from matchcover.bipartite import BipartiteGraph, max_matching, mu
+from matchcover.bipartite import (
+    BipartiteGraph,
+    WitnessError,
+    covering_graph,
+    max_matching,
+    mu,
+    validate_witness,
+)
 from matchcover.cover import Covering, GroundSet
-from matchcover.folner import Coloring, required_pairs
+from matchcover.folner import Coloring, Finding, WindowEscape, required_pairs
 from matchcover.ramsey import Embedding, RamseyOutcome, embeddings
 
 
@@ -276,6 +285,45 @@ def adversary_local_reference(
         default=f_size,
     )
     return coloring, Fraction(exact, f_size)
+
+
+def check_pair_reference(model, f_set: tuple, cover: Covering, pair, need: int) -> list:
+    """Findings for one stored certificate pair, recomputed on the general
+    route: the pair's whole covering graph, ``validate_witness`` on its edge
+    set, and ``max_matching`` for the value."""
+    gf = model.translate(pair.g, f_set)
+    hf = model.translate(pair.h, f_set)
+    for g, translate in ((pair.g, gf), (pair.h, hf)):
+        if any(x not in cover.ground for x in translate):
+            raise WindowEscape(f"translate {model.elem_str(g)}F escapes the window")
+    graph = covering_graph(gf, hf, cover)
+    label = f"({model.elem_str(pair.g)},{model.elem_str(pair.h)})"
+    try:
+        validate_witness(graph, pair.witness)
+    except WitnessError as exc:
+        return [Finding("witness-invalid", f"pair {label}: {exc}")]
+    findings = []
+    if len(pair.witness) != pair.value:
+        findings.append(
+            Finding(
+                "witness-size",
+                f"pair {label}: witness has {len(pair.witness)} pairs, "
+                f"claimed {pair.value}",
+            )
+        )
+    value, _ = max_matching(graph)
+    if value != pair.value:
+        findings.append(
+            Finding("value-mismatch", f"pair {label}: stored {pair.value}, recomputed {value}")
+        )
+    if value < need:
+        findings.append(
+            Finding(
+                "threshold-miss",
+                f"pair {label}: mu = {value} < {need} = ceil(theta*|F|)",
+            )
+        )
+    return findings
 
 
 def compose(inner: Embedding, outer: Embedding) -> Embedding:

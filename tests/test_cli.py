@@ -232,6 +232,98 @@ class TestFolnerCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def verify_edited(self, tmp_path, capsys, edit, command=("verify",)):
+        _, out = self.run_search(tmp_path)
+        doc = json.loads(out.read_text())
+        edit(doc)
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = dispatch([*command, str(out)])
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("mu", 10.9), ("mu", "10"), ("mu", True), ("index", 0.5), ("index", "0"),
+         ("index", False)],
+    )
+    def test_non_integer_is_exit_two(self, tmp_path, capsys, field, value):
+        def edit(doc):
+            pair = doc["pairs"][0]
+            if field == "mu":
+                pair["mu"] = value
+            else:
+                pair["witness"]["pairs"][0][0] = value
+
+        code, captured = self.verify_edited(tmp_path, capsys, edit)
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and "must be an integer" in captured.err
+
+    @pytest.mark.parametrize("value", [0, None, [], 1.5])
+    def test_pair_element_not_a_string_is_exit_two(self, tmp_path, capsys, value):
+        code, captured = self.verify_edited(
+            tmp_path, capsys, lambda doc: doc["pairs"][0].update(g=value)
+        )
+        assert code == 2
+        assert captured.err == f"error: element must be a string: {value!r}\n"
+
+    @pytest.mark.parametrize("value", ["zd1", [1]])
+    def test_group_not_an_object_is_exit_two(self, tmp_path, capsys, value):
+        code, captured = self.verify_edited(
+            tmp_path, capsys, lambda doc: doc.update(group=value)
+        )
+        assert code == 2
+        assert captured.err.startswith("error: group must be a JSON object")
+        assert captured.err.count("\n") == 1
+
+    def empty_e(self, doc):
+        doc["e"] = []
+        doc["pairs"] = []
+
+    @pytest.mark.parametrize("command", [("verify",), ("folner", "check")])
+    def test_empty_e_is_vacuous(self, tmp_path, capsys, command):
+        code, captured = self.verify_edited(tmp_path, capsys, self.empty_e, command)
+        assert (code, captured.out) == (1, "VACUOUS\n")
+        assert captured.err == "vacuous: E is empty\n"
+
+    @pytest.mark.parametrize("command", [("verify",), ("folner", "check")])
+    def test_zero_theta_is_vacuous(self, tmp_path, capsys, command):
+        code, captured = self.verify_edited(
+            tmp_path, capsys, lambda doc: doc.update(theta="0"), command
+        )
+        assert (code, captured.out) == (1, "VACUOUS\n")
+        assert captured.err == "vacuous: theta = 0\n"
+
+    def test_empty_e_and_zero_theta_are_one_line(self, tmp_path, capsys):
+        def edit(doc):
+            self.empty_e(doc)
+            doc["theta"] = "0/1"
+
+        code, captured = self.verify_edited(tmp_path, capsys, edit)
+        assert (code, captured.out) == (1, "VACUOUS\n")
+        assert captured.err == "vacuous: E is empty; theta = 0\n"
+
+    def test_sym_with_one_translate_is_vacuous(self, tmp_path, capsys):
+        out = tmp_path / "sym.json"
+        code = dispatch(
+            ["folner", "search", "--group", "zd1", "--coloring", "parity", "--e", "1",
+             "--mode", "sym", "--theta", "9/10", "--max-radius", "3", "--out", str(out)]
+        )
+        assert code == 0
+        capsys.readouterr()
+        assert dispatch(["verify", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "VACUOUS\n"
+        assert captured.err == "vacuous: sym mode with one translate has no pair to check\n"
+
+    def test_vacuous_and_failing_prints_fail(self, tmp_path, capsys):
+        def edit(doc):
+            doc["theta"] = "0"
+            doc["pairs"][0]["mu"] += 1
+
+        code, captured = self.verify_edited(tmp_path, capsys, edit)
+        assert (code, captured.out) == (1, "FAIL\n")
+        assert captured.err.endswith("vacuous: theta = 0\n")
+
     def test_search_exhausted_exit_one(self, tmp_path):
         out = tmp_path / "report.json"
         code = dispatch(

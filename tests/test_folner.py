@@ -5,6 +5,7 @@ import pytest
 
 from matchcover.bipartite import MatchingWitness, compose_matchings, mu, mu_partition, mu_with_witness
 from matchcover.cover import Covering, GroundSet, join
+from matchcover import folner
 from matchcover.folner import (
     BallsStrategy,
     Coloring,
@@ -35,7 +36,9 @@ from matchcover.serialize import certificate_to_json, canonical_dumps
 
 from oracles import (
     adversary_local_reference,
+    check_pair_reference,
     max_matching_bruteforce,
+    random_covering,
     random_partition,
     random_subset,
 )
@@ -167,6 +170,118 @@ class TestCertificates:
         cover = z_parity_cover(0, 5)
         with pytest.raises(WindowEscape):
             build_certificate(Z, z_atoms(0, 5), [(1,)], cover, Fraction(1, 2), "asym")
+
+
+def _with_witness(cert, index, value, witness):
+    pairs = list(cert.pairs)
+    pair = pairs[index]
+    pairs[index] = pair.__class__(pair.g, pair.h, value, witness)
+    return cert.__class__(
+        cert.group, cert.f_set, cert.e_set, cert.theta, cert.mode,
+        cert.cover, tuple(pairs), cert.status,
+    )
+
+
+def _greedy_matching(rng, edges):
+    """A maximal matching from the edges in random order: it has no
+    augmenting path of one edge, so any shortfall needs a longer one."""
+    order = sorted(edges)
+    rng.shuffle(order)
+    used_left, used_right, pairs = set(), set(), []
+    for i, j in order:
+        if i not in used_left and j not in used_right:
+            used_left.add(i)
+            used_right.add(j)
+            pairs.append((i, j))
+    return pairs
+
+
+def _witness_variants(rng, value, witness, nl, nr, edges, non_edges):
+    """(stored value, witness) pairs: the maximum witness, one pair removed
+    and a random maximal matching (valid, maybe not maximum), out of range,
+    a non-edge, a left or right index used twice, and a stored value off by
+    one."""
+    pairs = list(witness.pairs)
+    greedy = _greedy_matching(rng, edges)
+    out = [(value, pairs), (value - 1, pairs), (value + 1, pairs),
+           (value, greedy), (len(greedy), greedy)]
+    if pairs:
+        k = rng.randrange(len(pairs))
+        fewer = pairs[:k] + pairs[k + 1:]
+        out += [(value, fewer), (len(fewer), fewer)]
+        i, j = pairs[k]
+        for bad in ((nl, j), (i, nr), (-1, j), (i, -1)):
+            out.append((value, pairs[:k] + [bad] + pairs[k + 1:]))
+        if non_edges:
+            out.append((value, pairs[:k] + [rng.choice(non_edges)] + pairs[k + 1:]))
+    if len(pairs) >= 2:
+        a, b = rng.sample(range(len(pairs)), 2)
+        twice_left = list(pairs)
+        twice_left[b] = (pairs[a][0], pairs[b][1])
+        twice_right = list(pairs)
+        twice_right[b] = (pairs[b][0], pairs[a][1])
+        out += [(value, twice_left), (value, twice_right), (value, pairs + [pairs[a]])]
+    return [(v, MatchingWitness(tuple(sorted(w)))) for v, w in out]
+
+
+class TestCheckerRoute:
+    """``_check_pair`` (block lookup plus an alternating search) against the
+    general route in ``oracles.check_pair_reference`` (whole covering graph,
+    ``validate_witness``, Hopcroft-Karp)."""
+
+    def test_matches_general_route_on_random_coverings(self):
+        rng = random.Random(20261018)
+        cases = fallbacks = deep = 0
+        for trial in range(300):
+            n = rng.randint(1, 12)
+            model = cyclic_group(n)
+            raw = random_partition(rng, n) if trial % 2 else random_covering(rng, n)
+            atoms = list(range(n))
+            rng.shuffle(atoms)  # ground order differs from element order
+            cover = Covering(GroundSet(atoms), raw.blocks)
+            blocks_of = folner._blocks_of(cover)
+            f_set = model.canon_set(random_subset(rng, range(n)))
+            g, h = rng.randrange(n), rng.randrange(n)
+            gf, hf = model.translate(g, f_set), model.translate(h, f_set)
+            value, witness = mu_with_witness(gf, hf, cover)
+            graph = covering_graph(gf, hf, cover)
+            non_edges = [
+                (i, j)
+                for i in range(len(f_set))
+                for j in range(len(f_set))
+                if (i, j) not in graph.edges
+            ]
+            need = rng.randint(0, len(f_set) + 1)
+            variants = _witness_variants(
+                rng, value, witness, len(gf), len(hf), graph.edges, non_edges
+            )
+            for stored, w in variants:
+                pair = folner.PairResult(g, h, stored, w)
+                got = folner._check_pair(model, f_set, cover, blocks_of, pair, need)
+                want = check_pair_reference(model, f_set, cover, pair, need)
+                assert [(x.code, x.message) for x in got] == [
+                    (x.code, x.message) for x in want
+                ], (trial, stored, w)
+                cases += 1
+                if (not got or got[0].code != "witness-invalid") and len(w) < value:
+                    fallbacks += 1
+                    free_left = set(range(len(gf))) - {i for i, _ in w.pairs}
+                    free_right = set(range(len(hf))) - {j for _, j in w.pairs}
+                    deep += not any(
+                        i in free_left and j in free_right for i, j in graph.edges
+                    )
+        # deep: the shortest augmenting path has three edges or more
+        assert cases > 2000 and fallbacks > 100 and deep >= 10
+
+    def test_valid_non_maximum_witness_reports_recomputed_value(self):
+        cover = z_parity_cover(-1, 10)
+        cert = build_certificate(Z, z_atoms(0, 9), [(1,)], cover, Fraction(1, 2), "asym")
+        fewer = MatchingWitness(cert.pairs[0].witness.pairs[1:])
+        report = check_certificate(_with_witness(cert, 0, 9, fewer))
+        assert [(f.code, f.message) for f in report.findings] == [
+            ("value-mismatch", "pair (0,1): stored 9, recomputed 10"),
+            ("status-inconsistent", "certificate marked PASS"),
+        ]
 
 
 class TestMooreGap:

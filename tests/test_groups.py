@@ -236,6 +236,22 @@ class TestElementCodecs:
         assert g.parse_elem("2") == 2
         assert g.elem_str(1) == "1"
 
+    @pytest.mark.parametrize("value", [0, None, [], {}, 1.5, True, ("a",)])
+    def test_parse_rejects_non_strings(self, value):
+        for model in (Z2, F2, cyclic_group(3)):
+            with pytest.raises(GroupError, match="element must be a string"):
+                model.parse_elem(value)
+
+    def test_free_rejects_empty_string(self):
+        # the identity is written "1"; "" is no spelling of it
+        with pytest.raises(GroupError):
+            F2.parse_elem("")
+
+    @pytest.mark.parametrize("value", ["zd1", [1], None, 2])
+    def test_group_from_json_rejects_non_objects(self, value):
+        with pytest.raises(GroupError, match="group must be a JSON object"):
+            group_from_json(value)
+
 
 class TestFiniteAction:
     def test_rotation_basics(self):
