@@ -177,11 +177,11 @@ def _search_window(model, e_set, strategy) -> tuple:
     return tuple(sorted(window, key=model.sort_key))
 
 
-def _emit(doc_or_text, args, default_print=True) -> None:
+def _emit(doc_or_text, args) -> None:
     text = doc_or_text if isinstance(doc_or_text, str) else ser.canonical_dumps(doc_or_text)
     if getattr(args, "out", None):
         _atomic_write(args.out, text)
-    elif default_print:
+    else:
         sys.stdout.write(text)
 
 

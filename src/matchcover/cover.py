@@ -8,7 +8,8 @@ immutable values.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from types import MappingProxyType
+from typing import Hashable, Iterable, Mapping
 
 Atom = Hashable
 
@@ -76,7 +77,7 @@ class Covering:
     Duplicate blocks are silently merged; empty blocks are rejected.
     """
 
-    __slots__ = ("ground", "blocks", "block_sets")
+    __slots__ = ("ground", "blocks", "block_sets", "_blocks_of", "_partition")
 
     def __init__(self, ground: GroundSet, blocks: Iterable[Iterable[Atom]]) -> None:
         canon_blocks = []
@@ -98,6 +99,21 @@ class Covering:
         self.ground = ground
         self.blocks = tuple(canon_blocks)
         self.block_sets = tuple(frozenset(b) for b in self.blocks)
+        index: dict = {}
+        for b, block in enumerate(self.blocks):
+            for atom in block:
+                index.setdefault(atom, []).append(b)
+        shared: dict = {}  # equal entries share one frozenset: one per block on a partition
+        for atom, bs in index.items():
+            entry = frozenset(bs)
+            index[atom] = shared.setdefault(entry, entry)
+        self._blocks_of = index
+        self._partition = sum(map(len, self.blocks)) == len(ground)
+
+    @property
+    def blocks_of(self) -> Mapping:
+        """Atom -> frozenset of the indices of the blocks that contain it."""
+        return MappingProxyType(self._blocks_of)
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -119,7 +135,7 @@ class Covering:
         return f"Covering({len(self.blocks)} blocks over {len(self.ground)} atoms)"
 
     def is_partition(self) -> bool:
-        return sum(len(b) for b in self.blocks) == len(self.ground)
+        return self._partition
 
     def restrict(self, atoms: Iterable[Atom]) -> "Covering":
         """Covering induced on a subset: blocks are intersected, empties dropped.
@@ -165,12 +181,8 @@ def join(u: Covering, v: Covering) -> Covering:
 
 def star_set(s: Iterable[Atom], u: Covering) -> tuple:
     """Union of all blocks meeting ``s``, in canonical order."""
-    probe = set(u.ground.canon(s))
-    out: set = set()
-    for block in u.block_sets:
-        if block & probe:
-            out.update(block)
-    return u.ground.canon(out)
+    meeting = set().union(*(u.blocks_of[a] for a in u.ground.canon(s)))
+    return u.ground.canon(a for b in meeting for a in u.blocks[b])
 
 
 def star_covering(u: Covering) -> Covering:
@@ -178,11 +190,11 @@ def star_covering(u: Covering) -> Covering:
     return Covering(u.ground, (star_set(block, u) for block in u.blocks))
 
 
-def star_iterate(u: Covering, n: int, limit: int = DEFAULT_STAR_LIMIT) -> Covering:
+def star_iterate(u: Covering, n: int) -> Covering:
     if n < 0:
         raise ValueError("star iterate count must be non-negative")
-    if n > limit:
-        raise StarLimitExceeded(f"star iterate {n} exceeds limit {limit}")
+    if n > DEFAULT_STAR_LIMIT:
+        raise StarLimitExceeded(f"star iterate {n} exceeds limit {DEFAULT_STAR_LIMIT}")
     out = u
     for _ in range(n):
         out = star_covering(out)

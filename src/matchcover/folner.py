@@ -74,9 +74,6 @@ class Coloring:
             if not (0 <= c <= self.k):
                 raise ValueError(f"color {c} out of range 0..{self.k}")
 
-    def color_of(self, atom) -> int:
-        return self.colors[self.ground.position(atom)]
-
     def partition(self) -> Covering:
         classes: dict = {}
         for atom, c in zip(self.ground.atoms, self.colors):
@@ -226,21 +223,13 @@ def build_certificate(
     )
 
 
-def _blocks_of(cover: Covering) -> dict:
-    """Atom -> frozenset of the indices of the blocks that contain it."""
-    index: dict = {}
-    for b, block in enumerate(cover.blocks):
-        for atom in block:
-            index.setdefault(atom, []).append(b)
-    return {atom: frozenset(bs) for atom, bs in index.items()}
-
-
-def _witness_error(left: tuple, right: tuple, blocks_of: dict, witness) -> str | None:
+def _witness_error(left: tuple, right: tuple, cover: Covering, witness) -> str | None:
     """Why the witness is not a matching of the covering graph, else None.
 
     An index pair is an edge when both indices are in range and their atoms
     share a block.  Checks and messages follow ``validate_witness``.
     """
+    blocks_of = cover.blocks_of
     seen_left: set = set()
     seen_right: set = set()
     for i, j in witness.pairs:
@@ -259,7 +248,7 @@ def _witness_error(left: tuple, right: tuple, blocks_of: dict, witness) -> str |
     return None
 
 
-def _augmentable(left: tuple, right: tuple, cover: Covering, blocks_of: dict, witness) -> bool:
+def _augmentable(left: tuple, right: tuple, cover: Covering, witness) -> bool:
     """True iff the (valid) witness has an augmenting path, i.e. is not maximum.
 
     Alternating search from the unmatched left vertices on the block
@@ -268,6 +257,7 @@ def _augmentable(left: tuple, right: tuple, cover: Covering, blocks_of: dict, wi
     its mate, and a free one ends an augmenting path.  Each block is
     expanded at most once, and no edge is built.
     """
+    blocks_of = cover.blocks_of
     right_pos = {a: j for j, a in enumerate(right)}
     mate = {j: i for i, j in witness.pairs}
     matched = set(mate.values())
@@ -292,9 +282,7 @@ def _augmentable(left: tuple, right: tuple, cover: Covering, blocks_of: dict, wi
     return False
 
 
-def _check_pair(
-    model: GroupModel, f_set: tuple, cover: Covering, blocks_of: dict, pair, need: int
-) -> list:
+def _check_pair(model: GroupModel, f_set: tuple, cover: Covering, pair, need: int) -> list:
     """Findings for one stored pair, on the checker's own route.
 
     The witness is validated by block lookup and proved maximum by
@@ -308,7 +296,7 @@ def _check_pair(
     left = cover.ground.canon(gf)
     right = cover.ground.canon(hf)
     label = f"({model.elem_str(pair.g)},{model.elem_str(pair.h)})"
-    error = _witness_error(left, right, blocks_of, pair.witness)
+    error = _witness_error(left, right, cover, pair.witness)
     if error is not None:
         return [Finding("witness-invalid", f"pair {label}: {error}")]
     findings = []
@@ -321,7 +309,7 @@ def _check_pair(
             )
         )
     value = len(pair.witness)
-    if _augmentable(left, right, cover, blocks_of, pair.witness):
+    if _augmentable(left, right, cover, pair.witness):
         value, _ = max_matching(covering_graph(left, right, cover))
     if value != pair.value:
         findings.append(
@@ -355,9 +343,8 @@ def check_certificate(cert: FolnerCertificate) -> CheckReport:
         findings.append(
             Finding("pairs-mismatch", f"stored pairs {stored!r} != required {expected!r}")
         )
-    blocks_of = _blocks_of(cert.cover)
     for pair in cert.pairs:
-        findings.extend(_check_pair(model, cert.f_set, cert.cover, blocks_of, pair, need))
+        findings.extend(_check_pair(model, cert.f_set, cert.cover, pair, need))
     all_good = not findings
     if all_good != (cert.status == "PASS"):
         findings.append(
@@ -433,7 +420,6 @@ class LocalSetStrategy:
 
     seed: int = 0
     budget: int = 300
-    start: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -526,13 +512,8 @@ def folner_search(
             cand = model.canon_set([model.identity])
             return cand, consider(cand)
 
-        current_ratio = None
-        if strategy.start:
-            current = model.canon_set(strategy.start)
-            current_ratio = attempt(current)
-        if current_ratio is None:
-            current = model.canon_set([model.identity])
-            current_ratio = attempt(current)
+        current = model.canon_set([model.identity])
+        current_ratio = attempt(current)
         if current_ratio is None:
             try:
                 current, current_ratio = random_start()
@@ -592,7 +573,7 @@ def folner_search(
 
 @dataclass(frozen=True)
 class ExhaustiveColorings:
-    cap: int = DEFAULT_COLORING_CAP
+    """Every coloring of the window, up to DEFAULT_COLORING_CAP of them."""
 
 
 @dataclass(frozen=True)
@@ -672,9 +653,9 @@ def adversary_coloring(
 
     if isinstance(strategy, ExhaustiveColorings):
         total = (k + 1) ** n
-        if total > strategy.cap:
+        if total > DEFAULT_COLORING_CAP:
             raise ValueError(
-                f"exhaustive coloring space {total} exceeds cap {strategy.cap}"
+                f"exhaustive coloring space {total} exceeds cap {DEFAULT_COLORING_CAP}"
             )
         for vec in itertools.product(colors, repeat=n):
             vec = list(vec)
@@ -768,14 +749,12 @@ def adversary_coloring(
 # threshold amplification harness
 
 
-def theta_boost_check(
-    theta0, trials: int = 100, seed: int = 0, max_order: int = 12
-) -> dict:
+def theta_boost_check(theta0, trials: int = 100, seed: int = 0) -> dict:
     """Randomized harness for the 2*theta0 - 1 amplification step.
 
-    Generates random finite cyclic instances until ``trials`` of them
-    satisfy both hypotheses mu(F, gF, V) >= theta0*|F| and
-    mu(F, hF, V) >= theta0*|F| exactly, then asserts the symmetric pair
+    Generates random instances on cyclic groups of order 6 to 12 until
+    ``trials`` of them satisfy both hypotheses mu(F, gF, V) >= theta0*|F|
+    and mu(F, hF, V) >= theta0*|F| exactly, then asserts the symmetric pair
     bound mu(gF, hF, V*) >= (2*theta0 - 1)*|F| in the star covering.
     Returns a report with any violations (expected: none).
     """
@@ -784,7 +763,7 @@ def theta_boost_check(
         raise ValueError("theta0 must lie in (1/2, 1]")
     theta1 = 2 * theta0 - 1
     rng = random.Random(seed)
-    groups = {n: cyclic_group(n) for n in range(6, max_order + 1)}
+    groups = {n: cyclic_group(n) for n in range(6, 13)}
     checked = 0
     attempts = 0
     violations = []
@@ -792,7 +771,7 @@ def theta_boost_check(
         attempts += 1
         if attempts > 1000 * trials:
             raise RuntimeError("instance generator failed to satisfy hypotheses")
-        n = rng.randint(6, max_order)
+        n = rng.randint(6, 12)
         model = groups[n]
         ground = GroundSet(range(n))
         f_size = rng.randint(2, n - 1)

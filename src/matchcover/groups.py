@@ -35,6 +35,13 @@ def _require_str(s) -> None:
         raise GroupError(f"element must be a string: {s!r}")
 
 
+def _require_int(value, what: str) -> int:
+    """A JSON integer: bools, floats and strings are not coerced."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise GroupError(f"{what} must be an integer, not {value!r}")
+
+
 class GroupModel:
     """Common interface: group law, canonical order, enumeration."""
 
@@ -61,7 +68,7 @@ class GroupModel:
     def sort_key(self, g):
         raise NotImplementedError
 
-    def generators(self, include_identity: bool = False) -> tuple:
+    def generators(self) -> tuple:
         raise NotImplementedError
 
     def elem_str(self, g) -> str:
@@ -166,10 +173,8 @@ class IntegerLattice(GroupModel):
     def sort_key(self, g):
         return g
 
-    def generators(self, include_identity: bool = False) -> tuple:
+    def generators(self) -> tuple:
         gens = []
-        if include_identity:
-            gens.append(self.identity)
         for i in range(self.d):
             unit = tuple(1 if j == i else 0 for j in range(self.d))
             gens.append(unit)
@@ -240,10 +245,8 @@ class FreeGroup(GroupModel):
     def sort_key(self, g):
         return (len(g), g)
 
-    def generators(self, include_identity: bool = False) -> tuple:
+    def generators(self) -> tuple:
         gens = []
-        if include_identity:
-            gens.append(())
         for i in range(1, self.rank + 1):
             gens.append((i,))
             gens.append((-i,))
@@ -295,7 +298,7 @@ class FiniteTableGroup(GroupModel):
             raise GroupError("duplicate element names")
         if len(table) != n or any(len(row) != n for row in table):
             raise GroupError("multiplication table is not square")
-        self.table = tuple(tuple(int(x) for x in row) for row in table)
+        self.table = tuple(tuple(_require_int(x, "table entry") for x in row) for row in table)
         for row in self.table:
             for x in row:
                 if not (0 <= x < n):
@@ -367,11 +370,8 @@ class FiniteTableGroup(GroupModel):
     def sort_key(self, g):
         return g
 
-    def generators(self, include_identity: bool = False) -> tuple:
-        gens = [x for x in range(self.order) if x != self._identity]
-        if include_identity:
-            gens.insert(0, self._identity)
-        return tuple(gens)
+    def generators(self) -> tuple:
+        return tuple(x for x in range(self.order) if x != self._identity)
 
     def elem_str(self, g) -> str:
         return self.names[self.validate(g)]
@@ -418,9 +418,9 @@ def group_from_json(obj: dict) -> GroupModel:
         raise GroupError(f"group must be a JSON object, not {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "zd":
-        return IntegerLattice(int(obj["d"]))
+        return IntegerLattice(_require_int(obj["d"], "group d"))
     if kind == "free":
-        return FreeGroup(int(obj["rank"]))
+        return FreeGroup(_require_int(obj["rank"], "group rank"))
     if kind == "table":
         return FiniteTableGroup(obj["elements"], obj["mul"])
     raise GroupError(f"unknown group kind: {kind!r}")
@@ -446,7 +446,7 @@ class FiniteAction:
             raise GroupError("points must be distinct and non-empty")
         if len(act) != group.order or any(len(row) != npts for row in act):
             raise GroupError("action table has wrong shape")
-        self.table = tuple(tuple(int(x) for x in row) for row in act)
+        self.table = tuple(tuple(_require_int(x, "action entry") for x in row) for row in act)
         for row in self.table:
             for x in row:
                 if not (0 <= x < npts):

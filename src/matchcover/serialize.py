@@ -29,9 +29,12 @@ def frac_str(x) -> str:
 
 
 def frac_parse(s) -> Fraction:
-    if isinstance(s, float):
-        raise ValueError("floats are not accepted for exact rationals")
-    return Fraction(s)
+    if isinstance(s, (float, bool)):
+        raise ValueError(f"{type(s).__name__}s are not accepted for exact rationals")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {s!r} has a zero denominator") from None
 
 
 def canonical_dumps(doc: dict) -> str:
@@ -86,7 +89,8 @@ def coloring_to_json(col: Coloring, model: GroupModel | None = None) -> dict:
 
 def coloring_from_json(obj: dict, model: GroupModel | None = None) -> Coloring:
     ground = GroundSet(elems_from_json(model, obj["ground"]))
-    return Coloring(ground, tuple(int(c) for c in obj["colors"]), int(obj["k"]))
+    colors = tuple(_integer(c, "coloring color") for c in obj["colors"])
+    return Coloring(ground, colors, _integer(obj["k"], "coloring k"))
 
 
 # -- graphs and witnesses ---------------------------------------------------
@@ -104,7 +108,7 @@ def graph_from_json(obj: dict, model: GroupModel | None = None) -> BipartiteGrap
     return BipartiteGraph(
         tuple(elems_from_json(model, obj["left"])),
         tuple(elems_from_json(model, obj["right"])),
-        frozenset((int(i), int(j)) for i, j in obj["edges"]),
+        frozenset((_integer(i, "edge index"), _integer(j, "edge index")) for i, j in obj["edges"]),
     )
 
 
@@ -281,8 +285,8 @@ def ramsey_outcome_from_json(obj: dict) -> tuple:
         holds=_flag(obj["holds"], "holds"),
         vacuous=_flag(obj["vacuous"], "vacuous"),
         eps=frac_parse(obj["eps"]),
-        k=int(obj["k"]),
-        colorings_checked=int(obj["colorings_checked"]),
+        k=_integer(obj["k"], "k"),
+        colorings_checked=_integer(obj["colorings_checked"], "colorings_checked"),
         witnesses=tuple(
             (_index_tuple(w["coloring"], "coloring"), _index_tuple(w["family"], "family"))
             for w in obj["witnesses"]
@@ -292,4 +296,5 @@ def ramsey_outcome_from_json(obj: dict) -> tuple:
         ),
     )
     metrics = (finmetric_from_json(obj[name]) for name in "abc")
-    return (outcome, *metrics, int(obj["max_family"]), int(obj["family_budget"]))
+    budgets = (_integer(obj[name], name) for name in ("max_family", "family_budget"))
+    return (outcome, *metrics, *budgets)

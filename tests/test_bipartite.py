@@ -198,14 +198,20 @@ class TestMuPartition:
     def test_singleton_partition(self):
         p = Covering(GroundSet(range(5)), [[i] for i in range(5)])
         assert mu_partition([0, 1, 2], [1, 2, 4], p) == 2
+        assert mu_partition([0, 1, 2, 1, 0], [1, 2, 4, 4], p) == 2
 
     def test_whole_set(self):
         p = Covering(GroundSet(range(5)), [range(5)])
         assert mu_partition([0, 1, 2], [3, 4], p) == 2
+        assert mu_partition([0, 0, 0], [3, 4], p) == 1
 
     def test_z6_parity(self):
         parity = Covering(GroundSet(range(6)), [[0, 2, 4], [1, 3, 5]])
         assert mu_partition([0, 1, 2], [1, 2, 3], parity) == 2
+        assert mu_partition([0, 1, 2, 2, 1], [1, 2, 3, 2], parity) == 2
+        for e, f in (([0, 9], [1]), ([0], [1, 9, 8]), ([9], [8])):
+            with pytest.raises(ValueError, match=r"^atom not in ground set: 9$"):
+                mu_partition(e, f, parity)
 
     def test_rejects_non_partition(self):
         u = Covering(GroundSet(range(3)), [[0, 1], [1, 2]])
@@ -220,6 +226,14 @@ class TestMuPartition:
             e = random_subset(rng, range(n))
             f = random_subset(rng, range(n))
             assert mu_partition(e, f, p) == mu(e, f, p)
+            # repeated entries count once on both routes
+            e2, f2 = e + e[::2], f[:2] + f
+            assert mu_partition(e2, f2, p) == mu(e2, f2, p) == mu(e, f, p)
+            # an atom outside the ground: the same error on both routes
+            for args in ((e2 + [n], f), (e, [n] + f2)):
+                for route in (mu_partition, mu):
+                    with pytest.raises(ValueError, match=rf"^atom not in ground set: {n}$"):
+                        route(*args, p)
 
 
 class TestCompose:

@@ -86,6 +86,50 @@ class TestRoundTrips:
         with pytest.raises(ValueError):
             ser.frac_parse(0.5)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rationals_never_booleans(self, value):
+        with pytest.raises(ValueError, match="bools are not accepted"):
+            ser.frac_parse(value)
+
+    @pytest.mark.parametrize("value", ["1/0", "0/0", "-3/0"])
+    def test_zero_denominator_is_invalid(self, value):
+        with pytest.raises(ValueError, match="zero denominator"):
+            ser.frac_parse(value)
+
+    @pytest.mark.parametrize("colors, k", [(["0", 1, 0], 1), ([0, 1.0, 0], 1),
+                                           ([0, 1, 0], True), ([0, 1, 0], "1")])
+    def test_coloring_integers_are_strict(self, colors, k):
+        doc = {"ground": ["a", "b", "c"], "colors": colors, "k": k}
+        with pytest.raises(ValueError, match="must be an integer"):
+            ser.coloring_from_json(doc)
+
+    @pytest.mark.parametrize("edge", [["0", 0], [0, 0.0], [True, 0]])
+    def test_graph_edge_indices_are_strict(self, edge):
+        doc = {"left": ["x"], "right": ["u"], "edges": [edge]}
+        with pytest.raises(ValueError, match="edge index must be an integer"):
+            ser.graph_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"kind": "free", "rank": 2.0}, {"kind": "free", "rank": "2"},
+         {"kind": "zd", "d": True},
+         {"kind": "table", "elements": ["e", "a"], "mul": [[0, 1], [1, "0"]]},
+         {"kind": "table", "elements": ["e", "a"], "mul": [[0, 1.0], [1, 0]]}],
+    )
+    def test_group_integers_are_strict(self, doc):
+        from matchcover.groups import GroupError, group_from_json
+
+        with pytest.raises(GroupError, match="must be an integer"):
+            group_from_json(doc)
+
+    def test_action_entries_are_strict(self):
+        from matchcover.groups import GroupError, action_from_json, rotation_action
+
+        doc = rotation_action(2).describe()
+        doc["act"][1][0] = 1.0
+        with pytest.raises(GroupError, match="action entry must be an integer"):
+            action_from_json(doc)
+
 
 class TestCoverCommands:
     def test_refines(self, tmp_path, covering_file, capsys):
@@ -274,6 +318,41 @@ class TestFolnerCommands:
         assert code == 2
         assert captured.err.startswith("error: group must be a JSON object")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", [1.5, "1", True])
+    def test_group_dimension_not_an_integer_is_exit_two(self, tmp_path, capsys, value):
+        code, captured = self.verify_edited(
+            tmp_path, capsys, lambda doc: doc["group"].update(d=value)
+        )
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: group d must be an integer, not {value!r}\n"
+
+    def test_zero_denominator_theta_is_exit_two(self, tmp_path, capsys):
+        code, captured = self.verify_edited(
+            tmp_path, capsys, lambda doc: doc.update(theta="1/0")
+        )
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: rational '1/0' has a zero denominator\n"
+
+    def test_zero_denominator_best_ratio_is_exit_two(self, tmp_path, capsys):
+        out = self.run_exhausted(tmp_path)
+        doc = json.loads(out.read_text())
+        doc["best_ratio"] = "1/0"
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert dispatch(["verify", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rational '1/0' has a zero denominator\n"
+
+    def run_exhausted(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = dispatch(
+            ["folner", "search", "--group", "free2", "--coloring", "first-letter",
+             "--e", "a;A;b;B", "--theta", "9/10", "--max-radius", "3", "--out", str(out)]
+        )
+        assert code == 1
+        return out
 
     def empty_e(self, doc):
         doc["e"] = []
@@ -541,6 +620,20 @@ class TestVerifyRamseyReport:
         out, doc = self.report(tmp_path)
         doc["witnesses"][0]["family"] = family
         self.assert_malformed(out, doc, capsys)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("k", "1"), ("k", 1.5), ("k", True), ("max_family", 4.9), ("max_family", "4"),
+         ("family_budget", 2000.0), ("colorings_checked", 16.0)],
+    )
+    def test_integer_field_not_an_integer_is_exit_two(self, tmp_path, capsys, field, value):
+        # each value equals the genuine one once coerced with int()
+        out, doc = self.report(tmp_path)
+        assert doc[field] == int(value)
+        doc[field] = value
+        code, captured = self.verify(out, doc, capsys)
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {field} must be an integer, not {value!r}\n"
 
     def test_missing_witnesses_fail(self, tmp_path, capsys):
         out, doc = self.report(tmp_path)

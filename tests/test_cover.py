@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -15,7 +17,7 @@ from matchcover.cover import (
     star_set,
 )
 
-from oracles import random_covering
+from oracles import random_covering, random_partition
 
 
 def cov(ground, *blocks):
@@ -200,3 +202,41 @@ class TestProperties:
                     joined = any({x, y} <= b for b in u.block_sets)
                     joined_sub = any({x, y} <= b for b in sub.block_sets)
                     assert joined == joined_sub
+
+
+class TestBlockIndex:
+    """``Covering.blocks_of`` against a scan of ``cover.blocks``."""
+
+    def test_matches_block_scan(self):
+        rng = random.Random(13)
+        partitions = 0
+        for trial in range(200):
+            n = rng.randint(1, 12)
+            raw = random_partition(rng, n) if trial % 2 else random_covering(rng, n)
+            atoms = list(range(n))
+            rng.shuffle(atoms)  # ground order differs from atom order
+            cover = Covering(GroundSet(atoms), raw.blocks)
+            scan = {
+                a: frozenset(b for b, block in enumerate(cover.blocks) if a in block)
+                for a in atoms
+            }
+            assert dict(cover.blocks_of) == scan
+            one_block_each = all(len(bs) == 1 for bs in scan.values())
+            assert cover.is_partition() == one_block_each
+            if one_block_each:  # equal entries are shared: one per block
+                assert len({id(bs) for bs in cover.blocks_of.values()}) == len(cover)
+            partitions += one_block_each
+        assert 100 <= partitions < 200
+
+    def test_index_is_read_only(self):
+        cover = cov([1, 2, 3], [1, 2], [2, 3])
+        assert cover.blocks_of[2] == frozenset({0, 1})
+        with pytest.raises(TypeError):
+            cover.blocks_of[1] = frozenset()
+        with pytest.raises(AttributeError):
+            cover.blocks_of = {}
+
+    def test_covering_pickles_and_copies(self):
+        cover = cov([1, 2, 3], [1, 2], [2, 3])
+        for again in (pickle.loads(pickle.dumps(cover)), copy.deepcopy(cover)):
+            assert again == cover and dict(again.blocks_of) == dict(cover.blocks_of)

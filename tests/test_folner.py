@@ -239,7 +239,6 @@ class TestCheckerRoute:
             atoms = list(range(n))
             rng.shuffle(atoms)  # ground order differs from element order
             cover = Covering(GroundSet(atoms), raw.blocks)
-            blocks_of = folner._blocks_of(cover)
             f_set = model.canon_set(random_subset(rng, range(n)))
             g, h = rng.randrange(n), rng.randrange(n)
             gf, hf = model.translate(g, f_set), model.translate(h, f_set)
@@ -257,7 +256,7 @@ class TestCheckerRoute:
             )
             for stored, w in variants:
                 pair = folner.PairResult(g, h, stored, w)
-                got = folner._check_pair(model, f_set, cover, blocks_of, pair, need)
+                got = folner._check_pair(model, f_set, cover, pair, need)
                 want = check_pair_reference(model, f_set, cover, pair, need)
                 assert [(x.code, x.message) for x in got] == [
                     (x.code, x.message) for x in want
