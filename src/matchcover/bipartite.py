@@ -196,7 +196,7 @@ def covering_graph(e: Iterable, f: Iterable, u: Covering) -> BipartiteGraph:
     # built straight into the frozenset: no second hash table of every edge
     edges = frozenset(
         edge
-        for block in u.block_sets
+        for block in u.blocks
         for edge in product(
             [left_pos[a] for a in block if a in left_pos],
             [right_pos[a] for a in block if a in right_pos],

@@ -1,10 +1,13 @@
 """Command-line front end: JSON persistence, certificate replay, CSV sweeps.
 
 Exit codes: 0 for PASS/found/success, 1 for EXHAUSTED/not-found/failed
-verification, 2 for invalid input of any kind.  Output files are written
-atomically (temp file in the same directory, then rename).  Every emitted
-certificate embeds a run manifest with content digests of its input files;
-set SOURCE_DATE_EPOCH for byte-reproducible documents across runs.
+verification, 2 for invalid input of any kind and for an internal error
+(one ``internal error:`` line, never a traceback).  Every document goes
+out through ``_emit``, the one rule for ``--out`` and ``--json``.  Output
+files are written atomically (temp file in the same directory, then
+rename).  Every emitted certificate embeds a run manifest with content
+digests of its input files; set SOURCE_DATE_EPOCH for byte-reproducible
+documents across runs.
 """
 
 from __future__ import annotations
@@ -85,7 +88,10 @@ def _atomic_write(
 
 def _load_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_document(path: str) -> dict:
@@ -177,44 +183,39 @@ def _search_window(model, e_set, strategy) -> tuple:
     return tuple(sorted(window, key=model.sort_key))
 
 
-def _emit(doc_or_text, args) -> None:
-    text = doc_or_text if isinstance(doc_or_text, str) else ser.canonical_dumps(doc_or_text)
-    if getattr(args, "out", None):
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+def _emit(args, doc: dict, summary: str | None = None) -> None:
+    """The one output rule: ``--out`` gets the document; otherwise stdout
+    gets it under ``--json`` or when there is no summary; the summary is
+    printed unless ``--json`` is given."""
+    as_json = getattr(args, "json", False)
+    if args.out:
+        _atomic_write(args.out, ser.canonical_dumps(doc))
+    elif as_json or summary is None:
+        sys.stdout.write(ser.canonical_dumps(doc))
+    if summary is not None and not as_json:
+        print(summary)
 
 
 # -- subcommand handlers ------------------------------------------------------
 
 
 def _cmd_cover(args, argv) -> int:
-    if args.action == "refines":
+    if args.action in ("refines", "star-refines"):
         coarse = ser.covering_from_json(_load_json(args.coarse))
         fine = ser.covering_from_json(_load_json(args.fine))
-        result = refines(coarse, fine)
-        if args.json:
-            _emit({"refines": result}, args)
-        else:
-            print("refines" if result else "does not refine")
-        return 0
-    if args.action == "star-refines":
-        coarse = ser.covering_from_json(_load_json(args.coarse))
-        fine = ser.covering_from_json(_load_json(args.fine))
-        result = star_refines(coarse, fine)
-        if args.json:
-            _emit({"star_refines": result}, args)
-        else:
-            print("star-refines" if result else "does not star-refine")
+        word = args.action.removesuffix("s")  # "refine" or "star-refine"
+        result = (refines if word == "refine" else star_refines)(coarse, fine)
+        summary = args.action if result else f"does not {word}"
+        _emit(args, {args.action.replace("-", "_"): result}, summary)
         return 0
     if args.action == "join":
         u = ser.covering_from_json(_load_json(args.u))
         v = ser.covering_from_json(_load_json(args.v))
-        _emit(ser.covering_to_json(join(u, v)), args)
+        _emit(args, ser.covering_to_json(join(u, v)))
         return 0
     if args.action == "star":
         u = ser.covering_from_json(_load_json(args.u))
-        _emit(ser.covering_to_json(star_iterate(u, args.n)), args)
+        _emit(args, ser.covering_to_json(star_iterate(u, args.n)))
         return 0
     raise ValueError(f"unknown cover action {args.action!r}")
 
@@ -231,11 +232,8 @@ def _cmd_mu(args, argv) -> int:
         "right": list(graph.right),
         "witness": ser.witness_to_json(witness),
     }
-    if args.json:
-        _emit(doc, args)
-    else:
-        print(f"mu = {value}")
-        print(ser.canonical_dumps(ser.witness_to_json(witness)), end="")
+    witness_text = ser.canonical_dumps(doc["witness"]).rstrip("\n")
+    _emit(args, doc, f"mu = {value}\n{witness_text}")
     return 0
 
 
@@ -247,12 +245,10 @@ def _cmd_match(args, argv) -> int:
         deficiency, subset = hall_deficiency(graph)
         doc["deficiency"] = deficiency
         doc["deficiency_witness"] = list(subset)
-    if args.json:
-        _emit(doc, args)
-    else:
-        print(f"maximum matching size = {size}")
-        if args.deficiency:
-            print(f"hall deficiency = {doc['deficiency']} at S = {doc['deficiency_witness']}")
+    summary = f"maximum matching size = {size}"
+    if args.deficiency:
+        summary += f"\nhall deficiency = {deficiency} at S = {doc['deficiency_witness']}"
+    _emit(args, doc, summary)
     return 0
 
 
@@ -278,7 +274,7 @@ def _cmd_folner_search(args, argv) -> int:
         doc["best_ratio"] = ser.frac_str(result.best_ratio)
         doc["evaluations"] = result.evaluations
     doc["manifest"] = _manifest(argv, inputs, args.seed, outcome)
-    _emit(doc, args)
+    _emit(args, doc)
     label = _status_text("PASS" if outcome == 0 else "EXHAUSTED")
     print(
         f"{label}: |F| = {len(result.best_f)}, min ratio = {result.best_ratio}"
@@ -366,10 +362,7 @@ def _cmd_folner_adversary(args, argv) -> int:
         "coloring": ser.coloring_to_json(coloring, model),
         "min_ratio": ser.frac_str(ratio),
     }
-    if args.json or args.out:
-        _emit(doc, args)
-    if not args.json:
-        print(f"worst coloring found: min ratio = {ratio}")
+    _emit(args, doc, f"worst coloring found: min ratio = {ratio}")
     return 0
 
 
@@ -388,13 +381,11 @@ def _cmd_folner_net(args, argv) -> int:
             for g, w in net.matchings
         ],
     }
-    if args.json or args.out:
-        _emit(doc, args)
-    if not args.json:
-        print(
-            f"V = {{{', '.join(ser.elems_to_json(model, net.v_set))}}}, "
-            f"|F| = {len(net.f_set)}, all {len(net.matchings)} translates perfect"
-        )
+    summary = (
+        f"V = {{{', '.join(doc['v'])}}}, "
+        f"|F| = {len(net.f_set)}, all {len(net.matchings)} translates perfect"
+    )
+    _emit(args, doc, summary)
     return 0
 
 
@@ -412,10 +403,7 @@ def _cmd_folner_mono(args, argv) -> int:
         "g": model.elem_str(g),
         "block": ser.elems_to_json(model, block),
     }
-    if args.json or args.out:
-        _emit(doc, args)
-    if not args.json:
-        print(f"{_status_text('FOUND')}: g = {model.elem_str(g)}")
+    _emit(args, doc, f"{_status_text('FOUND')}: g = {doc['g']}")
     return 0
 
 
@@ -424,7 +412,7 @@ def _cmd_means(args, argv) -> int:
         model = _load_group(args.group)
         a = ser.mean_from_json(_load_json(args.a), model)
         b = ser.mean_from_json(_load_json(args.b), model)
-        _emit(ser.mean_to_json(convolve(a, b)), args)
+        _emit(args, ser.mean_to_json(convolve(a, b)))
         return 0
     if args.action == "rationalize":
         obj = _load_json(args.alpha)
@@ -435,7 +423,7 @@ def _cmd_means(args, argv) -> int:
             "beta": {k: ser.frac_str(v) for k, v in beta.items()},
             "gamma": dict(gamma),
         }
-        _emit(doc, args)
+        _emit(args, doc)
         return 0
     raise ValueError(f"unknown means action {args.action!r}")
 
@@ -450,7 +438,7 @@ def _cmd_ramsey(args, argv) -> int:
     )
     doc = ser.ramsey_outcome_to_json(outcome, a, b, c, args.max_family, args.budget)
     doc["manifest"] = _manifest(argv, [args.a, args.b, args.c], args.seed, 0 if outcome.holds else 1)
-    _emit(doc, args)
+    _emit(args, doc)
     label = "HOLDS" if outcome.holds else "FAILS"
     print(
         f"{_status_text('PASS' if outcome.holds else 'EXHAUSTED')}: condition {label} "
@@ -529,11 +517,11 @@ def _cmd_folner_check(args, argv) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _add_common(p, seed=True):
-    p.add_argument("--json", action="store_true", help="machine-readable output")
+def _add_output(p, summary=True):
+    """``--out`` for the document, and ``--json`` where a summary is printed."""
+    if summary:
+        p.add_argument("--json", action="store_true", help="print the document, not the summary")
     p.add_argument("--out", help="write the result document to this path")
-    if seed:
-        p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -550,20 +538,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u")
     p.add_argument("--v")
     p.add_argument("-n", type=int, default=1, help="star iterate count")
-    _add_common(p, seed=False)
+    _add_output(p)
     p.set_defaults(handler=_cmd_cover)
 
     p = sub.add_parser("mu", help="matching number between two sets under a covering")
     p.add_argument("--cover", required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    _add_common(p, seed=False)
+    _add_output(p)
     p.set_defaults(handler=_cmd_mu)
 
     p = sub.add_parser("match", help="maximum matching on a bipartite graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--deficiency", action="store_true")
-    _add_common(p, seed=False)
+    _add_output(p)
     p.set_defaults(handler=_cmd_match)
 
     p = sub.add_parser("folner", help="certificate search, checking, adversaries")
@@ -580,12 +568,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--strategy", choices=["balls", "local"], default="balls")
     q.add_argument("--max-radius", type=int, default=8)
     q.add_argument("--budget", type=int, default=300)
-    _add_common(q)
+    _add_output(q, summary=False)
+    q.add_argument("--seed", type=int, default=0)
     q.set_defaults(handler=_cmd_folner_search)
 
     q = fol.add_parser("check")
     q.add_argument("path")
-    _add_common(q, seed=False)
     q.set_defaults(handler=_cmd_folner_check)
 
     q = fol.add_parser("adversary")
@@ -599,14 +587,15 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--strategy", choices=["exhaustive", "local"], default="local")
     q.add_argument("--budget", type=int, default=2000)
     q.add_argument("--plateau", type=int, default=20)
-    _add_common(q)
+    _add_output(q)
+    q.add_argument("--seed", type=int, default=0)
     q.set_defaults(handler=_cmd_folner_adversary)
 
     q = fol.add_parser("net")
     q.add_argument("--group", required=True)
     q.add_argument("--u")
     q.add_argument("--u-file")
-    _add_common(q, seed=False)
+    _add_output(q)
     q.set_defaults(handler=_cmd_folner_net)
 
     q = fol.add_parser("mono")
@@ -615,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--cover", required=True)
     q.add_argument("--e")
     q.add_argument("--e-file")
-    _add_common(q, seed=False)
+    _add_output(q)
     q.set_defaults(handler=_cmd_folner_mono)
 
     p = sub.add_parser("means", help="convolution and rational approximation")
@@ -625,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b")
     p.add_argument("--alpha")
     p.add_argument("--theta")
-    _add_common(p, seed=False)
+    _add_output(p, summary=False)
     p.set_defaults(handler=_cmd_means)
 
     p = sub.add_parser("ramsey", help="matching condition on finite metric spaces")
@@ -638,7 +627,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--eps", required=True)
     q.add_argument("--budget", type=int, default=2000)
     q.add_argument("--max-family", type=int, default=4)
-    _add_common(q)
+    _add_output(q, summary=False)
+    q.add_argument("--seed", type=int, default=0)
     q.set_defaults(handler=_cmd_ramsey)
 
     p = sub.add_parser("sweep", help="CSV of min ratios per (theta, radius)")
@@ -650,12 +640,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-grid", required=True)
     p.add_argument("--max-radius", type=int, default=8)
     p.add_argument("--mode", choices=["asym", "sym"], default="asym")
-    _add_common(p, seed=False)
+    p.add_argument("--out", help="write the CSV to this path (default sweep.csv)")
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("verify", help="replay any emitted certificate document")
     p.add_argument("path")
-    _add_common(p, seed=False)
     p.set_defaults(handler=_cmd_verify)
 
     return parser
@@ -671,6 +660,9 @@ def dispatch(argv) -> int:
         return args.handler(args, argv)
     except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # last resort: never a traceback, never exit 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

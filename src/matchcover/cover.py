@@ -77,7 +77,7 @@ class Covering:
     Duplicate blocks are silently merged; empty blocks are rejected.
     """
 
-    __slots__ = ("ground", "blocks", "block_sets", "_blocks_of", "_partition")
+    __slots__ = ("ground", "blocks", "_blocks_of", "_partition")
 
     def __init__(self, ground: GroundSet, blocks: Iterable[Iterable[Atom]]) -> None:
         canon_blocks = []
@@ -98,7 +98,6 @@ class Covering:
         canon_blocks.sort(key=lambda b: tuple(ground.position(a) for a in b))
         self.ground = ground
         self.blocks = tuple(canon_blocks)
-        self.block_sets = tuple(frozenset(b) for b in self.blocks)
         index: dict = {}
         for b, block in enumerate(self.blocks):
             for atom in block:
@@ -161,22 +160,20 @@ def _require_same_ground(u: Covering, v: Covering) -> None:
 def refines(coarse: Covering, fine: Covering) -> bool:
     """True iff every block of ``fine`` sits inside some block of ``coarse``."""
     _require_same_ground(coarse, fine)
-    for small in fine.block_sets:
-        if not any(small <= big for big in coarse.block_sets):
-            return False
-    return True
+    index = coarse.blocks_of
+    # a fine block sits inside a coarse block iff its atoms share a block index
+    return all(frozenset.intersection(*(index[a] for a in small)) for small in fine.blocks)
 
 
 def join(u: Covering, v: Covering) -> Covering:
     """Common refinement: all pairwise intersections, empties dropped."""
     _require_same_ground(u, v)
-    blocks = []
-    for a in u.block_sets:
-        for b in v.block_sets:
-            common = a & b
-            if common:
-                blocks.append(common)
-    return Covering(u.ground, blocks)
+    common: dict = {}  # (u-block, v-block) index pair -> the atoms of both
+    for a in u.ground.atoms:
+        for i in u.blocks_of[a]:
+            for j in v.blocks_of[a]:
+                common.setdefault((i, j), []).append(a)
+    return Covering(u.ground, common.values())
 
 
 def star_set(s: Iterable[Atom], u: Covering) -> tuple:

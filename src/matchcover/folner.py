@@ -395,9 +395,9 @@ def cantor_check(
     f_points = set(f_canon)
     for g in e_set:
         image = set(action.act(g, f_canon))
-        for block in p.block_sets:
-            gap = abs(len(f_points & block) - len(image & block))
-            gaps.append((g, tuple(sorted(block, key=p.ground.position)), gap))
+        for block in p.blocks:
+            gap = abs(len(f_points.intersection(block)) - len(image.intersection(block)))
+            gaps.append((g, block, gap))
             if gap > bound:
                 ok = False
     return ok, tuple(gaps)
@@ -894,16 +894,14 @@ def _greedy_cover(universe_size: int, set_masks: Sequence[int]) -> tuple:
     return tuple(sorted(chosen))
 
 
-def perfect_net(
-    model: FiniteTableGroup, u_set: Iterable, cap: int = DEFAULT_NET_CAP
-) -> PerfectNet:
+def perfect_net(model: FiniteTableGroup, u_set: Iterable) -> PerfectNet:
     """Conjugation-stable core, minimal net, and all-translate perfect matchings.
 
     Given a subset U containing the identity of a finite group G, computes
     V as the intersection of all conjugates of U, a minimum-cardinality F
-    with V*F = G (exact branch and bound up to ``cap`` elements, greedy
-    beyond with ``minimal=False``), and for every g in G a perfect matching
-    between F and gF in the covering by right translates of U^{-1}U.
+    with V*F = G (exact branch and bound up to ``DEFAULT_NET_CAP`` elements,
+    greedy beyond with ``minimal=False``), and for every g in G a perfect
+    matching between F and gF in the covering by right translates of U^{-1}U.
     """
     n = model.order
     u_canon = model.canon_set(u_set)
@@ -923,7 +921,7 @@ def perfect_net(
         for v in v_canon:
             mask |= 1 << model.multiply(v, f)
         set_masks.append(mask)
-    if n <= cap:
+    if n <= DEFAULT_NET_CAP:
         f_idx = _exact_min_cover(n, set_masks)
         minimal = True
     else:
@@ -965,12 +963,15 @@ def monochromatic_translate(
     win_set = set(win)
     e_canon = model.canon_set(e_set)
     mul = model.unchecked_multiply
+    index = cover.blocks_of
+    every = frozenset(range(len(cover)))
     for g in win:
         eg_set = {mul(x, g) for x in e_canon}
         if not eg_set <= win_set:
             continue
-        for block, block_set in zip(cover.blocks, cover.block_sets):
-            if eg_set <= block_set:
-                return g, block
+        # the blocks holding all of Eg; the least index is the first block
+        common = every.intersection(*(index.get(x, ()) for x in eg_set))
+        if common:
+            return g, cover.blocks[min(common)]
     return None
 

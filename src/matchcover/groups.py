@@ -16,6 +16,7 @@ on both arguments followed by it, so each model has one group law.
 
 from __future__ import annotations
 
+import re
 import string
 from operator import add
 from typing import Iterable, Sequence
@@ -23,6 +24,8 @@ from typing import Iterable, Sequence
 DEFAULT_BALL_LIMIT = 10**6
 
 _LETTERS = string.ascii_lowercase
+# Z^d spellings exactly as elem_str writes them: str(int) per coordinate
+_ZD_SPELLING = re.compile(r"(?:0|-?[1-9][0-9]*)(?:,(?:0|-?[1-9][0-9]*))*")
 
 
 class GroupError(ValueError):
@@ -98,14 +101,16 @@ class GroupModel:
         mul = self.unchecked_multiply
         return tuple(sorted([mul(g, x) for x in f], key=self.sort_key))
 
-    def balls(self, radius: int, max_size: int = DEFAULT_BALL_LIMIT):
+    def balls(self, radius: int):
         """Yield the ball of each radius 0..radius from a single BFS.
 
         Each ball is canonically ordered; the ball of radius r + 1 is the
-        ball of radius r merged with the new sphere.
+        ball of radius r merged with the new sphere.  More than
+        ``DEFAULT_BALL_LIMIT`` elements is a GroupError.
         """
         if radius < 0:
             raise ValueError("radius must be non-negative")
+        limit = DEFAULT_BALL_LIMIT
         mul = self.unchecked_multiply
         key = self.sort_key
         gens = self.generators()
@@ -121,18 +126,16 @@ class GroupModel:
                     if h not in seen:
                         seen.add(h)
                         nxt.append(h)
-                        if len(seen) > max_size:
-                            raise GroupError(
-                                f"ball size exceeds cap {max_size}"
-                            )
+                        if len(seen) > limit:
+                            raise GroupError(f"ball size exceeds cap {limit}")
             frontier = nxt
             nxt.sort(key=key)
             ball = tuple(sorted(ball + tuple(nxt), key=key))
             yield ball
 
-    def ball(self, radius: int, max_size: int = DEFAULT_BALL_LIMIT) -> tuple:
+    def ball(self, radius: int) -> tuple:
         """All elements of word length <= radius over the symmetric generators."""
-        for last in self.balls(radius, max_size):
+        for last in self.balls(radius):
             pass
         return last
 
@@ -187,7 +190,9 @@ class IntegerLattice(GroupModel):
     def parse_elem(self, s: str):
         _require_str(s)
         try:
-            vec = tuple(int(part) for part in s.split(","))
+            if not _ZD_SPELLING.fullmatch(s):
+                raise ValueError
+            vec = tuple(map(int, s.split(",")))
         except ValueError:
             raise GroupError(f"bad Z^{self.d} element string: {s!r}") from None
         return self.validate(vec)

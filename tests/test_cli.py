@@ -1,10 +1,12 @@
+import argparse
 import json
 import os
 from fractions import Fraction
 
 import pytest
 
-from matchcover.cli import dispatch
+from matchcover import cli
+from matchcover.cli import build_parser, dispatch
 from matchcover import serialize as ser
 from matchcover.cover import Covering, GroundSet
 from matchcover.folner import Coloring, build_certificate
@@ -310,6 +312,15 @@ class TestFolnerCommands:
         assert code == 2
         assert captured.err == f"error: element must be a string: {value!r}\n"
 
+    @pytest.mark.parametrize("value", ["+0", "0_0", " 0", "\u0660", "00", "-0"])
+    def test_non_canonical_spelling_is_exit_two(self, tmp_path, capsys, value):
+        # the pair's g is "0"; each edit names the same element, spelled otherwise
+        code, captured = self.verify_edited(
+            tmp_path, capsys, lambda doc: doc["pairs"][0].update(g=value)
+        )
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: bad Z^1 element string: {value!r}\n"
+
     @pytest.mark.parametrize("value", ["zd1", [1]])
     def test_group_not_an_object_is_exit_two(self, tmp_path, capsys, value):
         code, captured = self.verify_edited(
@@ -484,7 +495,7 @@ class TestMeansCommands:
     def test_convolve(self, tmp_path, capsys):
         a = write(tmp_path / "a.json", {"weights": {"-1": "1/2", "1": "1/2"}})
         code = dispatch(
-            ["means", "convolve", "--group", "zd1", "--a", a, "--b", a, "--json"]
+            ["means", "convolve", "--group", "zd1", "--a", a, "--b", a]
         )
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
@@ -493,7 +504,7 @@ class TestMeansCommands:
     def test_rationalize(self, tmp_path, capsys):
         alpha = write(tmp_path / "alpha.json", {"weights": {"x": "1/3", "y": "2/3"}})
         code = dispatch(
-            ["means", "rationalize", "--alpha", alpha, "--theta", "1/100", "--json"]
+            ["means", "rationalize", "--alpha", alpha, "--theta", "1/100"]
         )
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
@@ -729,6 +740,21 @@ class TestExitCodes:
     def test_usage_error(self):
         assert dispatch(["folner", "search", "--group", "zd1"]) == 2
 
+    def test_deeply_nested_json_is_exit_two(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        assert dispatch(["verify", str(deep)]) == 2
+        assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply\n"
+
+    def test_internal_crash_is_one_line_exit_two(self, tmp_path, monkeypatch, capsys):
+        def crash(*_):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_verify_certificate_doc", crash)
+        cert = write(tmp_path / "cert.json", {"schema": ser.FOLNER_CERT_SCHEMA})
+        assert dispatch(["verify", cert]) == 2
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
     def test_bad_theta(self, tmp_path):
         assert (
             dispatch(
@@ -737,6 +763,140 @@ class TestExitCodes:
             )
             == 2
         )
+
+
+def leaf_parsers(parser, path=()):
+    """(subcommand path, parser) for every parser that runs a handler."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from leaf_parsers(child, path + (name,))
+            return
+    yield path, parser
+
+
+def flags(parser) -> set:
+    return {opt for action in parser._actions for opt in action.option_strings}
+
+
+class TestOutputRule:
+    """``--out`` writes the document and ``--json`` replaces the summary, on
+    every subcommand that registers them."""
+
+    ARGV = {
+        ("cover",): ["cover", "refines", "--coarse", "cover.json", "--fine", "fine.json"],
+        ("mu",): ["mu", "--cover", "cover.json", "--left", "left.json", "--right", "right.json"],
+        ("match",): ["match", "--graph", "graph.json", "--deficiency"],
+        ("folner", "search"): ["folner", "search", "--group", "zd1", "--coloring", "parity",
+                               "--e", "1;-1", "--theta", "9/10", "--max-radius", "10"],
+        ("folner", "adversary"): ["folner", "adversary", "--group", "free2",
+                                  "--f", "1;a;A;b;B", "--e", "a", "--budget", "50"],
+        ("folner", "net"): ["folner", "net", "--group", "z6.json", "--u", "0;1"],
+        ("folner", "mono"): ["folner", "mono", "--group", "zd1", "--window", "win.json",
+                             "--cover", "pairs.json", "--e", "0;1"],
+        ("means",): ["means", "rationalize", "--alpha", "alpha.json", "--theta", "1/100"],
+        ("ramsey", "check"): ["ramsey", "check", "--a", "a.json", "--b", "b.json",
+                              "--c", "b.json", "--eps", "1/2"],
+        ("sweep",): ["sweep", "--group", "zd1", "--theta-grid", "1/2:1:1/4",
+                     "--max-radius", "3"],
+    }
+
+    @pytest.fixture
+    def inputs(self, tmp_path, monkeypatch, covering_file):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        line = [str(i) for i in range(-5, 6)]
+        files = {
+            "fine.json": {"ground": ["a", "b", "c", "d"], "blocks": [["a"], ["b"], ["c"], ["d"]]},
+            "left.json": ["a", "b"],
+            "right.json": ["b", "c"],
+            "graph.json": {"left": ["a", "b", "c"], "right": ["1", "2"],
+                           "edges": [[0, 0], [1, 0], [2, 1]]},
+            "z6.json": cyclic_group(6).describe(),
+            "win.json": line,
+            "pairs.json": {"ground": line, "blocks": [line[i:i + 2] for i in range(10)]},
+            "alpha.json": {"weights": {"x": "1/3", "y": "2/3"}},
+            "a.json": {"points": ["p"], "dist": [["0"]]},
+            "b.json": {"points": ["x", "y"], "dist": [["0", "1"], ["1", "0"]]},
+        }
+        for name, obj in files.items():
+            write(tmp_path / name, obj)
+
+    def run(self, capsys, argv):
+        code = dispatch(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1), (argv, captured.err)
+        return captured.out
+
+    def test_argv_for_every_output_flag(self):
+        with_output = {
+            path for path, parser in leaf_parsers(build_parser())
+            if flags(parser) & {"--out", "--json"}
+        }
+        assert with_output == set(self.ARGV)
+
+    def test_every_out_writes_the_document(self, inputs, tmp_path, capsys):
+        for path, parser in leaf_parsers(build_parser()):
+            if "--out" not in flags(parser):
+                continue
+            argv = self.ARGV[path]
+            self.run(capsys, argv + ["--out", "out.file"])
+            written = (tmp_path / "out.file").read_text()
+            if path == ("sweep",):  # the CSV goes to sweep.csv without --out
+                self.run(capsys, argv)
+                assert written == (tmp_path / "sweep.csv").read_text()
+                continue
+            doc = json.loads(written)
+            if "manifest" in doc:  # the manifest records argv, --out included
+                assert doc["manifest"]["argv"][-2:] == ["--out", "out.file"]
+                del doc["manifest"]["argv"][-2:]
+                written = ser.canonical_dumps(doc)
+            shown = self.run(capsys, argv + ["--json"] * ("--json" in flags(parser)))
+            assert written == shown, path
+
+    def test_every_json_replaces_the_summary(self, inputs, capsys):
+        for path, parser in leaf_parsers(build_parser()):
+            if "--json" not in flags(parser):
+                continue
+            argv = self.ARGV[path]
+            summary = self.run(capsys, argv)
+            shown = self.run(capsys, argv + ["--json"])
+            assert summary and json.loads(shown), path
+            assert summary.splitlines()[0] not in shown.splitlines(), path
+
+    @pytest.mark.parametrize(
+        "path",
+        [("mu",), ("match",), ("cover",)],
+        ids=["mu", "match", "cover-refines"],
+    )
+    def test_out_writes_the_file_with_a_summary(self, inputs, tmp_path, capsys, path):
+        argv = self.ARGV[path]
+        summary = self.run(capsys, argv)
+        assert self.run(capsys, argv + ["--out", "doc.json"]) == summary
+        assert (tmp_path / "doc.json").read_text() == self.run(capsys, argv + ["--json"])
+
+    @pytest.mark.parametrize(
+        "path, flag",
+        [
+            (("folner", "search"), "--json"),
+            (("ramsey", "check"), "--json"),
+            (("means",), "--json"),
+            (("sweep",), "--json"),
+            (("verify",), "--json"),
+            (("folner", "check"), "--json"),
+            (("verify",), "--out"),
+            (("folner", "check"), "--out"),
+        ],
+        ids=lambda v: "-".join(v) if isinstance(v, tuple) else v.lstrip("-"),
+    )
+    def test_removed_flag_is_usage_error(self, inputs, tmp_path, capsys, path, flag):
+        self.run(capsys, self.ARGV[("folner", "search")] + ["--out", "cert.json"])
+        argv = self.ARGV.get(path, [*path, "cert.json"])
+        self.run(capsys, argv)
+        extra = [flag, "v.json"] if flag == "--out" else [flag]
+        assert dispatch(argv + extra) == 2
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+        assert not (tmp_path / "v.json").exists()
 
 
 class TestRealProcess:

@@ -199,8 +199,8 @@ class TestProperties:
             sub = u.restrict(window)
             for x in window:
                 for y in window:
-                    joined = any({x, y} <= b for b in u.block_sets)
-                    joined_sub = any({x, y} <= b for b in sub.block_sets)
+                    joined = any({x, y} <= set(b) for b in u.blocks)
+                    joined_sub = any({x, y} <= set(b) for b in sub.blocks)
                     assert joined == joined_sub
 
 

@@ -495,9 +495,10 @@ class TestPerfectNet:
         with pytest.raises(ValueError, match="identity"):
             perfect_net(g6, [1, 2])
 
-    def test_greedy_fallback_flagged(self):
+    def test_greedy_fallback_flagged(self, monkeypatch):
         g6 = cyclic_group(6)
-        net = perfect_net(g6, [0, 1], cap=3)  # force the over-cap path
+        monkeypatch.setattr(folner, "DEFAULT_NET_CAP", 3)  # force the over-cap path
+        net = perfect_net(g6, [0, 1])
         assert not net.minimal
         for g, witness in net.matchings:
             assert len(witness) == len(net.f_set)
@@ -606,7 +607,7 @@ class TestBridges:
                     core_ground,
                     [
                         [p for p in core if z2.multiply(s, p) in bs]
-                        for bs in base.block_sets
+                        for bs in base.blocks
                         if any(z2.multiply(s, p) in bs for p in core)
                     ],
                 )

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from matchcover import groups
 from matchcover.groups import (
     FiniteAction,
     FiniteTableGroup,
@@ -146,15 +147,17 @@ class TestBall:
                 assert ball == ball_reference(model, r), (model.describe(), r)
                 assert model.ball(r) == ball
 
-    def test_balls_cap_and_negative_radius(self):
+    def test_balls_cap_and_negative_radius(self, monkeypatch):
+        monkeypatch.setattr(groups, "DEFAULT_BALL_LIMIT", 100)
         with pytest.raises(GroupError, match="cap"):
-            list(F2.balls(8, max_size=100))
+            list(F2.balls(8))
         with pytest.raises(ValueError):
             F2.ball(-1)
 
-    def test_ball_cap(self):
+    def test_ball_cap(self, monkeypatch):
+        monkeypatch.setattr(groups, "DEFAULT_BALL_LIMIT", 100)
         with pytest.raises(GroupError, match="cap"):
-            F2.ball(8, max_size=100)
+            F2.ball(8)
 
     def test_sorted_output(self):
         b = F2.ball(2)
@@ -241,6 +244,15 @@ class TestElementCodecs:
         for model in (Z2, F2, cyclic_group(3)):
             with pytest.raises(GroupError, match="element must be a string"):
                 model.parse_elem(value)
+
+    @pytest.mark.parametrize(
+        "value", ["+0", "0_0", " 0", "\u0660", "00", "-0", "1,-0", "1, 2", "", "1,", "0x1"]
+    )
+    def test_zd_accepts_only_canonical_spellings(self, value):
+        # each coordinate is written as str(int) writes it, and nothing else
+        model = Z2 if "," in value else IntegerLattice(1)
+        with pytest.raises(GroupError, match="bad Z"):
+            model.parse_elem(value)
 
     def test_free_rejects_empty_string(self):
         # the identity is written "1"; "" is no spelling of it
