@@ -33,6 +33,7 @@ from .bipartite import (
     max_matching,
     mu,
     mu_partition,
+    mu_partition_witness,
     mu_with_witness,
 )
 from .groups import (

@@ -230,6 +230,33 @@ def mu_partition(e: Iterable, f: Iterable, p: Covering) -> int:
     return sum(min(n, right[b]) for b, n in left.items())
 
 
+def mu_partition_witness(e: Iterable, f: Iterable, p: Covering) -> tuple[int, MatchingWitness]:
+    """``mu_with_witness`` on a partition, without building the graph.
+
+    Each left index, in order, takes the lowest-index free right index of
+    its block.  That is exactly what Hopcroft-Karp's first phase does on
+    sorted adjacency lists (every left vertex starts at distance 0, so an
+    augmenting path is a single edge), and on a disjoint union of complete
+    bipartite blocks the greedy is maximum, so the second phase finds
+    nothing: value and witness equal ``max_matching(covering_graph(...))``.
+    """
+    if not p.is_partition():
+        raise ValueError("covering is not a partition")
+    index = p.blocks_of
+    left = p.ground.canon(e)
+    free: dict = {}  # block entry -> its right indices, highest first
+    for j, a in enumerate(p.ground.canon(f)):
+        free.setdefault(index[a], []).append(j)
+    for stack in free.values():
+        stack.reverse()
+    pairs = []
+    for i, a in enumerate(left):
+        stack = free.get(index[a])
+        if stack:
+            pairs.append((i, stack.pop()))
+    return len(pairs), MatchingWitness(tuple(pairs))
+
+
 def compose_matchings(
     sets: Sequence[Iterable],
     witnesses: Sequence[MatchingWitness],

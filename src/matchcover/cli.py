@@ -199,8 +199,16 @@ def _emit(args, doc: dict, summary: str | None = None) -> None:
 # -- subcommand handlers ------------------------------------------------------
 
 
+def _require_flags(args, *names) -> None:
+    """Name the first flag this action reads that was not given."""
+    for name in names:
+        if getattr(args, name) is None:
+            raise ValueError(f"{args.command} {args.action} needs --{name}")
+
+
 def _cmd_cover(args, argv) -> int:
     if args.action in ("refines", "star-refines"):
+        _require_flags(args, "coarse", "fine")
         coarse = ser.covering_from_json(_load_json(args.coarse))
         fine = ser.covering_from_json(_load_json(args.fine))
         word = args.action.removesuffix("s")  # "refine" or "star-refine"
@@ -208,12 +216,16 @@ def _cmd_cover(args, argv) -> int:
         summary = args.action if result else f"does not {word}"
         _emit(args, {args.action.replace("-", "_"): result}, summary)
         return 0
+    if args.json:  # join and star print the document itself: no summary to replace
+        raise ValueError(f"cover {args.action} prints no summary; --json does not apply")
     if args.action == "join":
+        _require_flags(args, "u", "v")
         u = ser.covering_from_json(_load_json(args.u))
         v = ser.covering_from_json(_load_json(args.v))
         _emit(args, ser.covering_to_json(join(u, v)))
         return 0
     if args.action == "star":
+        _require_flags(args, "u")
         u = ser.covering_from_json(_load_json(args.u))
         _emit(args, ser.covering_to_json(star_iterate(u, args.n)))
         return 0
@@ -409,12 +421,14 @@ def _cmd_folner_mono(args, argv) -> int:
 
 def _cmd_means(args, argv) -> int:
     if args.action == "convolve":
+        _require_flags(args, "group", "a", "b")
         model = _load_group(args.group)
         a = ser.mean_from_json(_load_json(args.a), model)
         b = ser.mean_from_json(_load_json(args.b), model)
         _emit(args, ser.mean_to_json(convolve(a, b)))
         return 0
     if args.action == "rationalize":
+        _require_flags(args, "alpha", "theta")
         obj = _load_json(args.alpha)
         alpha = {k: ser.frac_parse(v) for k, v in obj["weights"].items()}
         beta, n, gamma = rationalize(alpha, ser.frac_parse(args.theta))

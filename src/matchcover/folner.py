@@ -37,6 +37,7 @@ from .bipartite import (
     MatchingWitness,
     mu,
     mu_partition,
+    mu_partition_witness,
     mu_with_witness,
 )
 from .cover import Covering, GroundSet, star_covering
@@ -189,7 +190,9 @@ def build_certificate(
 
     The stored covering is restricted to the union of F and the translates
     actually used; restriction preserves every pair relation inside that
-    window, so matching numbers are unchanged.
+    window, so matching numbers are unchanged.  A partition takes the
+    per-block greedy ``mu_partition_witness``, which returns the general
+    matcher's witness without building the covering graph.
     """
     theta = Fraction(theta)
     f_canon = model.canon_set(f_set)
@@ -204,10 +207,11 @@ def build_certificate(
         window.update(hf)
     sub_cover = cover.restrict(window)
     need = theta_threshold(theta, len(f_canon))
+    evaluate = mu_partition_witness if sub_cover.is_partition() else mu_with_witness
     results = []
     ok = True
     for pair, (gf, hf) in zip(pairs, translates):
-        value, witness = mu_with_witness(gf, hf, sub_cover)
+        value, witness = evaluate(gf, hf, sub_cover)
         if value < need:
             ok = False
         results.append(PairResult(pair[0], pair[1], value, witness))

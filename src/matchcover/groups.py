@@ -335,17 +335,43 @@ class FiniteTableGroup(GroupModel):
         return tuple(inv)
 
     def _check_associativity(self) -> None:
+        """Light's test (Clifford and Preston, Algebraic Theory of Semigroups
+        I, 1.2): the s with (x*s)*y = x*(s*y) for all x, y contain the
+        identity and are closed under the product, so it suffices to check
+        a generating set, in O(n^2 |S|) instead of n^3.  S is picked
+        greedily: the lowest index outside the closure of the identity
+        under right multiplication by S.  On failure the full scan runs, so
+        the error names the lexicographically first triple."""
         n = len(self.names)
         t = self.table
-        for a in range(n):
-            for b in range(n):
-                ab = t[a][b]
-                for c in range(n):
-                    if t[ab][c] != t[a][t[b][c]]:
-                        raise GroupError(
-                            "table is not associative at "
-                            f"({self.names[a]},{self.names[b]},{self.names[c]})"
-                        )
+        closure = {self._identity}
+        gens: list = []
+        while len(closure) < n:
+            s = next(x for x in range(n) if x not in closure)
+            ts = t[s]
+            if any(t[tx[s]] != tuple(map(tx.__getitem__, ts)) for tx in t):  # y -> x*(s*y)
+                self._scan_associativity()
+            gens.append(s)
+            queue = list(closure)
+            for x in queue:  # grows while it is walked
+                for g in gens:
+                    xg = t[x][g]
+                    if xg not in closure:
+                        closure.add(xg)
+                        queue.append(xg)
+
+    def _scan_associativity(self) -> None:
+        """Raise at the first (a, b, c) with (a*b)*c != a*(b*c), row by row."""
+        t = self.table
+        for a, ta in enumerate(t):
+            for b, ab in enumerate(ta):
+                row = tuple(map(ta.__getitem__, t[b]))  # c -> a*(b*c)
+                if t[ab] != row:
+                    c = next(c for c, (x, y) in enumerate(zip(t[ab], row)) if x != y)
+                    raise GroupError(
+                        "table is not associative at "
+                        f"({self.names[a]},{self.names[b]},{self.names[c]})"
+                    )
 
     @property
     def order(self) -> int:

@@ -9,7 +9,8 @@ group law, and the adversary oracle recounts every pair on every move.  The
 ramsey oracle is the object-level loop: ``Embedding`` composites, ``rho``
 on each pair of embeddings, and colorings as dicts keyed by embedding.  The
 certificate-pair oracle builds the whole covering graph, validates the
-witness against its edge set and reruns Hopcroft-Karp.
+witness against its edge set and reruns Hopcroft-Karp.  The associativity
+oracle scans every triple of a multiplication table.
 """
 
 from __future__ import annotations
@@ -190,6 +191,19 @@ def ball_reference(model, radius: int) -> tuple:
                     nxt.append(h)
         frontier = nxt
     return model.canon_set(seen)
+
+
+def associativity_reference(names, table) -> str | None:
+    """The error for the first triple (a, b, c) in lexicographic order with
+    (a*b)*c != a*(b*c), or None when the table is associative."""
+    n = len(names)
+    for a in range(n):
+        for b in range(n):
+            ab = table[a][b]
+            for c in range(n):
+                if table[ab][c] != table[a][table[b][c]]:
+                    return f"table is not associative at ({names[a]},{names[b]},{names[c]})"
+    return None
 
 
 def adversary_local_reference(

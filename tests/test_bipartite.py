@@ -13,6 +13,7 @@ from matchcover.bipartite import (
     max_matching,
     mu,
     mu_partition,
+    mu_partition_witness,
     mu_with_witness,
     validate_witness,
 )
@@ -210,13 +211,15 @@ class TestMuPartition:
         assert mu_partition([0, 1, 2], [1, 2, 3], parity) == 2
         assert mu_partition([0, 1, 2, 2, 1], [1, 2, 3, 2], parity) == 2
         for e, f in (([0, 9], [1]), ([0], [1, 9, 8]), ([9], [8])):
-            with pytest.raises(ValueError, match=r"^atom not in ground set: 9$"):
-                mu_partition(e, f, parity)
+            for route in (mu_partition, mu_partition_witness):
+                with pytest.raises(ValueError, match=r"^atom not in ground set: 9$"):
+                    route(e, f, parity)
 
     def test_rejects_non_partition(self):
         u = Covering(GroundSet(range(3)), [[0, 1], [1, 2]])
-        with pytest.raises(ValueError, match="not a partition"):
-            mu_partition([0], [1], u)
+        for route in (mu_partition, mu_partition_witness):
+            with pytest.raises(ValueError, match="not a partition"):
+                route([0], [1], u)
 
     def test_agrees_with_general_mu(self):
         rng = random.Random(8)
@@ -234,6 +237,38 @@ class TestMuPartition:
                 for route in (mu_partition, mu):
                     with pytest.raises(ValueError, match=rf"^atom not in ground set: {n}$"):
                         route(*args, p)
+
+
+class TestMuPartitionWitness:
+    """The per-block greedy is the general matcher's answer on partitions."""
+
+    def shuffled_partition(self, rng, n):
+        atoms = list(range(n))
+        rng.shuffle(atoms)  # ground order is not the atoms' natural order
+        parts = rng.randint(1, n)
+        blocks = [atoms[b::parts] for b in range(parts)]
+        if rng.random() < 0.5:  # some singleton blocks
+            blocks = [[a] for a in blocks.pop()] + blocks
+        return Covering(GroundSet(atoms), [b for b in blocks if b])
+
+    def test_equals_max_matching_on_the_covering_graph(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            n = rng.randint(1, 14)
+            p = self.shuffled_partition(rng, n)
+            e = [rng.randrange(n) for _ in range(rng.randint(0, n + 3))]  # repeats, empty
+            f = [rng.randrange(n) for _ in range(rng.randint(0, n + 3))]
+            got = mu_partition_witness(e, f, p)
+            assert got == max_matching(covering_graph(e, f, p)), (e, f, p.blocks)
+            assert got[0] == mu_partition(e, f, p)
+
+    def test_lowest_free_right_index_per_block(self):
+        p = Covering(GroundSet(range(6)), [[0, 2, 4], [1, 3, 5]])
+        # left 0,1,2,4 and right 0,3,4,5 in ground order; atom 4 finds its block used up
+        assert mu_partition_witness([4, 2, 1, 0], [5, 4, 3, 0], p) == (
+            3,
+            MatchingWitness(((0, 0), (1, 1), (2, 2))),
+        )
 
 
 class TestCompose:

@@ -160,6 +160,29 @@ class TestCoverCommands:
         assert dispatch(["cover", "star", "--u", str(tmp_path / "nope.json")]) == 2
 
 
+class TestMissingInputFlags:
+    """Each cover and means action names the first flag it reads that is missing."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["cover", "refines", "--fine", "fine.json"], "--coarse"),
+            (["cover", "star-refines", "--coarse", "cover.json"], "--fine"),
+            (["cover", "join", "--u", "cover.json"], "--v"),
+            (["cover", "star", "-n", "2"], "--u"),
+            (["means", "convolve", "--group", "zd1", "--b", "a.json"], "--a"),
+            (["means", "rationalize", "--alpha", "alpha.json"], "--theta"),
+        ],
+        ids=lambda v: v[1] if isinstance(v, list) else None,
+    )
+    def test_missing_flag_is_named(self, tmp_path, monkeypatch, capsys, argv, flag):
+        monkeypatch.chdir(tmp_path)  # named files need not exist: nothing is loaded
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {argv[0]} {argv[1]} needs {flag}\n"
+
+
 class TestMuAndMatch:
     def test_mu_command(self, tmp_path, covering_file, capsys):
         left = write(tmp_path / "left.json", ["a", "b"])
@@ -863,6 +886,32 @@ class TestOutputRule:
             shown = self.run(capsys, argv + ["--json"])
             assert summary and json.loads(shown), path
             assert summary.splitlines()[0] not in shown.splitlines(), path
+
+    COVER = {
+        "refines": ARGV[("cover",)],
+        "star-refines": ["cover", "star-refines", "--coarse", "cover.json", "--fine", "fine.json"],
+        "join": ["cover", "join", "--u", "cover.json", "--v", "fine.json"],
+        "star": ["cover", "star", "--u", "cover.json", "-n", "2"],
+    }
+
+    def test_every_cover_action(self, inputs, tmp_path, capsys):
+        (cover,) = [p for path, p in leaf_parsers(build_parser()) if path == ("cover",)]
+        (actions,) = [a.choices for a in cover._actions if a.dest == "action"]
+        assert set(actions) == set(self.COVER)
+        for action, argv in self.COVER.items():
+            shown = self.run(capsys, argv)
+            assert self.run(capsys, argv + ["--out", "out.file"]) == (
+                shown if action.endswith("refines") else ""
+            ), action
+            written = (tmp_path / "out.file").read_text()
+            if action.endswith("refines"):  # --json replaces the summary
+                assert self.run(capsys, argv + ["--json"]) == written != shown, action
+                continue
+            assert json.loads(shown) and written == shown, action  # the document is the output
+            assert dispatch(argv + ["--json"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: cover {action} prints no summary; --json does not apply\n"
 
     @pytest.mark.parametrize(
         "path",

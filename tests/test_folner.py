@@ -5,7 +5,7 @@ import pytest
 
 from matchcover.bipartite import MatchingWitness, compose_matchings, mu, mu_partition, mu_with_witness
 from matchcover.cover import Covering, GroundSet, join
-from matchcover import folner
+from matchcover import bipartite, folner
 from matchcover.folner import (
     BallsStrategy,
     Coloring,
@@ -123,6 +123,33 @@ class TestCertificates:
         assert cert.status == "PASS"
         assert all(p.value == 10 for p in cert.pairs)
         assert check_certificate(cert).ok
+
+    @pytest.mark.parametrize("mode", ["asym", "sym"])
+    def test_partition_certificate_builds_no_covering_graph(self, monkeypatch, mode):
+        f = F2.ball(2)
+        e_set = [(1,), (-2,), (1, 2)]
+        window = {w for g in [F2.identity, *e_set] for w in F2.translate(g, f)}
+        cases = [
+            (F2, f, e_set, first_letter_coloring(window).partition(), Fraction(1, 2)),
+            (Z, z_atoms(0, 9), [(-1,), (1,), (3,)], z_parity_cover(-1, 12), Fraction(9, 10)),
+        ]
+
+        def build_all():
+            return [
+                canonical_dumps(certificate_to_json(build_certificate(*case, mode)))
+                for case in cases
+            ]
+
+        with monkeypatch.context() as m:  # the general matcher, as for any covering
+            m.setattr(folner, "mu_partition_witness", mu_with_witness)
+            general = build_all()
+
+        def no_graph(*args):
+            raise AssertionError("covering graph built for a partition")
+
+        monkeypatch.setattr(folner, "covering_graph", no_graph)
+        monkeypatch.setattr(bipartite, "covering_graph", no_graph)
+        assert build_all() == general
 
     def test_f2_first_letter_fails_at_nine_tenths(self):
         f = F2.ball(2)

@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 
@@ -15,7 +17,7 @@ from matchcover.groups import (
     symmetric_group,
 )
 
-from oracles import ball_reference, zd_ball_size_oracle
+from oracles import associativity_reference, ball_reference, zd_ball_size_oracle
 
 
 F2 = FreeGroup(2)
@@ -215,6 +217,53 @@ class TestFiniteTable:
         rows[1][2] = 0  # break 1+2=3
         with pytest.raises(GroupError):
             FiniteTableGroup(g.names, rows)
+
+    def test_light_test_agrees_with_the_full_scan(self):
+        rng = random.Random(23)
+        bases = [cyclic_group(n) for n in range(3, 10)] + [symmetric_group(3), symmetric_group(4)]
+        rejected = 0
+        for trial in range(300):
+            base = rng.choice(bases)
+            rows = [list(r) for r in base.table]
+            e = base.identity
+            if trial % 10:  # one entry changed, identity and inverses kept
+                a, b = rng.choice(
+                    [(a, b) for a in range(base.order) for b in range(base.order)
+                     if e not in (a, b, rows[a][b])]
+                )
+                rows[a][b] = rng.choice([x for x in range(base.order) if x not in (e, rows[a][b])])
+            want = associativity_reference(base.names, rows)
+            try:
+                FiniteTableGroup(base.names, rows)
+            except GroupError as exc:
+                rejected += 1
+                assert str(exc) == want
+            else:
+                assert want is None
+        assert rejected == 270
+
+    def test_light_test_checks_every_generator(self):
+        # Z/2 x (a non-associative loop of order 5), element (g, l) at 2*l + g:
+        # the first generator (1, e) passes Light's check, the second fails
+        loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+        names = [f"{g}{l}" for l in range(5) for g in range(2)]
+        rows = [[2 * loop[l][m] + (g + h) % 2 for m in range(5) for h in range(2)]
+                for l in range(5) for g in range(2)]
+        want = associativity_reference(names, rows)
+        assert want is not None
+        with pytest.raises(GroupError) as exc:
+            FiniteTableGroup(names, rows)
+        assert str(exc.value) == want
+
+    def test_s6_builds_from_its_table(self):
+        perms = sorted(itertools.permutations(range(6)))
+        index = {p: i for i, p in enumerate(perms)}
+        table = [[index[tuple(p[k] for k in q)] for q in perms] for p in perms]
+        start = time.perf_counter()
+        s6 = FiniteTableGroup(["".join(map(str, p)) for p in perms], table)
+        assert time.perf_counter() - start < 5
+        assert s6.order == 720 and s6.identity == 0
+        assert all(s6.multiply(x, s6.inverse(x)) == 0 for x in s6.elements())
 
     def test_json_round_trip(self):
         g = symmetric_group(3)
