@@ -3,7 +3,7 @@
 Submodules:
   cover      finite coverings: refinement, joins, stars
   bipartite  maximum matching with witnesses, Hall deficiency, covering graphs
-  groups     Z^d, free groups, finite table groups, finite actions
+  groups     Z^d, free groups, finite table groups
   means      finitely supported rational means and convolution
   folner     almost-invariance certificates, searches, perfect nets
   ramsey     matching condition on finite rational metric spaces
@@ -26,10 +26,8 @@ from .cover import (
 from .bipartite import (
     BipartiteGraph,
     MatchingWitness,
-    compose_matchings,
     covering_graph,
     hall_deficiency,
-    has_perfect_matching,
     max_matching,
     mu,
     mu_partition,
@@ -37,24 +35,18 @@ from .bipartite import (
     mu_with_witness,
 )
 from .groups import (
-    FiniteAction,
     FiniteTableGroup,
     FreeGroup,
     GroupModel,
     IntegerLattice,
     cyclic_group,
     group_from_json,
-    rotation_action,
     symmetric_group,
 )
 from .means import (
     ConvexCombination,
-    FiniteFunction,
-    condition6_gap,
     convolve,
     dirac,
-    modulus_check,
-    push_function,
     rationalize,
     uniform,
 )
@@ -67,13 +59,10 @@ from .folner import (
     LocalSetStrategy,
     adversary_coloring,
     build_certificate,
-    cantor_check,
     check_certificate,
     folner_search,
     monochromatic_translate,
-    moore_gap,
     perfect_net,
-    theta_boost_check,
 )
 from .ramsey import (
     Embedding,

@@ -16,9 +16,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .cover import Covering, star_iterate
+from .cover import Covering
 
 _UNSET = -1
 
@@ -182,11 +182,6 @@ def hall_deficiency(graph: BipartiteGraph) -> tuple[int, tuple]:
     return nl - size, atoms
 
 
-def has_perfect_matching(graph: BipartiteGraph) -> bool:
-    size, _ = max_matching(graph)
-    return size == len(graph.left)
-
-
 def covering_graph(e: Iterable, f: Iterable, u: Covering) -> BipartiteGraph:
     """Graph joining x in e to y in f when some block contains both."""
     left = u.ground.canon(e)
@@ -255,45 +250,3 @@ def mu_partition_witness(e: Iterable, f: Iterable, p: Covering) -> tuple[int, Ma
         if stack:
             pairs.append((i, stack.pop()))
     return len(pairs), MatchingWitness(tuple(pairs))
-
-
-def compose_matchings(
-    sets: Sequence[Iterable],
-    witnesses: Sequence[MatchingWitness],
-    u: Covering,
-) -> MatchingWitness:
-    """Relational composition of a chain of matchings.
-
-    ``witnesses[i]`` must be a matching in the covering graph between
-    ``sets[i]`` and ``sets[i+1]``.  The composite, restricted to indices
-    where the whole chain is defined, is a matching between the first and
-    last set with respect to the (n-1)-fold star of ``u``; its size is at
-    least the sum of the chain sizes minus the sizes of the interior sets.
-    """
-    if len(sets) != len(witnesses) + 1:
-        raise ValueError("need exactly one more set than witnesses")
-    if not witnesses:
-        raise ValueError("empty chain")
-    canon_sets = [u.ground.canon(s) for s in sets]
-    maps = []
-    for i, witness in enumerate(witnesses):
-        graph = covering_graph(canon_sets[i], canon_sets[i + 1], u)
-        validate_witness(graph, witness)
-        maps.append(dict(witness.pairs))
-    pairs = []
-    for start in sorted(maps[0]):
-        idx = start
-        alive = True
-        for step in maps:
-            if idx not in step:
-                alive = False
-                break
-            idx = step[idx]
-        if alive:
-            pairs.append((start, idx))
-    composed = MatchingWitness(tuple(pairs))
-    target = covering_graph(
-        canon_sets[0], canon_sets[-1], star_iterate(u, len(witnesses) - 1)
-    )
-    validate_witness(target, composed)
-    return composed

@@ -40,8 +40,8 @@ from .bipartite import (
     mu_partition_witness,
     mu_with_witness,
 )
-from .cover import Covering, GroundSet, star_covering
-from .groups import FiniteAction, FiniteTableGroup, GroupModel, cyclic_group
+from .cover import Covering, GroundSet
+from .groups import FiniteTableGroup, GroupModel
 
 MODES = ("asym", "sym")
 
@@ -286,15 +286,17 @@ def _augmentable(left: tuple, right: tuple, cover: Covering, witness) -> bool:
     return False
 
 
-def _check_pair(model: GroupModel, f_set: tuple, cover: Covering, pair, need: int) -> list:
+def _check_pair(model: GroupModel, f_canon: tuple, cover: Covering, pair, need: int) -> list:
     """Findings for one stored pair, on the checker's own route.
 
-    The witness is validated by block lookup and proved maximum by
-    ``_augmentable``; only a valid witness that is not maximum falls back to
-    the general matcher, to report the value it should have had.
+    ``f_canon`` must be valid and duplicate-free (``canon_set`` output); the
+    pair's g and h are validated here, once each.  The witness is validated
+    by block lookup and proved maximum by ``_augmentable``; only a valid
+    witness that is not maximum falls back to the general matcher, to report
+    the value it should have had.
     """
-    gf = model.translate(pair.g, f_set)
-    hf = model.translate(pair.h, f_set)
+    gf = model.unchecked_translate(model.validate(pair.g), f_canon)
+    hf = model.unchecked_translate(model.validate(pair.h), f_canon)
     _require_window(model, gf, cover.ground, f"translate {model.elem_str(pair.g)}F")
     _require_window(model, hf, cover.ground, f"translate {model.elem_str(pair.h)}F")
     left = cover.ground.canon(gf)
@@ -347,64 +349,15 @@ def check_certificate(cert: FolnerCertificate) -> CheckReport:
         findings.append(
             Finding("pairs-mismatch", f"stored pairs {stored!r} != required {expected!r}")
         )
+    f_canon = model.canon_set(cert.f_set)
     for pair in cert.pairs:
-        findings.extend(_check_pair(model, cert.f_set, cert.cover, pair, need))
+        findings.extend(_check_pair(model, f_canon, cert.cover, pair, need))
     all_good = not findings
     if all_good != (cert.status == "PASS"):
         findings.append(
             Finding("status-inconsistent", f"certificate marked {cert.status}")
         )
     return CheckReport("PASS" if not findings else "FAIL", tuple(findings))
-
-
-def moore_gap(model_or_action, f_set: Iterable, g, a: Iterable, window: Iterable) -> int:
-    """Exact value of ||F & A| - |gF & A|| inside an explicit window."""
-    if isinstance(model_or_action, FiniteAction):
-        action = model_or_action
-        f_canon = tuple(dict.fromkeys(f_set))
-        translated = action.act(g, f_canon)
-        win = set(window)
-        a_set = set(a)
-    else:
-        model = model_or_action
-        f_canon = model.canon_set(f_set)
-        translated = model.translate(g, f_canon)
-        win = set(model.canon_set(window))
-        a_set = set(model.canon_set(a))
-    for label, elems in (("F", f_canon), ("gF", translated), ("A", a_set)):
-        missing = [x for x in elems if x not in win]
-        if missing:
-            raise WindowEscape(f"{label} escapes the window")
-    return abs(len(set(f_canon) & a_set) - len(set(translated) & a_set))
-
-
-def cantor_check(
-    action: FiniteAction, f_set: Iterable, e_set: Iterable, p: Covering, eps
-) -> tuple[bool, tuple]:
-    """Per-translate, per-block counting gaps for a finite action.
-
-    Returns (ok, gaps) where gaps lists (g, block, gap) for every element
-    of e_set and every block of the partition; ok is True iff every gap is
-    at most eps*|F|.
-    """
-    eps = Fraction(eps)
-    if set(p.ground.atoms) != set(action.points):
-        raise ValueError("partition ground must be the action's point set")
-    if not p.is_partition():
-        raise ValueError("covering is not a partition")
-    f_canon = tuple(dict.fromkeys(f_set))
-    bound = eps * len(f_canon)
-    gaps = []
-    ok = True
-    f_points = set(f_canon)
-    for g in e_set:
-        image = set(action.act(g, f_canon))
-        for block in p.blocks:
-            gap = abs(len(f_points.intersection(block)) - len(image.intersection(block)))
-            gaps.append((g, block, gap))
-            if gap > bound:
-                ok = False
-    return ok, tuple(gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -750,83 +703,6 @@ def adversary_coloring(
 
 
 # ---------------------------------------------------------------------------
-# threshold amplification harness
-
-
-def theta_boost_check(theta0, trials: int = 100, seed: int = 0) -> dict:
-    """Randomized harness for the 2*theta0 - 1 amplification step.
-
-    Generates random instances on cyclic groups of order 6 to 12 until
-    ``trials`` of them satisfy both hypotheses mu(F, gF, V) >= theta0*|F|
-    and mu(F, hF, V) >= theta0*|F| exactly, then asserts the symmetric pair
-    bound mu(gF, hF, V*) >= (2*theta0 - 1)*|F| in the star covering.
-    Returns a report with any violations (expected: none).
-    """
-    theta0 = Fraction(theta0)
-    if not (Fraction(1, 2) < theta0 <= 1):
-        raise ValueError("theta0 must lie in (1/2, 1]")
-    theta1 = 2 * theta0 - 1
-    rng = random.Random(seed)
-    groups = {n: cyclic_group(n) for n in range(6, 13)}
-    checked = 0
-    attempts = 0
-    violations = []
-    while checked < trials:
-        attempts += 1
-        if attempts > 1000 * trials:
-            raise RuntimeError("instance generator failed to satisfy hypotheses")
-        n = rng.randint(6, 12)
-        model = groups[n]
-        ground = GroundSet(range(n))
-        f_size = rng.randint(2, n - 1)
-        f_set = model.canon_set(rng.sample(range(n), f_size))
-        g = rng.randrange(n)
-        h = rng.randrange(n)
-        style = rng.random()
-        if style < 0.3:
-            cover = Covering(ground, [range(n)])
-        else:
-            parts = rng.randint(2, 3)
-            assignment = [rng.randrange(parts) for _ in range(n)]
-            blocks = [
-                [x for x in range(n) if assignment[x] == b] for b in range(parts)
-            ]
-            blocks = [b for b in blocks if b]
-            grown = []
-            for b in blocks:
-                extra = rng.sample(range(n), rng.randint(0, n // 2))
-                grown.append(sorted(set(b) | set(extra)))
-            cover = Covering(ground, grown)
-        gf = model.translate(g, f_set)
-        hf = model.translate(h, f_set)
-        hyp_g = Fraction(mu(f_set, gf, cover), f_size) >= theta0
-        hyp_h = Fraction(mu(f_set, hf, cover), f_size) >= theta0
-        if not (hyp_g and hyp_h):
-            continue
-        checked += 1
-        star = star_covering(cover)
-        conclusion = Fraction(mu(gf, hf, star), f_size)
-        if conclusion < theta1:
-            violations.append(
-                {
-                    "order": n,
-                    "f": f_set,
-                    "g": g,
-                    "h": h,
-                    "blocks": cover.blocks,
-                    "ratio": conclusion,
-                }
-            )
-    return {
-        "theta0": theta0,
-        "theta1": theta1,
-        "checked": checked,
-        "attempts": attempts,
-        "violations": violations,
-    }
-
-
-# ---------------------------------------------------------------------------
 # perfect nets on finite groups
 
 
@@ -912,10 +788,11 @@ def perfect_net(model: FiniteTableGroup, u_set: Iterable) -> PerfectNet:
     if model.identity not in u_canon:
         raise ValueError("U must contain the identity")
     u_elems = set(u_canon)
+    mul = model.unchecked_multiply  # every element below is valid already
     v_elems = None
     for g in range(n):
         ginv = model.inverse(g)
-        conj = {model.multiply(model.multiply(ginv, x), g) for x in u_elems}
+        conj = {mul(mul(ginv, x), g) for x in u_elems}
         v_elems = conj if v_elems is None else (v_elems & conj)
     v_canon = model.canon_set(v_elems)
 
@@ -923,7 +800,7 @@ def perfect_net(model: FiniteTableGroup, u_set: Iterable) -> PerfectNet:
     for f in range(n):
         mask = 0
         for v in v_canon:
-            mask |= 1 << model.multiply(v, f)
+            mask |= 1 << mul(v, f)
         set_masks.append(mask)
     if n <= DEFAULT_NET_CAP:
         f_idx = _exact_min_cover(n, set_masks)
@@ -933,18 +810,16 @@ def perfect_net(model: FiniteTableGroup, u_set: Iterable) -> PerfectNet:
         minimal = False
     f_canon = model.canon_set(f_idx)
 
-    uinv_u = {
-        model.multiply(model.inverse(x), y) for x in u_elems for y in u_elems
-    }
+    uinv_u = {mul(model.inverse(x), y) for x in u_elems for y in u_elems}
     ground = GroundSet(range(n))
     blocks = []
     for x in range(n):
-        blocks.append(sorted(model.multiply(w, x) for w in uinv_u))
+        blocks.append(sorted(mul(w, x) for w in uinv_u))
     cover = Covering(ground, blocks)
 
     matchings = []
     for g in range(n):
-        gf = model.translate(g, f_canon)
+        gf = model.unchecked_translate(g, f_canon)
         size, witness = mu_with_witness(f_canon, gf, cover)
         if size != len(f_canon):
             raise RuntimeError(

@@ -455,72 +455,3 @@ def group_from_json(obj: dict) -> GroupModel:
     if kind == "table":
         return FiniteTableGroup(obj["elements"], obj["mul"])
     raise GroupError(f"unknown group kind: {kind!r}")
-
-
-class FiniteAction:
-    """A finite table group acting on a finite point set.
-
-    ``act[i][p]`` is the image of point index p under element i.  The
-    identity row and the homomorphism law are checked on load.
-    """
-
-    def __init__(
-        self,
-        group: FiniteTableGroup,
-        points: Sequence,
-        act: Sequence[Sequence[int]],
-    ) -> None:
-        self.group = group
-        self.points = tuple(points)
-        npts = len(self.points)
-        if len(set(self.points)) != npts or npts == 0:
-            raise GroupError("points must be distinct and non-empty")
-        if len(act) != group.order or any(len(row) != npts for row in act):
-            raise GroupError("action table has wrong shape")
-        self.table = tuple(tuple(_require_int(x, "action entry") for x in row) for row in act)
-        for row in self.table:
-            for x in row:
-                if not (0 <= x < npts):
-                    raise GroupError(f"action entry {x} out of range")
-        e = group.identity
-        if any(self.table[e][p] != p for p in range(npts)):
-            raise GroupError("identity does not act as identity")
-        for g in range(group.order):
-            for h in range(group.order):
-                gh = group.multiply(g, h)
-                for p in range(npts):
-                    if self.table[g][self.table[h][p]] != self.table[gh][p]:
-                        raise GroupError("action does not respect multiplication")
-
-    def point_index(self, p) -> int:
-        try:
-            return self.points.index(p)
-        except ValueError:
-            raise GroupError(f"unknown point: {p!r}") from None
-
-    def act(self, g, subset: Iterable) -> tuple:
-        """Image of a point subset under g, in point order."""
-        g = self.group.validate(g)
-        images = {self.table[g][self.point_index(p)] for p in subset}
-        return tuple(self.points[i] for i in sorted(images))
-
-    def describe(self) -> dict:
-        out = self.group.describe()
-        out["points"] = list(self.points)
-        out["act"] = [list(row) for row in self.table]
-        return out
-
-
-def rotation_action(n: int) -> FiniteAction:
-    """Z/n rotating n points labelled '0'..'n-1'."""
-    group = cyclic_group(n)
-    points = [str(i) for i in range(n)]
-    act = [[(p + g) % n for p in range(n)] for g in range(n)]
-    return FiniteAction(group, points, act)
-
-
-def action_from_json(obj: dict) -> FiniteAction:
-    group = group_from_json({k: obj[k] for k in ("kind", "elements", "mul")})
-    if not isinstance(group, FiniteTableGroup):
-        raise GroupError("actions require a finite table group")
-    return FiniteAction(group, obj["points"], obj["act"])

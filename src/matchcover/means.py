@@ -11,12 +11,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .cover import Covering
 from .groups import GroupModel
-
-
-class DomainEscape(ValueError):
-    """A push-forward referenced a product outside the function's domain."""
 
 
 def _as_fraction(x) -> Fraction:
@@ -95,82 +90,6 @@ def convolve(a: ConvexCombination, b: ConvexCombination) -> ConvexCombination:
             z = group.multiply(x, y)
             out[z] = out.get(z, Fraction(0)) + wx * wy
     return ConvexCombination(group, out)
-
-
-class FiniteFunction:
-    """A rational-valued function on a finite window of group elements."""
-
-    __slots__ = ("group", "_values")
-
-    def __init__(self, group: GroupModel, values: Mapping) -> None:
-        cleaned = {group.validate(g): _as_fraction(v) for g, v in values.items()}
-        if not cleaned:
-            raise ValueError("empty domain")
-        self.group = group
-        self._values = {g: cleaned[g] for g in sorted(cleaned, key=group.sort_key)}
-
-    @property
-    def domain(self) -> tuple:
-        return tuple(self._values)
-
-    def __call__(self, g) -> Fraction:
-        g = self.group.validate(g)
-        try:
-            return self._values[g]
-        except KeyError:
-            raise DomainEscape(
-                f"element {self.group.elem_str(g)} outside function domain"
-            ) from None
-
-    def items(self) -> tuple:
-        return tuple(self._values.items())
-
-
-def push_function(f: FiniteFunction, nu: ConvexCombination, g) -> Fraction:
-    """Weighted average of f over the left translate of nu's support by g.
-
-    Every product g*x with x in the support must lie in the domain of f;
-    silently extending f by zero would corrupt downstream gap computations,
-    so escapes raise instead, naming the offending product.
-    """
-    group = f.group
-    g = group.validate(g)
-    total = Fraction(0)
-    for x, w in nu.items():
-        gx = group.multiply(g, x)
-        if gx not in f._values:
-            raise DomainEscape(
-                f"product {group.elem_str(g)}*{group.elem_str(x)} = "
-                f"{group.elem_str(gx)} outside function domain"
-            )
-        total += w * f._values[gx]
-    return total
-
-
-def function_modulus(f: FiniteFunction, u: Covering) -> Fraction:
-    """Largest oscillation of f over a single block of the covering."""
-    if set(u.ground.atoms) != set(f.domain):
-        raise ValueError("covering ground must equal the function domain")
-    worst = Fraction(0)
-    for block in u.blocks:
-        values = [f(g) for g in block]
-        worst = max(worst, max(values) - min(values))
-    return worst
-
-
-def modulus_check(f: FiniteFunction, u: Covering, eps) -> bool:
-    """True iff f oscillates by at most eps on every block."""
-    return function_modulus(f, u) <= _as_fraction(eps)
-
-
-def condition6_gap(f: FiniteFunction, delta: ConvexCombination, e: Iterable) -> Fraction:
-    """Largest spread of the delta-averaged translates of f over e."""
-    group = f.group
-    elems = group.canon_set(e)
-    if not elems:
-        raise ValueError("empty translate set")
-    values = [push_function(f, delta, g) for g in elems]
-    return max(values) - min(values)
 
 
 def rationalize(alpha: Mapping, theta) -> tuple[dict, int, dict]:

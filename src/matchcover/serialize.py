@@ -9,13 +9,14 @@ makes emitted documents byte-reproducible for identical inputs and seeds.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Iterable
 
 from .bipartite import BipartiteGraph, MatchingWitness
 from .cover import Covering, GroundSet
 from .folner import Coloring, FolnerCertificate, PairResult
-from .groups import GroupModel, group_from_json
+from .groups import GroupError, GroupModel, _require_int, group_from_json
 from .means import ConvexCombination
 from .ramsey import FinMetric, RamseyOutcome
 
@@ -89,42 +90,26 @@ def coloring_to_json(col: Coloring, model: GroupModel | None = None) -> dict:
 
 def coloring_from_json(obj: dict, model: GroupModel | None = None) -> Coloring:
     ground = GroundSet(elems_from_json(model, obj["ground"]))
-    colors = tuple(_integer(c, "coloring color") for c in obj["colors"])
-    return Coloring(ground, colors, _integer(obj["k"], "coloring k"))
+    colors = tuple(_require_int(c, "coloring color") for c in obj["colors"])
+    return Coloring(ground, colors, _require_int(obj["k"], "coloring k"))
 
 
 # -- graphs and witnesses ---------------------------------------------------
-
-
-def graph_to_json(g: BipartiteGraph, model: GroupModel | None = None) -> dict:
-    return {
-        "left": elems_to_json(model, g.left),
-        "right": elems_to_json(model, g.right),
-        "edges": sorted([i, j] for i, j in g.edges),
-    }
 
 
 def graph_from_json(obj: dict, model: GroupModel | None = None) -> BipartiteGraph:
     return BipartiteGraph(
         tuple(elems_from_json(model, obj["left"])),
         tuple(elems_from_json(model, obj["right"])),
-        frozenset((_integer(i, "edge index"), _integer(j, "edge index")) for i, j in obj["edges"]),
+        frozenset(
+            (_require_int(i, "edge index"), _require_int(j, "edge index"))
+            for i, j in obj["edges"]
+        ),
     )
 
 
 def witness_to_json(w: MatchingWitness) -> dict:
     return {"pairs": sorted([i, j] for i, j in w.pairs)}
-
-
-def _is_integer(value) -> bool:
-    """A JSON integer: bools, floats and strings are not coerced."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _integer(value, what: str) -> int:
-    if not _is_integer(value):
-        raise ValueError(f"{what} must be an integer, not {value!r}")
-    return value
 
 
 def witness_from_json(obj: dict) -> MatchingWitness:
@@ -134,7 +119,7 @@ def witness_from_json(obj: dict) -> MatchingWitness:
     ):
         raise ValueError("witness must be an object whose pairs are [i, j] lists")
     return MatchingWitness(
-        tuple(sorted((_integer(i, "witness index"), _integer(j, "witness index"))
+        tuple(sorted((_require_int(i, "witness index"), _require_int(j, "witness index"))
                      for i, j in pairs))
     )
 
@@ -217,7 +202,7 @@ def certificate_from_json(obj: dict) -> FolnerCertificate:
         PairResult(
             model.parse_elem(p["g"]),
             model.parse_elem(p["h"]),
-            _integer(p["mu"], "pair mu"),
+            _require_int(p["mu"], "pair mu"),
             witness_from_json(p["witness"]),
         )
         for p in obj["pairs"]
@@ -265,9 +250,18 @@ def ramsey_outcome_to_json(
 
 
 def _index_tuple(arr, what: str) -> tuple:
-    if not isinstance(arr, list) or not all(map(_is_integer, arr)):
-        raise ValueError(f"{what} must be a list of integers")
-    return tuple(arr)
+    if isinstance(arr, list):
+        try:
+            return tuple(_require_int(i, what) for i in arr)
+        except GroupError:
+            pass
+    raise ValueError(f"{what} must be a list of integers")
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list")
+    return value
 
 
 def _flag(value, what: str) -> bool:
@@ -276,25 +270,52 @@ def _flag(value, what: str) -> bool:
     return value
 
 
+def _search_index(family: list, n: int) -> int:
+    """Index of a sorted family in ``ramsey_condition_check``'s search order
+    over n embeddings of B into C: multisets of size 1, 2, ..., each size in
+    lexicographic order.  The index never falls as n grows."""
+    size = len(family)
+    index = math.comb(n + size - 1, size - 1) - 1  # every smaller family
+    low = 0
+    for i, x in enumerate(family):  # equal before position i, smaller at i
+        rest = size - i - 1
+        index += math.comb(n - low + rest, rest + 1) - math.comb(n - x + rest, rest + 1)
+        low = x
+    return index
+
+
 def ramsey_outcome_from_json(obj: dict) -> tuple:
     """Decode a report into the arguments of ``ramsey.check_report``:
-    (outcome, a, b, c, max_family, family_budget).  Types only; the ranges
-    of eps, k and the families are checked by ``check_report``."""
+    (outcome, a, b, c, max_family, family_budget).
+
+    Beyond types, each witness family must be one the recorded search can
+    reach: at most max_family members, and an index below family_budget in
+    the search order, counted over as many embeddings as its largest index
+    shows (a lower bound on the true index).  The ranges of eps, k and the
+    family indices are checked by ``check_report``."""
     counterexample = obj["counterexample"]
     outcome = RamseyOutcome(
         holds=_flag(obj["holds"], "holds"),
         vacuous=_flag(obj["vacuous"], "vacuous"),
         eps=frac_parse(obj["eps"]),
-        k=_integer(obj["k"], "k"),
-        colorings_checked=_integer(obj["colorings_checked"], "colorings_checked"),
+        k=_require_int(obj["k"], "k"),
+        colorings_checked=_require_int(obj["colorings_checked"], "colorings_checked"),
         witnesses=tuple(
             (_index_tuple(w["coloring"], "coloring"), _index_tuple(w["family"], "family"))
-            for w in obj["witnesses"]
+            for w in _list(obj["witnesses"], "witnesses")
         ),
         counterexample=(
             None if counterexample is None else _index_tuple(counterexample, "counterexample")
         ),
     )
-    metrics = (finmetric_from_json(obj[name]) for name in "abc")
-    budgets = (_integer(obj[name], name) for name in ("max_family", "family_budget"))
-    return (outcome, *metrics, *budgets)
+    a, b, c = (finmetric_from_json(obj[name]) for name in "abc")
+    max_family, budget = (_require_int(obj[n], n) for n in ("max_family", "family_budget"))
+    families = [sorted(f) for _, f in outcome.witnesses if f and min(f) >= 0]
+    n = 1 + max((f[-1] for f in families), default=0)
+    for family in families:
+        if len(family) > max_family or _search_index(family, n) >= budget:
+            raise ValueError(
+                f"witness family {family} is beyond the search bounds "
+                f"max_family {max_family}, family_budget {budget}"
+            )
+    return outcome, a, b, c, max_family, budget

@@ -13,7 +13,6 @@ from fractions import Fraction
 from matchcover.bipartite import (
     covering_graph,
     hall_deficiency,
-    has_perfect_matching,
     max_matching,
     mu,
     mu_partition,
@@ -28,23 +27,25 @@ from matchcover.folner import (
     adversary_coloring,
     check_certificate,
     folner_search,
-    moore_gap,
     perfect_net,
-    theta_boost_check,
 )
 from matchcover.groups import FreeGroup, IntegerLattice, cyclic_group, symmetric_group
 from matchcover.means import (
     ConvexCombination,
-    FiniteFunction,
     convolve,
     dirac,
-    function_modulus,
-    push_function,
     rationalize,
     uniform,
 )
 from matchcover.ramsey import FinMetric, embeddings, ramsey_condition_check, ramsey_mu
 
+from lemmas import (
+    FiniteFunction,
+    function_modulus,
+    moore_gap,
+    push_function,
+    theta_boost_check,
+)
 from oracles import (
     hall_deficiency_bruteforce,
     max_matching_bruteforce,
@@ -211,7 +212,7 @@ def test_c07_perfect_nets():
             validate_witness(graph, witness)
             assert len(witness) == len(result.f_set)
             assert hall_deficiency(graph)[0] == 0  # neighborhood condition
-            assert has_perfect_matching(graph)
+            assert max_matching(graph)[0] == len(graph.left)
     budget.check()
     report(7, "perfect nets with all-translate perfect matchings on Z/6, S3 x2, Z/12 x2")
 

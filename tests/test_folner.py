@@ -1,9 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from matchcover.bipartite import MatchingWitness, compose_matchings, mu, mu_partition, mu_with_witness
+from matchcover.bipartite import MatchingWitness, mu, mu_partition, mu_with_witness
 from matchcover.cover import Covering, GroundSet, join
 from matchcover import bipartite, folner
 from matchcover.folner import (
@@ -15,25 +16,29 @@ from matchcover.folner import (
     WindowEscape,
     adversary_coloring,
     build_certificate,
-    cantor_check,
     check_certificate,
     folner_search,
     monochromatic_translate,
-    moore_gap,
     perfect_net,
     required_pairs,
-    theta_boost_check,
     theta_threshold,
 )
 from matchcover.groups import (
     FreeGroup,
+    GroupError,
     IntegerLattice,
     cyclic_group,
-    rotation_action,
     symmetric_group,
 )
 from matchcover.serialize import certificate_to_json, canonical_dumps
 
+from lemmas import (
+    cantor_check,
+    compose_matchings,
+    moore_gap,
+    rotation_action,
+    theta_boost_check,
+)
 from oracles import (
     adversary_local_reference,
     check_pair_reference,
@@ -308,6 +313,22 @@ class TestCheckerRoute:
             ("value-mismatch", "pair (0,1): stored 9, recomputed 10"),
             ("status-inconsistent", "certificate marked PASS"),
         ]
+
+    @pytest.mark.parametrize("where", ["f", "g", "h"])
+    def test_malformed_element_raises(self, where):
+        """The checker validates F, g and h at its boundary, then builds the
+        translates on the unchecked law: a hand-built certificate with a
+        malformed element still raises GroupError."""
+        cover = z_parity_cover(-1, 10)
+        cert = build_certificate(Z, z_atoms(0, 9), [(1,)], cover, Fraction(1, 2), "asym")
+        bad = ("1",)  # the unchecked law would raise TypeError on it
+        if where == "f":
+            cert = dataclasses.replace(cert, f_set=cert.f_set[:-1] + (bad,))
+        else:
+            pair = dataclasses.replace(cert.pairs[0], **{where: bad})
+            cert = dataclasses.replace(cert, pairs=(pair,))
+        with pytest.raises(GroupError, match=r"not a Z\^1 element"):
+            check_certificate(cert)
 
 
 class TestMooreGap:

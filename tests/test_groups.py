@@ -6,17 +6,16 @@ import pytest
 
 from matchcover import groups
 from matchcover.groups import (
-    FiniteAction,
     FiniteTableGroup,
     FreeGroup,
     GroupError,
     IntegerLattice,
     cyclic_group,
     group_from_json,
-    rotation_action,
     symmetric_group,
 )
 
+from lemmas import FiniteAction, rotation_action
 from oracles import associativity_reference, ball_reference, zd_ball_size_oracle
 
 

@@ -7,16 +7,19 @@ from matchcover.cover import Covering, GroundSet
 from matchcover.groups import FreeGroup, IntegerLattice, cyclic_group
 from matchcover.means import (
     ConvexCombination,
+    convolve,
+    dirac,
+    rationalize,
+    uniform,
+)
+
+from lemmas import (
     DomainEscape,
     FiniteFunction,
     condition6_gap,
-    convolve,
-    dirac,
     function_modulus,
     modulus_check,
     push_function,
-    rationalize,
-    uniform,
 )
 
 Z = IntegerLattice(1)

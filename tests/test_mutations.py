@@ -8,18 +8,26 @@ mutated document must exit 1 (the claim fails) or 2 (invalid input, one
 ``error:`` line), and no exception may escape ``dispatch``.  A mutation that
 leaves the document as it was (reordering witness pairs, emptying an empty
 witness) must verify exactly as the original does.
+
+Whole ``ramsey-check/1`` reports (one that holds, one that fails, one that
+holds vacuously) have every top-level field dropped, emptied, retyped, pushed
+out of range or swapped with another field.  Such a report may exit 0 only
+when it is exactly what ``ramsey check`` emits for the parameters it records.
 """
 
 import contextlib
 import copy
 import io
+import itertools
 import json
 import random
 
 import pytest
 
+from matchcover import serialize as ser
 from matchcover.cli import dispatch
 from matchcover.groups import symmetric_group
+from matchcover.ramsey import ramsey_condition_check
 
 SEED = 7
 RETYPES = (None, [], {}, 1.5, True, "zz")
@@ -156,3 +164,138 @@ def test_pair_mutations_fail_cleanly(documents, tmp_path, name):
         else:
             assert (code, out) == (1, "FAIL\n"), (label, code, out, err)
     assert checked > 60 and no_ops >= len(doc["pairs"])
+
+
+# -- whole-document mutations of ramsey-check/1 --------------------------------
+
+RAMSEY_METRICS = {
+    "point": {"points": ["p"], "dist": [["0"]]},
+    "far-pair": {"points": ["p", "q"], "dist": [["0", "5"], ["5", "0"]]},
+    "edge": {"points": ["x", "y"], "dist": [["0", "1"], ["1", "0"]]},
+    "path3": {"points": ["u", "v", "w"],
+              "dist": [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]]},
+    "path4": {"points": ["c0", "c1", "c2", "c3"],
+              "dist": [["0", "1", "2", "3"], ["1", "0", "1", "2"],
+                       ["2", "1", "0", "1"], ["3", "2", "1", "0"]]},
+}
+# a metric-shaped value that is not a metric: distinct points at distance -1
+NOT_A_METRIC = {"points": ["p", "q"], "dist": [["0", "-1"], ["-1", "0"]]}
+# verify replays the claim and does not read the provenance record
+UNREAD = {"manifest"}
+
+
+@pytest.fixture(scope="module")
+def ramsey_documents(tmp_path_factory):
+    """name -> genuine ramsey-check/1 report: one that holds, one with a
+    counterexample, and one that holds vacuously (emb(A, B) is empty)."""
+    work = tmp_path_factory.mktemp("ramsey-mutations")
+    files = {name: _write(work / f"{name}.json", m) for name, m in RAMSEY_METRICS.items()}
+    specs = {
+        "holds": (("point", "edge", "path4"), ["--eps", "1/2"], 0),
+        "fails": (("point", "edge", "path3"), ["--eps", "1/2", "--max-family", "1"], 1),
+        "vacuous": (("far-pair", "edge", "path4"), ["--eps", "1/3", "--colors", "2"], 0),
+    }
+    docs = {}
+    for name, ((a, b, c), extra, expect) in specs.items():
+        out = work / f"{name}-report.json"
+        argv = ["ramsey", "check", "--a", files[a], "--b", files[b], "--c", files[c],
+                *extra, "--out", str(out)]
+        code, _, err = _run(argv)
+        assert code == expect, err
+        docs[name] = json.loads(out.read_text())
+    return docs
+
+
+def _empty(value):
+    return {str: "", dict: {}, list: [], int: 0, bool: False}.get(type(value), [])
+
+
+def _out_of_range(doc, field) -> list:
+    """Values of the right type that the field may not take."""
+    k = doc["k"]
+    colors = [k + 1] * len(doc["witnesses"][0]["coloring"]) if doc["witnesses"] else [k + 1]
+    return {
+        "schema": ["ramsey-check/2"],
+        "a": [NOT_A_METRIC], "b": [NOT_A_METRIC], "c": [NOT_A_METRIC],
+        "k": [0, -1, 10**6],
+        "eps": ["0", "1", "-1/2", "3/2"],
+        "max_family": [-1],
+        "family_budget": [-1],
+        "colorings_checked": [-1, doc["colorings_checked"] + 1],
+        "witnesses": [doc["witnesses"] + [{"coloring": colors, "family": [0]}]],
+        "counterexample": [colors],
+    }.get(field, [])
+
+
+def _ramsey_mutations(doc):
+    """(label, touched fields, mutated document) for every top-level field."""
+    fields = sorted(doc)
+    for field in fields:
+        dropped = copy.deepcopy(doc)
+        del dropped[field]
+        yield f"drop {field}", {field}, dropped
+        values = [("empty", _empty(doc[field]))]
+        values += [(f"retype to {v!r}", v) for v in RETYPES]
+        values += [(f"out of range {v!r}", v) for v in _out_of_range(doc, field)]
+        for how, value in values:
+            new = copy.deepcopy(doc)
+            new[field] = copy.deepcopy(value)
+            yield f"{how} {field}", {field}, new
+    for i, first in enumerate(fields):
+        for second in fields[i + 1:]:
+            new = copy.deepcopy(doc)
+            new[first], new[second] = doc[second], doc[first]
+            yield f"swap {first} and {second}", {first, second}, new
+
+
+def _claim(doc) -> str:
+    """The document as JSON text, without the provenance record."""
+    return json.dumps({k: v for k, v in doc.items() if k not in UNREAD}, sort_keys=True)
+
+
+def _rebuilt(doc) -> str:
+    """What ``ramsey check`` emits for the inputs and bounds the document
+    records.  A mutated report may verify only if it is this document: the
+    genuine report for its own parameters."""
+    outcome, a, b, c, max_family, budget = ser.ramsey_outcome_from_json(doc)
+    rebuilt = ramsey_condition_check(a, b, c, outcome.k, outcome.eps, max_family, budget)
+    return _claim(ser.ramsey_outcome_to_json(rebuilt, a, b, c, max_family, budget))
+
+
+@pytest.mark.parametrize("name", ["holds", "fails", "vacuous"])
+def test_ramsey_document_mutations_fail_cleanly(ramsey_documents, tmp_path, name):
+    doc = ramsey_documents[name]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    genuine = _run(["verify", str(path)])
+    assert genuine == (0, "OK\n", ""), genuine
+    checked = 0
+    for label, touched, mutated in _ramsey_mutations(doc):
+        path.write_text(json.dumps(mutated))
+        result = _run(["verify", str(path)])
+        code, out, err = result
+        checked += 1
+        if json.dumps(mutated, sort_keys=True) == json.dumps(doc, sort_keys=True):
+            assert result == genuine, label
+        elif touched <= UNREAD and result == genuine:
+            pass
+        elif code == 0:
+            assert out == "OK\n" and _rebuilt(mutated) == _claim(mutated), label
+        elif code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (label, err)
+        else:
+            assert (code, out) == (1, "FAIL\n"), (label, code, out, err)
+    assert checked > 150
+
+
+def test_search_index_is_the_search_order():
+    """The decoder's bound: exact for the true number of embeddings, and
+    never above it for fewer (those the largest stored index shows)."""
+    for n in range(1, 6):
+        order = itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(range(n), size) for size in range(1, 5)
+        )
+        for index, family in enumerate(order):
+            assert ser._search_index(list(family), n) == index
+            for fewer in range(family[-1] + 1, n):
+                assert ser._search_index(list(family), fewer) <= index
