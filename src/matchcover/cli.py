@@ -521,13 +521,6 @@ def _cmd_sweep(args, argv) -> int:
     return 0
 
 
-def _cmd_folner_check(args, argv) -> int:
-    doc = _load_document(args.path)
-    if doc.get("schema") not in (ser.FOLNER_CERT_SCHEMA, ser.FOLNER_EXHAUSTED_SCHEMA):
-        raise ValueError("not a certificate document")
-    return _verify_certificate_doc(doc)
-
-
 # -- parser -------------------------------------------------------------------
 
 
@@ -568,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p)
     p.set_defaults(handler=_cmd_match)
 
-    p = sub.add_parser("folner", help="certificate search, checking, adversaries")
+    p = sub.add_parser("folner", help="certificate search, adversaries, nets")
     fol = p.add_subparsers(dest="action", required=True)
 
     q = fol.add_parser("search")
@@ -585,10 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(q, summary=False)
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(handler=_cmd_folner_search)
-
-    q = fol.add_parser("check")
-    q.add_argument("path")
-    q.set_defaults(handler=_cmd_folner_check)
 
     q = fol.add_parser("adversary")
     q.add_argument("--group", required=True)

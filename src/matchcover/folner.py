@@ -32,6 +32,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .bipartite import (
+    BipartiteGraph,
     covering_graph,
     max_matching,
     MatchingWitness,
@@ -41,7 +42,7 @@ from .bipartite import (
     mu_with_witness,
 )
 from .cover import Covering, GroundSet
-from .groups import FiniteTableGroup, GroupModel
+from .groups import FiniteTableGroup, GroupModel, _require_fraction
 
 MODES = ("asym", "sym")
 
@@ -55,7 +56,7 @@ class WindowEscape(ValueError):
 
 def theta_threshold(theta: Fraction, size: int) -> int:
     """Exact integer test value: mu passes iff mu >= ceil(theta*size)."""
-    return math.ceil(Fraction(theta) * size)
+    return math.ceil(_require_fraction(theta) * size)
 
 
 @dataclass(frozen=True)
@@ -194,7 +195,7 @@ def build_certificate(
     per-block greedy ``mu_partition_witness``, which returns the general
     matcher's witness without building the covering graph.
     """
-    theta = Fraction(theta)
+    theta = _require_fraction(theta)
     f_canon = model.canon_set(f_set)
     if not f_canon:
         raise ValueError("candidate set F must be non-empty")
@@ -412,7 +413,7 @@ def folner_search(
     ball strategy (the caller sized the window) and are skipped as invalid
     moves by the local strategy.
     """
-    theta = Fraction(theta)
+    theta = _require_fraction(theta)
     if not (0 <= theta <= 1):
         raise ValueError("theta must lie in [0, 1]")
     strategy = strategy if strategy is not None else BallsStrategy()
@@ -710,7 +711,6 @@ def adversary_coloring(
 class PerfectNet:
     v_set: tuple
     f_set: tuple
-    cover: Covering
     matchings: tuple  # (g, MatchingWitness) per group element
     minimal: bool
 
@@ -782,6 +782,7 @@ def perfect_net(model: FiniteTableGroup, u_set: Iterable) -> PerfectNet:
     with V*F = G (exact branch and bound up to ``DEFAULT_NET_CAP`` elements,
     greedy beyond with ``minimal=False``), and for every g in G a perfect
     matching between F and gF in the covering by right translates of U^{-1}U.
+    The covering is never built: its graph is read from the group law.
     """
     n = model.order
     u_canon = model.canon_set(u_set)
@@ -810,23 +811,24 @@ def perfect_net(model: FiniteTableGroup, u_set: Iterable) -> PerfectNet:
         minimal = False
     f_canon = model.canon_set(f_idx)
 
-    uinv_u = {mul(model.inverse(x), y) for x in u_elems for y in u_elems}
-    ground = GroundSet(range(n))
-    blocks = []
-    for x in range(n):
-        blocks.append(sorted(mul(w, x) for w in uinv_u))
-    cover = Covering(ground, blocks)
-
+    # a and b share a right translate W*x of W = U^-1 U iff b*a^-1 lies in
+    # W*W^-1 = W*W (W is symmetric), i.e. iff b lies in W*W*a
+    w_set = {mul(model.inverse(x), y) for x in u_elems for y in u_elems}
+    ww = {mul(w, v) for w in w_set for v in w_set}
+    near = [{mul(w, a) for w in ww} for a in f_canon]
     matchings = []
     for g in range(n):
         gf = model.unchecked_translate(g, f_canon)
-        size, witness = mu_with_witness(f_canon, gf, cover)
+        edges = frozenset(
+            (i, j) for i, reach in enumerate(near) for j, b in enumerate(gf) if b in reach
+        )
+        size, witness = max_matching(BipartiteGraph(f_canon, gf, edges))
         if size != len(f_canon):
             raise RuntimeError(
                 f"imperfect matching for translate {model.elem_str(g)}"
             )
         matchings.append((g, witness))
-    return PerfectNet(v_canon, f_canon, cover, tuple(matchings), minimal)
+    return PerfectNet(v_canon, f_canon, tuple(matchings), minimal)
 
 
 def monochromatic_translate(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 import string
+from fractions import Fraction
 from operator import add
 from typing import Iterable, Sequence
 
@@ -43,6 +44,27 @@ def _require_int(value, what: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise GroupError(f"{what} must be an integer, not {value!r}")
+
+
+class InexactRational(ValueError, TypeError):
+    """A float or bool where an exact rational belongs."""
+
+
+def _require_fraction(value) -> Fraction:
+    """An exact rational from a Fraction, an int or a 'p/q' string.
+
+    Floats and bools are not coerced, and a zero denominator is a
+    ValueError rather than a ZeroDivisionError.
+    """
+    if isinstance(value, (float, bool)):
+        raise InexactRational(
+            f"{type(value).__name__}s are not accepted for exact rationals; "
+            "pass a Fraction, an int or a 'p/q' string"
+        )
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {value!r} has a zero denominator") from None
 
 
 class GroupModel:

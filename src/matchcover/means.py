@@ -11,13 +11,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .groups import GroupModel
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError("floats are not accepted; pass Fraction, int, or 'p/q' string")
-    return Fraction(x)
+from .groups import GroupModel, _require_fraction
 
 
 class ConvexCombination:
@@ -29,7 +23,7 @@ class ConvexCombination:
         cleaned = {}
         for g, w in weights.items():
             g = group.validate(g)
-            w = _as_fraction(w)
+            w = _require_fraction(w)
             if w <= 0:
                 raise ValueError(f"weight must be positive, got {w} at {g!r}")
             cleaned[g] = cleaned.get(g, Fraction(0)) + w
@@ -101,10 +95,10 @@ def rationalize(alpha: Mapping, theta) -> tuple[dict, int, dict]:
     ceil(2*|support|/theta) and verifies the bound a posteriori, doubling
     the denominator until it holds.
     """
-    theta = _as_fraction(theta)
+    theta = _require_fraction(theta)
     if theta <= 0:
         raise ValueError("theta must be positive")
-    items = [(g, _as_fraction(w)) for g, w in alpha.items()]
+    items = [(g, _require_fraction(w)) for g, w in alpha.items()]
     if not items:
         raise ValueError("empty support")
     for _, w in items:

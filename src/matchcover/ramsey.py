@@ -28,6 +28,7 @@ from typing import Mapping, Sequence
 
 from .bipartite import BipartiteGraph, max_matching
 from .folner import CheckReport, Finding
+from .groups import _require_fraction
 
 MAX_SOURCE_POINTS = 6
 MAX_TARGET_POINTS = 12
@@ -36,12 +37,6 @@ MAX_COLORINGS = 65536
 
 class CapExceeded(ValueError):
     """An enumeration would exceed its configured size cap."""
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError("floats are not accepted; pass Fraction, int, or 'p/q' string")
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -78,7 +73,7 @@ class FinMetric:
 
     @classmethod
     def build(cls, points: Sequence, dist: Sequence[Sequence]) -> "FinMetric":
-        rows = tuple(tuple(_as_fraction(x) for x in row) for row in dist)
+        rows = tuple(tuple(_require_fraction(x) for x in row) for row in dist)
         return cls(tuple(points), rows)
 
     def __len__(self) -> int:
@@ -192,7 +187,7 @@ def ramsey_mu(
     of ``phi``.  Validates eps, the family and the coloring, then runs the
     evaluator, whose matcher is ``max_matching``.
     """
-    eps = _as_fraction(eps)
+    eps = _require_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if not psi:
@@ -260,7 +255,7 @@ def ramsey_condition_check(
     search fails.  When emb(a, b) is empty the condition holds vacuously.
     Raises ``CapExceeded`` beyond ``MAX_COLORINGS`` colorings.
     """
-    eps = _as_fraction(eps)
+    eps = _require_fraction(eps)
     pairs, emb_ac, emb_bc = _image_spaces(a, b, c, k, eps)
     if not pairs:
         return RamseyOutcome(True, True, eps, k, 0, (), None)

@@ -17,6 +17,7 @@ from .bipartite import BipartiteGraph, MatchingWitness
 from .cover import Covering, GroundSet
 from .folner import Coloring, FolnerCertificate, PairResult
 from .groups import GroupError, GroupModel, _require_int, group_from_json
+from .groups import _require_fraction as frac_parse
 from .means import ConvexCombination
 from .ramsey import FinMetric, RamseyOutcome
 
@@ -29,15 +30,6 @@ def frac_str(x) -> str:
     return str(Fraction(x))
 
 
-def frac_parse(s) -> Fraction:
-    if isinstance(s, (float, bool)):
-        raise ValueError(f"{type(s).__name__}s are not accepted for exact rationals")
-    try:
-        return Fraction(s)
-    except ZeroDivisionError:
-        raise ValueError(f"rational {s!r} has a zero denominator") from None
-
-
 def canonical_dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
@@ -45,16 +37,19 @@ def canonical_dumps(doc: dict) -> str:
 # -- atoms ------------------------------------------------------------------
 
 
-def atom_str(atom, model: GroupModel | None) -> str:
-    if model is not None:
-        return model.elem_str(atom)
+def _require_atom(atom) -> str:
+    """Without a group context an atom is a string, both ways."""
     if not isinstance(atom, str):
         raise ValueError(f"atoms must be strings without a group context: {atom!r}")
     return atom
 
 
-def atom_parse(s: str, model: GroupModel | None):
-    return model.parse_elem(s) if model is not None else s
+def atom_str(atom, model: GroupModel | None) -> str:
+    return model.elem_str(atom) if model is not None else _require_atom(atom)
+
+
+def atom_parse(s, model: GroupModel | None):
+    return model.parse_elem(s) if model is not None else _require_atom(s)
 
 
 def elems_to_json(model: GroupModel | None, elems: Iterable) -> list:
@@ -97,10 +92,10 @@ def coloring_from_json(obj: dict, model: GroupModel | None = None) -> Coloring:
 # -- graphs and witnesses ---------------------------------------------------
 
 
-def graph_from_json(obj: dict, model: GroupModel | None = None) -> BipartiteGraph:
+def graph_from_json(obj: dict) -> BipartiteGraph:
     return BipartiteGraph(
-        tuple(elems_from_json(model, obj["left"])),
-        tuple(elems_from_json(model, obj["right"])),
+        tuple(elems_from_json(None, obj["left"])),
+        tuple(elems_from_json(None, obj["right"])),
         frozenset(
             (_require_int(i, "edge index"), _require_int(j, "edge index"))
             for i, j in obj["edges"]

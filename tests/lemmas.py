@@ -28,11 +28,12 @@ from matchcover.groups import (
     FiniteTableGroup,
     GroupError,
     GroupModel,
+    _require_fraction,
     _require_int,
     cyclic_group,
     group_from_json,
 )
-from matchcover.means import ConvexCombination, _as_fraction
+from matchcover.means import ConvexCombination
 from matchcover.serialize import elems_to_json
 
 
@@ -296,7 +297,7 @@ class FiniteFunction:
     __slots__ = ("group", "_values")
 
     def __init__(self, group: GroupModel, values: Mapping) -> None:
-        cleaned = {group.validate(g): _as_fraction(v) for g, v in values.items()}
+        cleaned = {group.validate(g): _require_fraction(v) for g, v in values.items()}
         if not cleaned:
             raise ValueError("empty domain")
         self.group = group
@@ -353,7 +354,7 @@ def function_modulus(f: FiniteFunction, u: Covering) -> Fraction:
 
 def modulus_check(f: FiniteFunction, u: Covering, eps) -> bool:
     """True iff f oscillates by at most eps on every block."""
-    return function_modulus(f, u) <= _as_fraction(eps)
+    return function_modulus(f, u) <= _require_fraction(eps)
 
 
 def condition6_gap(f: FiniteFunction, delta: ConvexCombination, e: Iterable) -> Fraction:

@@ -9,8 +9,10 @@ group law, and the adversary oracle recounts every pair on every move.  The
 ramsey oracle is the object-level loop: ``Embedding`` composites, ``rho``
 on each pair of embeddings, and colorings as dicts keyed by embedding.  The
 certificate-pair oracle builds the whole covering graph, validates the
-witness against its edge set and reruns Hopcroft-Karp.  The associativity
-oracle scans every triple of a multiplication table.
+witness against its edge set and reruns Hopcroft-Karp.  The perfect-net
+oracle builds the covering by all right translates of U^-1 U and matches
+each translate on its covering graph.  The associativity oracle scans every
+triple of a multiplication table.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ from matchcover.bipartite import (
     covering_graph,
     max_matching,
     mu,
+    mu_with_witness,
     validate_witness,
 )
+from matchcover import folner
 from matchcover.cover import Covering, GroundSet
 from matchcover.folner import Coloring, Finding, WindowEscape, required_pairs
 from matchcover.ramsey import Embedding, RamseyOutcome, embeddings
@@ -338,6 +342,40 @@ def check_pair_reference(model, f_set: tuple, cover: Covering, pair, need: int) 
             )
         )
     return findings
+
+
+def right_translate_covering(model, u_set) -> Covering:
+    """The covering of a finite group by the n right translates W*x of
+    W = U^-1 U, one block per x."""
+    w_set = {model.multiply(model.inverse(x), y) for x in u_set for y in u_set}
+    blocks = [sorted(model.multiply(w, x) for w in w_set) for x in range(model.order)]
+    return Covering(GroundSet(range(model.order)), blocks)
+
+
+def perfect_net_reference(model, u_set) -> folner.PerfectNet:
+    """``perfect_net`` with each translate gF matched to F on the covering
+    graph of ``right_translate_covering``.
+
+    V is the intersection of the conjugates of U, through the validating
+    law; F comes from the library's set-cover routines, on the same branch
+    ``DEFAULT_NET_CAP`` selects at call time.
+    """
+    n = model.order
+    v_set = set(range(n))
+    for g in range(n):
+        ginv = model.inverse(g)
+        v_set &= {model.multiply(model.multiply(ginv, x), g) for x in u_set}
+    v_canon = model.canon_set(v_set)
+    masks = [sum({1 << model.multiply(v, f) for v in v_canon}) for f in range(n)]
+    minimal = n <= folner.DEFAULT_NET_CAP
+    cover_of = folner._exact_min_cover if minimal else folner._greedy_cover
+    f_canon = model.canon_set(cover_of(n, masks))
+    cover = right_translate_covering(model, u_set)
+    matchings = tuple(
+        (g, mu_with_witness(f_canon, model.translate(g, f_canon), cover)[1])
+        for g in range(n)
+    )
+    return folner.PerfectNet(v_canon, f_canon, matchings, minimal)
 
 
 def compose(inner: Embedding, outer: Embedding) -> Embedding:

@@ -53,6 +53,7 @@ from oracles import (
     random_graph,
     random_partition,
     random_subset,
+    right_translate_covering,
 )
 
 Z = IntegerLattice(1)
@@ -205,10 +206,19 @@ def test_c07_perfect_nets():
     ]
     for model, u in cases:
         result = perfect_net(model, u)
+        cover = right_translate_covering(model, u)
+        # the lookup perfect_net joins by: a and b share a block W*x exactly
+        # when b*a^-1 lies in W*W, with W = U^-1 U
+        w_set = {model.multiply(model.inverse(x), y) for x in u for y in u}
+        ww = {model.multiply(w, v) for w in w_set for v in w_set}
+        for a in model.elements():
+            for b in model.elements():
+                share = not cover.blocks_of[a].isdisjoint(cover.blocks_of[b])
+                assert share == (model.multiply(b, model.inverse(a)) in ww)
         assert len(result.matchings) == model.order
         for g, witness in result.matchings:
             gf = model.translate(g, result.f_set)
-            graph = covering_graph(result.f_set, gf, result.cover)
+            graph = covering_graph(result.f_set, gf, cover)
             validate_witness(graph, witness)
             assert len(witness) == len(result.f_set)
             assert hall_deficiency(graph)[0] == 0  # neighborhood condition

@@ -221,6 +221,33 @@ class TestMuAndMatch:
         assert (doc["size"], doc["deficiency"]) == (n, 0)
 
 
+class TestAtomsAtDecode:
+    """Without a group an atom is a string; any other JSON value is invalid
+    input when the document is read, whichever command reads it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cover", "refines", "--coarse", "cover.json", "--fine", "cover.json"],
+            ["cover", "star-refines", "--coarse", "cover.json", "--fine", "cover.json"],
+            ["cover", "join", "--u", "cover.json", "--v", "cover.json"],
+            ["cover", "star", "--u", "cover.json"],
+            ["mu", "--cover", "cover.json", "--left", "set.json", "--right", "set.json"],
+            ["match", "--graph", "graph.json"],
+        ],
+        ids=lambda argv: "-".join(a for a in argv[:2] if not a.startswith("--")),
+    )
+    def test_non_string_atom_is_exit_two(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "cover.json", {"ground": [1, 2], "blocks": [[1, 2]]})
+        write(tmp_path / "set.json", [1, 2])
+        write(tmp_path / "graph.json", {"left": [1], "right": [2], "edges": [[0, 0]]})
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: atoms must be strings without a group context: 1\n"
+
+
 class TestFolnerCommands:
     def run_search(self, tmp_path, theta="9/10", radius="10"):
         out = tmp_path / "cert.json"
@@ -240,7 +267,6 @@ class TestFolnerCommands:
     def test_search_pass_and_check(self, tmp_path):
         code, out = self.run_search(tmp_path)
         assert code == 0
-        assert dispatch(["folner", "check", str(out)]) == 0
         assert dispatch(["verify", str(out)]) == 0
 
     def test_tampered_certificate_fails_verify(self, tmp_path):
@@ -294,12 +320,6 @@ class TestFolnerCommands:
         assert dispatch(["verify", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == "error: certificate candidate set F has duplicate entries\n"
-
-    def test_folner_check_non_object_is_exit_two(self, tmp_path, capsys):
-        bad = write(tmp_path / "list.json", [1, 2])
-        assert dispatch(["folner", "check", bad]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
 
     def verify_edited(self, tmp_path, capsys, edit, command=("verify",)):
         _, out = self.run_search(tmp_path)
@@ -392,13 +412,13 @@ class TestFolnerCommands:
         doc["e"] = []
         doc["pairs"] = []
 
-    @pytest.mark.parametrize("command", [("verify",), ("folner", "check")])
+    @pytest.mark.parametrize("command", [("verify",)])
     def test_empty_e_is_vacuous(self, tmp_path, capsys, command):
         code, captured = self.verify_edited(tmp_path, capsys, self.empty_e, command)
         assert (code, captured.out) == (1, "VACUOUS\n")
         assert captured.err == "vacuous: E is empty\n"
 
-    @pytest.mark.parametrize("command", [("verify",), ("folner", "check")])
+    @pytest.mark.parametrize("command", [("verify",)])
     def test_zero_theta_is_vacuous(self, tmp_path, capsys, command):
         code, captured = self.verify_edited(
             tmp_path, capsys, lambda doc: doc.update(theta="0"), command
@@ -932,9 +952,7 @@ class TestOutputRule:
             (("means",), "--json"),
             (("sweep",), "--json"),
             (("verify",), "--json"),
-            (("folner", "check"), "--json"),
             (("verify",), "--out"),
-            (("folner", "check"), "--out"),
         ],
         ids=lambda v: "-".join(v) if isinstance(v, tuple) else v.lstrip("-"),
     )
@@ -946,6 +964,11 @@ class TestOutputRule:
         assert dispatch(argv + extra) == 2
         assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
         assert not (tmp_path / "v.json").exists()
+
+    def test_folner_check_is_usage_error(self, inputs, capsys):
+        self.run(capsys, self.ARGV[("folner", "search")] + ["--out", "cert.json"])
+        assert dispatch(["folner", "check", "cert.json"]) == 2
+        assert "invalid choice: 'check'" in capsys.readouterr().err
 
 
 class TestRealProcess:

@@ -43,9 +43,11 @@ from oracles import (
     adversary_local_reference,
     check_pair_reference,
     max_matching_bruteforce,
+    perfect_net_reference,
     random_covering,
     random_partition,
     random_subset,
+    right_translate_covering,
 )
 from matchcover.bipartite import covering_graph
 
@@ -96,6 +98,28 @@ class TestThreshold:
 
     def test_fractional_rounds_up(self):
         assert theta_threshold(Fraction(9, 10), 17) == 16
+
+    @pytest.mark.parametrize("theta", [0.1, 0.5, True])
+    def test_inexact_theta_is_rejected(self, theta):
+        # 0.1 is 3602879701896397/36028797018963968 as a float, which would
+        # give ceil(theta*10) = 2 where 1/10 gives 1
+        with pytest.raises(TypeError, match="not accepted for exact rationals"):
+            theta_threshold(theta, 10)
+
+    @pytest.mark.parametrize("theta", [0.1, False])
+    def test_builders_reject_inexact_theta(self, theta):
+        cover = z_parity_cover(-1, 10)
+        f = z_atoms(0, 9)
+        for build in (
+            lambda: build_certificate(Z, f, [(1,)], cover, theta),
+            lambda: folner_search(Z, [(1,)], cover, theta, strategy=BallsStrategy(2)),
+        ):
+            with pytest.raises(ValueError, match="not accepted for exact rationals"):
+                build()
+
+    def test_zero_denominator_theta_is_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            theta_threshold("1/0", 10)
 
 
 class TestRequiredPairs:
@@ -512,7 +536,75 @@ class TestThetaBoost:
             theta_boost_check(Fraction(1, 2))
 
 
+def fixed_points(model, g) -> int:
+    """Fixed points of a ``symmetric_group`` element, read off its name."""
+    return sum(int(c) == i for i, c in enumerate(model.elem_str(g)))
+
+
+def net_cases() -> list:
+    """(id, group, U) inputs for comparing ``perfect_net`` with its reference."""
+    z6, z12 = cyclic_group(6), cyclic_group(12)
+    s3, s4, s5 = symmetric_group(3), symmetric_group(4), symmetric_group(5)
+    rng = random.Random(15)
+    cases = [
+        ("z6", z6, [0, 1]),
+        ("z12", z12, [0, 1, 2]),
+        ("s3", s3, [s3.identity, s3.parse_elem("102")]),
+        # the stabilizer of the last point: the blocks are its right cosets
+        ("s4-subgroup", s4, [g for g in s4.elements() if s4.elem_str(g)[3] == "3"]),
+    ]
+    for k in range(3):
+        others = rng.sample(s4.generators(), rng.randint(1, 6))
+        cases.append((f"s4-random{k}", s4, [s4.identity, *others]))
+    # the benchmark's S_5 shape: the identity, the 3-cycles, one transposition
+    three_cycles = [g for g in s5.elements() if fixed_points(s5, g) == 2]
+    transpositions = [g for g in s5.elements() if fixed_points(s5, g) == 3]
+    for k in range(2):
+        cases.append(
+            (f"s5-bench{k}", s5, [s5.identity, *three_cycles, rng.choice(transpositions)])
+        )
+    return cases
+
+
+NET_CASES = net_cases()
+
+
 class TestPerfectNet:
+    @pytest.mark.parametrize(
+        "model, u", [c[1:] for c in NET_CASES], ids=[c[0] for c in NET_CASES]
+    )
+    def test_matches_covering_reference(self, model, u):
+        assert perfect_net(model, u) == perfect_net_reference(model, u)
+
+    def test_subgroup_blocks_form_a_partition(self):
+        _, s4, u = next(c for c in NET_CASES if c[0] == "s4-subgroup")
+        assert right_translate_covering(s4, u).is_partition()
+
+    @pytest.mark.parametrize("case", ["z12", "s4-random0", "s4-subgroup"])
+    def test_greedy_branch_matches_reference(self, monkeypatch, case):
+        _, model, u = next(c for c in NET_CASES if c[0] == case)
+        monkeypatch.setattr(folner, "DEFAULT_NET_CAP", 3)
+        net = perfect_net(model, u)
+        assert not net.minimal
+        assert net == perfect_net_reference(model, u)
+
+    @pytest.mark.parametrize("case", ["z12", "s4-subgroup", "s5-bench0"])
+    def test_builds_no_covering(self, monkeypatch, case):
+        _, model, u = next(c for c in NET_CASES if c[0] == case)
+        expected = perfect_net_reference(model, u)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("perfect_net built a covering or a covering graph")
+
+        for owner, name in [
+            (folner, "Covering"),
+            (folner, "covering_graph"),
+            (bipartite, "covering_graph"),
+            (folner, "mu_with_witness"),
+        ]:
+            monkeypatch.setattr(owner, name, refuse)
+        assert perfect_net(model, u) == expected
+
     def test_whole_group_as_u(self):
         g6 = cyclic_group(6)
         net = perfect_net(g6, list(range(6)))

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from matchcover.cli import dispatch
+from matchcover.groups import symmetric_group
 
 INPUTS = {
     "overlap.json": {
@@ -38,6 +39,7 @@ INPUTS = {
         "points": ["c0", "c1", "c2", "c3", "c4"],
         "dist": [[str(abs(i - j)) for j in range(5)] for i in range(5)],
     },
+    "s4.json": symmetric_group(4).describe(),
 }
 
 # (output file, argv, expected exit code)
@@ -82,6 +84,10 @@ CORPUS = [
     ("ramsey.json",
      ["ramsey", "check", "--a", "a.json", "--b", "b.json", "--c", "c.json",
       "--colors", "1", "--eps", "1/2", "--seed", "2"], 0),
+    # V is the Klein four-group, |F| = 6, and 12 of the 24 matchings move
+    ("net-s4.json",
+     ["folner", "net", "--group", "s4.json", "--u", "0123;1032;2301;3210;1023",
+      "--json"], 0),
 ]
 
 DIGESTS = {
@@ -98,6 +104,7 @@ DIGESTS = {
     "match.json": "2f881cd7c14f59e32db11dc61104b25852761875f645a6c45a28f359460a6fd7",
     "mu.json": "38c7e46f4b3cb650659545340b5782e6427e96d8447116b0aee9e885f7b3df2a",
     "ramsey.json": "450972ed261221f6951f8030c1effb1b29984097a9a649bb3272bc23121eeb25",
+    "net-s4.json": "f03f53e224efc31f5835ae56bbce5eb20ecb2f72fc4ba52b7ecdf901f46a687f",
 }
 
 

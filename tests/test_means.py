@@ -48,6 +48,10 @@ class TestConstruction:
         with pytest.raises(TypeError):
             ConvexCombination(Z, {(0,): 0.5, (1,): 0.5})
 
+    def test_bools_rejected(self):
+        with pytest.raises(TypeError, match="bools are not accepted"):
+            ConvexCombination(Z, {(0,): True})
+
     def test_dirac_equals_uniform_singleton(self):
         assert dirac(Z, (3,)) == uniform(Z, [(3,)])
 

@@ -54,6 +54,10 @@ class TestFinMetric:
         with pytest.raises(TypeError):
             FinMetric.build(["a", "b"], [[0, 0.5], [0.5, 0]])
 
+    def test_bools_rejected(self):
+        with pytest.raises(TypeError, match="bools are not accepted"):
+            FinMetric.build(["a", "b"], [[0, True], [True, 0]])
+
 
 class TestEmbeddings:
     def test_point_goes_anywhere(self):
