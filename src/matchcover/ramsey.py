@@ -14,9 +14,15 @@ matching number at least (1-eps) times the family size, for every pair of
 source-to-mid embeddings.  Eps-balls around color classes use strict
 inequality.
 
-Inputs are validated where they enter; inside, one evaluator works on image
-tuples and the large space's distance matrix and builds no ``Embedding``.
-``check_report`` replays a stored outcome for ``matchcover verify``.
+Inputs are validated where they enter; inside, one indexed kernel works on
+image tuples and builds no ``Embedding``.  Once per check it lists, for each
+source-to-large embedding, the ones within eps of it (its closeness list),
+and tabulates each mid-to-large embedding after each source-to-mid one as
+an index.  Once per coloring it ORs the colors over each closeness list
+into a bitmask.  A family's two sides are then mask lookups, and since
+adjacency depends only on the masks, the matching number is Hall's defect
+over sets of colors (König; Ore).  ``check_report`` replays a stored
+outcome for ``matchcover verify`` on the same kernel.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .bipartite import BipartiteGraph, max_matching
 from .folner import CheckReport, Finding
 from .groups import _require_fraction
 
@@ -137,38 +142,82 @@ def embeddings(a: FinMetric, c: FinMetric) -> tuple:
     return tuple(found)
 
 
-def _classes(emb_ac: Sequence, vector: Sequence) -> dict:
-    """Color -> image tuples of that color, from a vector in emb(a, c) order."""
-    classes: dict = {}
-    for images, color in zip(emb_ac, vector):
-        classes.setdefault(color, []).append(images)
-    return classes
+def _kernel(dist, eps: Fraction, emb_ab: Sequence, emb_ac: Sequence, emb_bc: Sequence) -> tuple:
+    """The coloring-independent index of a check, with ``dist`` the large
+    space's matrix and the embeddings as image tuples.
 
-
-def _family_mu(dist, classes: dict, eps: Fraction, family, alpha, beta) -> int:
-    """``ramsey_mu`` on image tuples, with ``dist`` the large space's matrix.
-
-    The composite of p after alpha is ``tuple(p[j] for j in alpha)``, and
-    its sup-distance to an image tuple m is the max of dist over the pairs.
+    Returns the closeness lists, for each element of emb(a, c) the indices
+    of emb(a, c) within sup-distance < eps of it, and the composition table
+    ``comp[alpha][p]``, the emb(a, c) index of p after alpha, whose image
+    tuple is ``tuple(p[j] for j in alpha)``.
     """
-
-    def near(images) -> set:
-        return {
-            color
-            for color, members in classes.items()
-            if any(max(dist[i][j] for i, j in zip(images, m)) < eps for m in members)
-        }
-
-    left = [near(tuple(p[j] for j in alpha)) for p in family]
-    right = [near(tuple(p[j] for j in beta)) for p in family]
-    m = len(family)
-    edges = frozenset((i, j) for i in range(m) for j in range(m) if left[i] & right[j])
-    return max_matching(BipartiteGraph(tuple(range(m)), tuple(range(m)), edges))[0]
+    close = [
+        [
+            j
+            for j, other in enumerate(emb_ac)
+            if max(dist[x][y] for x, y in zip(images, other)) < eps
+        ]
+        for images in emb_ac
+    ]
+    index = {images: i for i, images in enumerate(emb_ac)}
+    comp = [[index[tuple(p[j] for j in alpha)] for p in emb_bc] for alpha in emb_ab]
+    return close, comp
 
 
-def _family_holds(dist, classes: dict, eps: Fraction, family, pairs) -> bool:
-    need = (1 - eps) * len(family)
-    return all(_family_mu(dist, classes, eps, family, x, y) >= need for x, y in pairs)
+def _color_bits(vector) -> list:
+    """One bit per color of a coloring in emb(a, c) order, the colors
+    numbered in order of first appearance; matching numbers do not depend
+    on the names of the colors."""
+    codes: dict = {}
+    return [1 << codes.setdefault(color, len(codes)) for color in vector]
+
+
+def _sides(close, comp, bits) -> list:
+    """``sides[alpha][p]``: the bitmask of the colors that lie near p after
+    alpha, with ``bits[j]`` the color bit of element j of emb(a, c)."""
+    near = []
+    for row in close:
+        mask = 0
+        for j in row:
+            mask |= bits[j]
+        near.append(mask)
+    return [[near[i] for i in row] for row in comp]
+
+
+def _hall_mu(left: Sequence, right: Sequence) -> int:
+    """Matching number of the graph joining left i to right j when the color
+    masks ``left[i]`` and ``right[j]`` meet.
+
+    Hall's theorem in defect form (König; Ore): the matching number is
+    len(left) minus the max over color sets U of #{left masks inside U}
+    minus #{right masks meeting U}.  Shrinking U to its meet with the union
+    of the left masks loses no left mask and meets no more right masks, so
+    U ranges over the subsets of that union.
+    """
+    union = 0
+    for mask in left:
+        union |= mask
+    defect, u = 0, union
+    while True:
+        inside = sum(1 for mask in left if not mask & ~u)
+        meeting = sum(1 for mask in right if mask & u)
+        defect = max(defect, inside - meeting)
+        if not u:
+            return len(left) - defect
+        u = (u - 1) & union
+
+
+def _need(eps: Fraction, size: int) -> int:
+    """ceil((1 - eps) * size), the least matching number a family of that
+    size must reach, in integer arithmetic."""
+    return -((eps.numerator - eps.denominator) * size // eps.denominator)
+
+
+def _family_holds(sides, family, need: int) -> bool:
+    """Whether the family of emb(b, c) indices reaches ``need`` for every
+    pair (alpha, beta) of emb(a, b)."""
+    masks = [[row[p] for p in family] for row in sides]
+    return all(_hall_mu(left, right) >= need for left in masks for right in masks)
 
 
 def ramsey_mu(
@@ -185,7 +234,8 @@ def ramsey_mu(
     gamma' are joined when the composites psi[gamma] o alpha and
     psi[gamma'] o beta both lie strictly within eps of a single color class
     of ``phi``.  Validates eps, the family and the coloring, then runs the
-    evaluator, whose matcher is ``max_matching``.
+    indexed kernel of ``ramsey_condition_check``, which gives the matching
+    number as Hall's defect over sets of colors.
     """
     eps = _require_fraction(eps)
     if eps <= 0:
@@ -200,9 +250,11 @@ def ramsey_mu(
     emb_ac = embeddings(alpha.source, large)
     if set(phi.keys()) != set(emb_ac):
         raise ValueError("coloring is not total on the source-to-large embeddings")
-    classes = _classes([e.images for e in emb_ac], [phi[e] for e in emb_ac])
-    family = [p.images for p in psi]
-    return _family_mu(large.dist, classes, eps, family, alpha.images, beta.images)
+    bits = _color_bits([phi[e] for e in emb_ac])
+    images = [e.images for e in emb_ac]
+    pair, family = [alpha.images, beta.images], [p.images for p in psi]
+    left, right = _sides(*_kernel(large.dist, eps, pair, images, family), bits)
+    return _hall_mu(left, right)
 
 
 @dataclass(frozen=True)
@@ -217,9 +269,9 @@ class RamseyOutcome:
 
 
 def _image_spaces(a, b, c, k: int, eps: Fraction) -> tuple:
-    """Check k and eps; return the pairs of emb(a, b), then emb(a, c) and
-    emb(b, c), all as image tuples.  Unless there are no pairs, emb(a, c)
-    must be non-empty and its colorings must fit under ``MAX_COLORINGS``."""
+    """Check k and eps; return emb(a, b), emb(a, c) and emb(b, c) as image
+    tuples.  Unless emb(a, b) is empty, emb(a, c) must be non-empty and its
+    colorings must fit under ``MAX_COLORINGS``."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if not (0 < eps < 1):
@@ -233,7 +285,7 @@ def _image_spaces(a, b, c, k: int, eps: Fraction) -> tuple:
     # (k+1)^n >= 2^n, so a long emb(a, c) is over the cap for every k
     if emb_ab and (n >= MAX_COLORINGS.bit_length() or (k + 1) ** n > MAX_COLORINGS):
         raise CapExceeded(f"coloring space {k + 1}^{n} exceeds cap {MAX_COLORINGS}")
-    return [(x, y) for x in emb_ab for y in emb_ab], emb_ac, emb_bc
+    return emb_ab, emb_ac, emb_bc
 
 
 def ramsey_condition_check(
@@ -256,20 +308,22 @@ def ramsey_condition_check(
     Raises ``CapExceeded`` beyond ``MAX_COLORINGS`` colorings.
     """
     eps = _require_fraction(eps)
-    pairs, emb_ac, emb_bc = _image_spaces(a, b, c, k, eps)
-    if not pairs:
+    emb_ab, emb_ac, emb_bc = _image_spaces(a, b, c, k, eps)
+    if not emb_ab:
         return RamseyOutcome(True, True, eps, k, 0, (), None)
+    close, comp = _kernel(c.dist, eps, emb_ab, emb_ac, emb_bc)
     # no b -> c embedding means no family, however large max_family is
     sizes = range(1, max_family + 1) if emb_bc else ()
+    need = {size: _need(eps, size) for size in sizes}
     witnesses = []
     for checked, vector in enumerate(itertools.product(range(k + 1), repeat=len(emb_ac)), 1):
-        classes = _classes(emb_ac, vector)
+        sides = _sides(close, comp, _color_bits(vector))
         families = itertools.chain.from_iterable(
             itertools.combinations_with_replacement(range(len(emb_bc)), size)
             for size in sizes
         )
         for combo in itertools.islice(families, max(family_budget, 0)):
-            if _family_holds(c.dist, classes, eps, [emb_bc[i] for i in combo], pairs):
+            if _family_holds(sides, combo, need[len(combo)]):
                 witnesses.append((vector, combo))
                 break
         else:
@@ -294,14 +348,14 @@ def check_report(
     must equal a rerun of the budgeted search.
     """
     k, eps = outcome.k, outcome.eps
-    pairs, emb_ac, emb_bc = _image_spaces(a, b, c, k, eps)
+    emb_ab, emb_ac, emb_bc = _image_spaces(a, b, c, k, eps)
     for _, family in outcome.witnesses:
         if not family or not all(0 <= i < len(emb_bc) for i in family):
             raise ValueError(
                 f"witness family {list(family)} is not a non-empty list of "
                 f"indices into emb(B, C), which has {len(emb_bc)} elements"
             )
-    replay = bool(pairs) and outcome.holds
+    replay = bool(emb_ab) and outcome.holds
     if replay:
         vectors = tuple(itertools.product(range(k + 1), repeat=len(emb_ac)))
         # pad with (), which matches no stored family, so a missing one shows
@@ -319,9 +373,13 @@ def check_report(
         n, m = len(outcome.witnesses), len(expected.witnesses)
         message = f"the {n} stored witnesses differ from the {m} expected"
         findings.append(Finding("witnesses-mismatch", message))
-    for vector, family in outcome.witnesses if replay else ():
-        psi = [emb_bc[i] for i in family]
-        if not _family_holds(c.dist, _classes(emb_ac, vector), eps, psi, pairs):
-            message = f"family {list(family)} fails for coloring {list(vector)}"
-            findings.append(Finding("witness-fails", message))
+    if replay:
+        close, comp = _kernel(c.dist, eps, emb_ab, emb_ac, emb_bc)
+        for vector, family in outcome.witnesses:
+            # a stored vector may have any length and colors; as under zip,
+            # the elements of emb(a, c) past its end have no color
+            bits = _color_bits(vector[: len(emb_ac)]) + [0] * (len(emb_ac) - len(vector))
+            if not _family_holds(_sides(close, comp, bits), family, _need(eps, len(family))):
+                message = f"family {list(family)} fails for coloring {list(vector)}"
+                findings.append(Finding("witness-fails", message))
     return CheckReport("PASS" if not findings else "FAIL", tuple(findings))

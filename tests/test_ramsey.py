@@ -3,18 +3,27 @@ from fractions import Fraction
 
 import pytest
 
-from matchcover.bipartite import BipartiteGraph
+from matchcover.bipartite import BipartiteGraph, max_matching
 from matchcover.ramsey import (
     MAX_COLORINGS,
     CapExceeded,
     Embedding,
     FinMetric,
+    RamseyOutcome,
+    _hall_mu,
+    check_report,
     embeddings,
     ramsey_condition_check,
     ramsey_mu,
 )
 
-from oracles import compose, max_matching_bruteforce, ramsey_check_reference, rho
+from oracles import (
+    _ramsey_mu_reference,
+    compose,
+    max_matching_bruteforce,
+    ramsey_check_reference,
+    rho,
+)
 
 
 POINT = FinMetric.build(["p"], [["0"]])
@@ -200,6 +209,26 @@ class TestRamseyMu:
             ramsey_mu([emb_bc[0]], emb_ab[0], emb_ab[0], phi, Fraction(1, 2))
 
 
+class TestHallDefect:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_matchers_on_random_mask_graphs(self, k):
+        # colors 0..k; masks drawn over all k+1 bits, empty ones included
+        rng = random.Random(1955 + k)
+        for m in range(7):
+            for _ in range(40):
+                left = [rng.randrange(1 << (k + 1)) for _ in range(m)]
+                right = [rng.randrange(1 << (k + 1)) for _ in range(m)]
+                if m and rng.random() < 0.3:
+                    left[rng.randrange(m)] = 0
+                    right[rng.randrange(m)] = 0
+                edges = frozenset(
+                    (i, j) for i in range(m) for j in range(m) if left[i] & right[j]
+                )
+                graph = BipartiteGraph(tuple(range(m)), tuple(range(m)), edges)
+                value = _hall_mu(left, right)
+                assert value == max_matching(graph)[0] == max_matching_bruteforce(graph)
+
+
 class TestConditionCheck:
     def test_vacuous_when_no_small_embeddings(self):
         wide = FinMetric.build(["x", "y"], [["0", "5"], ["5", "0"]])
@@ -243,10 +272,10 @@ def path(n, spacing=1):
     )
 
 
-def cycle(n):
+def cycle(n, spacing=1):
     return FinMetric.build(
         [f"c{i}" for i in range(n)],
-        [[min(abs(i - j), n - abs(i - j)) for j in range(n)] for i in range(n)],
+        [[min(abs(i - j), n - abs(i - j)) * spacing for j in range(n)] for i in range(n)],
     )
 
 
@@ -265,7 +294,7 @@ def random_metric(rng, n):
 
 def equivalence_cases():
     rng = random.Random(20150209)
-    half = Fraction(1, 2)
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
     cases = [
         # name, expected holds, then a, b, c, k, eps, max_family, family_budget
         ("pt-p3-p5-k1", True, POINT, PATH3, path(5), 1, half, 4, 2000),
@@ -280,6 +309,12 @@ def equivalence_cases():
         # eps equals the spacing: closeness is strict, so neighbours are not near
         ("pt-p3-p5-eps-at-spacing", True, POINT, path(3, half), path(5, half), 1, half, 4, 2000),
         ("vacuous", True, cycle(4), EDGE, path(5), 1, half, 4, 2000),
+        # spacing 1/4 < eps: each closeness list holds a point's neighbours too
+        ("pt-p3q-p5q-k1", True, POINT, path(3, quarter), path(5, quarter), 1, half, 4, 2000),
+        ("pt-p3q-p5q-k2", True, POINT, path(3, quarter), path(5, quarter), 2, half, 4, 2000),
+        ("pt-p3-c8", True, POINT, PATH3, cycle(8), 1, half, 4, 2000),
+        ("pt-p3h-p5q-k1", True, POINT, path(3, half), path(5, quarter), 1, half, 4, 2000),
+        ("pt-p3q-c8q", True, POINT, path(3, quarter), cycle(8, quarter), 1, half, 4, 2000),
     ]
     for i in range(6):
         big = random_metric(rng, rng.randint(3, 5))
@@ -301,3 +336,67 @@ def test_matches_object_level_reference(case):
     outcome = ramsey_condition_check(*args)
     assert outcome == ramsey_check_reference(*args)
     assert holds in (None, outcome.holds)
+
+
+class TestCheckReport:
+    """Replay of a report whose closeness lists hold more than one element.
+
+    B, a path at spacing 1/2, lands on C's points 0, 2 and 4 only.  B's end
+    points land on C's ends, whose closeness lists {c0, c1} and {c3, c4} are
+    disjoint, so a coloring that splits them needs a family of two.
+    """
+
+    SPACES = (POINT, path(3, Fraction(1, 2)), path(5, Fraction(1, 4)))
+
+    def test_genuine_report_passes(self):
+        outcome = ramsey_condition_check(*self.SPACES, 1, Fraction(1, 2))
+        assert outcome.holds
+        assert check_report(outcome, *self.SPACES, 4, 2000).status == "PASS"
+
+    def test_failing_witness_family_is_caught(self):
+        a, b, c = self.SPACES
+        eps = Fraction(1, 2)
+        outcome = ramsey_condition_check(a, b, c, 1, eps)
+        emb_ab, emb_ac, emb_bc = embeddings(a, b), embeddings(a, c), embeddings(b, c)
+
+        def fails(vector, family):
+            phi = dict(zip(emb_ac, vector))
+            psi = [emb_bc[i] for i in family]
+            return any(
+                _ramsey_mu_reference(psi, x, y, phi, eps) < (1 - eps) * len(psi)
+                for x in emb_ab
+                for y in emb_ab
+            )
+
+        # the first witness with a failing single-embedding family, on the oracle
+        swaps = (
+            (n, vector, (i,))
+            for n, (vector, _) in enumerate(outcome.witnesses)
+            for i in range(len(emb_bc))
+            if fails(vector, (i,))
+        )
+        n, vector, family = next(swaps)
+        witnesses = list(outcome.witnesses)
+        witnesses[n] = (vector, family)
+        checked = outcome.colorings_checked
+        forged = RamseyOutcome(True, False, eps, 1, checked, tuple(witnesses), None)
+        report = check_report(forged, a, b, c, 4, 2000)
+        assert report.status == "FAIL"
+        assert [finding.code for finding in report.findings] == ["witness-fails"]
+
+    @pytest.mark.parametrize("edit", ["short", "long", "huge-color"])
+    def test_odd_stored_coloring_is_a_finding(self, edit):
+        # decoded colorings are lists of integers of any length and size
+        outcome = ramsey_condition_check(*self.SPACES, 1, Fraction(1, 2))
+        vector, family = outcome.witnesses[3]
+        vector = {
+            "short": vector[:2],
+            "long": vector + (0,),
+            "huge-color": (10**9,) + vector[1:],
+        }[edit]
+        witnesses = outcome.witnesses[:3] + ((vector, family),) + outcome.witnesses[4:]
+        checked = outcome.colorings_checked
+        forged = RamseyOutcome(True, False, outcome.eps, 1, checked, witnesses, None)
+        report = check_report(forged, *self.SPACES, 4, 2000)
+        assert report.status == "FAIL"
+        assert report.findings[0].code == "witnesses-mismatch"
