@@ -21,8 +21,11 @@ and tabulates each mid-to-large embedding after each source-to-mid one as
 an index.  Once per coloring it ORs the colors over each closeness list
 into a bitmask.  A family's two sides are then mask lookups, and since
 adjacency depends only on the masks, the matching number is Hall's defect
-over sets of colors (König; Ore).  ``check_report`` replays a stored
-outcome for ``matchcover verify`` on the same kernel.
+over sets of colors (König; Ore), which walks 2^(k+1) sets at most.
+``check_report`` replays a stored outcome for ``matchcover verify`` on the
+same kernel.  Where a mask graph may carry more colors than that (a stored
+coloring with too many colors, or ``ramsey_mu``, which has no k), its
+matching number comes from ``max_matching`` instead.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .bipartite import BipartiteGraph, max_matching
 from .folner import CheckReport, Finding
 from .groups import _require_fraction
 
@@ -207,17 +211,27 @@ def _hall_mu(left: Sequence, right: Sequence) -> int:
         u = (u - 1) & union
 
 
+def _matcher_mu(left: Sequence, right: Sequence) -> int:
+    """The matching number of ``_hall_mu``'s graph by Hopcroft-Karp, whose
+    cost does not grow with the number of colors."""
+    edges = frozenset(
+        (i, j) for i, x in enumerate(left) for j, y in enumerate(right) if x & y
+    )
+    graph = BipartiteGraph(tuple(range(len(left))), tuple(range(len(right))), edges)
+    return max_matching(graph)[0]
+
+
 def _need(eps: Fraction, size: int) -> int:
     """ceil((1 - eps) * size), the least matching number a family of that
     size must reach, in integer arithmetic."""
     return -((eps.numerator - eps.denominator) * size // eps.denominator)
 
 
-def _family_holds(sides, family, need: int) -> bool:
+def _family_holds(sides, family, need: int, mu) -> bool:
     """Whether the family of emb(b, c) indices reaches ``need`` for every
-    pair (alpha, beta) of emb(a, b)."""
+    pair (alpha, beta) of emb(a, b), with ``mu`` the mask matcher."""
     masks = [[row[p] for p in family] for row in sides]
-    return all(_hall_mu(left, right) >= need for left in masks for right in masks)
+    return all(mu(left, right) >= need for left in masks for right in masks)
 
 
 def ramsey_mu(
@@ -233,9 +247,10 @@ def ramsey_mu(
     ``alpha`` and ``beta`` are source-to-mid embeddings.  Indices gamma and
     gamma' are joined when the composites psi[gamma] o alpha and
     psi[gamma'] o beta both lie strictly within eps of a single color class
-    of ``phi``.  Validates eps, the family and the coloring, then runs the
-    indexed kernel of ``ramsey_condition_check``, which gives the matching
-    number as Hall's defect over sets of colors.
+    of ``phi``.  Validates eps, the family and the coloring, then gives each
+    composite the bitmask of the colors within eps of it and matches the
+    mask graph with ``max_matching``.  Nothing bounds the number of colors here, so Hall's
+    defect, which walks every set of them, is not used.
     """
     eps = _require_fraction(eps)
     if eps <= 0:
@@ -250,11 +265,20 @@ def ramsey_mu(
     emb_ac = embeddings(alpha.source, large)
     if set(phi.keys()) != set(emb_ac):
         raise ValueError("coloring is not total on the source-to-large embeddings")
-    bits = _color_bits([phi[e] for e in emb_ac])
-    images = [e.images for e in emb_ac]
-    pair, family = [alpha.images, beta.images], [p.images for p in psi]
-    left, right = _sides(*_kernel(large.dist, eps, pair, images, family), bits)
-    return _hall_mu(left, right)
+    colored = [(e.images, phi[e]) for e in emb_ac]
+    codes: dict = {}
+
+    def near(p: Embedding, via: Embedding) -> int:
+        images = tuple(p.images[j] for j in via.images)
+        colors: set = set()
+        for other, color in colored:
+            if color in colors:
+                continue  # one member within eps puts its whole color near
+            if max(large.dist[x][y] for x, y in zip(images, other)) < eps:
+                colors.add(color)
+        return sum(1 << codes.setdefault(color, len(codes)) for color in colors)
+
+    return _matcher_mu([near(p, alpha) for p in psi], [near(p, beta) for p in psi])
 
 
 @dataclass(frozen=True)
@@ -323,7 +347,7 @@ def ramsey_condition_check(
             for size in sizes
         )
         for combo in itertools.islice(families, max(family_budget, 0)):
-            if _family_holds(sides, combo, need[len(combo)]):
+            if _family_holds(sides, combo, need[len(combo)], _hall_mu):
                 witnesses.append((vector, combo))
                 break
         else:
@@ -378,8 +402,13 @@ def check_report(
         for vector, family in outcome.witnesses:
             # a stored vector may have any length and colors; as under zip,
             # the elements of emb(a, c) past its end have no color
-            bits = _color_bits(vector[: len(emb_ac)]) + [0] * (len(emb_ac) - len(vector))
-            if not _family_holds(_sides(close, comp, bits), family, _need(eps, len(family))):
+            head = vector[: len(emb_ac)]
+            bits = _color_bits(head) + [0] * (len(emb_ac) - len(head))
+            # more than k + 1 colors is already a witnesses-mismatch; Hall's
+            # defect would walk 2^colors sets for it
+            mu = _hall_mu if len(set(head)) <= k + 1 else _matcher_mu
+            sides = _sides(close, comp, bits)
+            if not _family_holds(sides, family, _need(eps, len(family)), mu):
                 message = f"family {list(family)} fails for coloring {list(vector)}"
                 findings.append(Finding("witness-fails", message))
     return CheckReport("PASS" if not findings else "FAIL", tuple(findings))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from matchcover import ramsey as ramsey_module
 from matchcover.bipartite import BipartiteGraph, max_matching
 from matchcover.ramsey import (
     MAX_COLORINGS,
@@ -32,6 +33,10 @@ PATH3 = FinMetric.build(
     ["u", "v", "w"],
     [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]],
 )
+SIMPLEX12 = FinMetric.build(
+    [f"s{i}" for i in range(12)],
+    [[0 if i == j else 1 for j in range(12)] for i in range(12)],
+)
 PATH4 = FinMetric.build(
     ["c0", "c1", "c2", "c3"],
     [
@@ -41,6 +46,20 @@ PATH4 = FinMetric.build(
         ["3", "2", "1", "0"],
     ],
 )
+
+
+def _hall_mu_within(width):
+    """``_hall_mu`` that fails on left masks holding more than ``width``
+    colors between them, since it walks 2^colors sets."""
+
+    def hall_mu(left, right):
+        union = 0
+        for mask in left:
+            union |= mask
+        assert union.bit_count() <= width, f"Hall's defect over {union.bit_count()} colors"
+        return _hall_mu(left, right)
+
+    return hall_mu
 
 
 class TestFinMetric:
@@ -192,6 +211,20 @@ class TestRamseyMu:
                 assert ramsey_mu(psi, alpha, beta, phi, Fraction(1, 2)) == ramsey_mu(
                     psi, beta, alpha, phi, Fraction(1, 2)
                 )
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(2)])
+    def test_many_colors_against_reference(self, eps, monkeypatch):
+        # the 132 embeddings of an edge into 12 equidistant points, each its
+        # own color; at eps = 2 every composite lies near all 132 colors
+        monkeypatch.setattr(ramsey_module, "_hall_mu", _hall_mu_within(6))
+        emb_ab = embeddings(EDGE, EDGE)
+        emb_bc = embeddings(EDGE, SIMPLEX12)
+        phi = {e: i for i, e in enumerate(embeddings(EDGE, SIMPLEX12))}
+        psi = [emb_bc[0], emb_bc[11], emb_bc[1], emb_bc[5]]
+        for alpha in emb_ab:
+            for beta in emb_ab:
+                value = ramsey_mu(psi, alpha, beta, phi, eps)
+                assert value == _ramsey_mu_reference(psi, alpha, beta, phi, eps)
 
     def test_family_must_chain(self):
         emb_ac = embeddings(POINT, PATH4)
@@ -348,6 +381,19 @@ class TestCheckReport:
 
     SPACES = (POINT, path(3, Fraction(1, 2)), path(5, Fraction(1, 4)))
 
+    def fails(self, vector, family):
+        """Whether the family fails for the coloring on the object-level oracle."""
+        a, b, c = self.SPACES
+        eps = Fraction(1, 2)
+        emb_ab, emb_ac, emb_bc = embeddings(a, b), embeddings(a, c), embeddings(b, c)
+        phi = dict(zip(emb_ac, vector))
+        psi = [emb_bc[i] for i in family]
+        return any(
+            _ramsey_mu_reference(psi, x, y, phi, eps) < (1 - eps) * len(psi)
+            for x in emb_ab
+            for y in emb_ab
+        )
+
     def test_genuine_report_passes(self):
         outcome = ramsey_condition_check(*self.SPACES, 1, Fraction(1, 2))
         assert outcome.holds
@@ -357,23 +403,12 @@ class TestCheckReport:
         a, b, c = self.SPACES
         eps = Fraction(1, 2)
         outcome = ramsey_condition_check(a, b, c, 1, eps)
-        emb_ab, emb_ac, emb_bc = embeddings(a, b), embeddings(a, c), embeddings(b, c)
-
-        def fails(vector, family):
-            phi = dict(zip(emb_ac, vector))
-            psi = [emb_bc[i] for i in family]
-            return any(
-                _ramsey_mu_reference(psi, x, y, phi, eps) < (1 - eps) * len(psi)
-                for x in emb_ab
-                for y in emb_ab
-            )
-
         # the first witness with a failing single-embedding family, on the oracle
         swaps = (
             (n, vector, (i,))
             for n, (vector, _) in enumerate(outcome.witnesses)
-            for i in range(len(emb_bc))
-            if fails(vector, (i,))
+            for i in range(len(embeddings(b, c)))
+            if self.fails(vector, (i,))
         )
         n, vector, family = next(swaps)
         witnesses = list(outcome.witnesses)
@@ -400,3 +435,22 @@ class TestCheckReport:
         report = check_report(forged, *self.SPACES, 4, 2000)
         assert report.status == "FAIL"
         assert report.findings[0].code == "witnesses-mismatch"
+
+    def test_many_color_coloring_stays_off_hall_defect(self, monkeypatch):
+        # a stored coloring that gives each of emb(a, c)'s five elements its
+        # own color; Hall's defect may only see the k + 1 = 2 colors of a
+        # real coloring, or a forged report with many colors takes 2^colors
+        monkeypatch.setattr(ramsey_module, "_hall_mu", _hall_mu_within(2))
+        outcome = ramsey_condition_check(*self.SPACES, 1, Fraction(1, 2))
+        witnesses = list(outcome.witnesses)
+        for n, (vector, family) in enumerate(outcome.witnesses):
+            wide = tuple(range(len(vector)))
+            witnesses[n] = (wide, family)
+            forged = RamseyOutcome(
+                True, False, outcome.eps, 1, outcome.colorings_checked, tuple(witnesses), None
+            )
+            report = check_report(forged, *self.SPACES, 4, 2000)
+            codes = [finding.code for finding in report.findings]
+            failing = [code for code in codes if code == "witness-fails"]
+            assert codes[0] == "witnesses-mismatch"
+            assert len(failing) == sum(self.fails(v, f) for v, f in witnesses)
