@@ -37,7 +37,7 @@ from .folner import (
     check_certificate,
     folner_search,
     adversary_coloring,
-    min_pair_mu,
+    ball_walk,
     monochromatic_translate,
     perfect_net,
     required_pairs,
@@ -178,8 +178,8 @@ def _search_window(model, e_set, strategy) -> tuple:
     else:
         base = model.ball(4)  # roaming room for local moves
     window = set(base)
-    for g in e_set:
-        window.update(model.translate(g, base))
+    for g in e_set:  # E is validated by _parse_elems, the ball by construction
+        window.update(model.unchecked_translate(g, base))
     return tuple(sorted(window, key=model.sort_key))
 
 
@@ -493,8 +493,8 @@ def _cmd_sweep(args, argv) -> int:
         cover = builtin_coloring(model, "parity", window).partition()
     pairs = required_pairs(model, e_set, args.mode)
     per_radius = [
-        (radius, len(f_set), min_pair_mu(model, f_set, pairs, cover))
-        for radius, f_set in enumerate(model.balls(args.max_radius))
+        (radius, len(f_set), min_mu)
+        for radius, (f_set, min_mu) in enumerate(ball_walk(model, args.max_radius, pairs, cover))
     ]
     rows = []
     for theta in grid:

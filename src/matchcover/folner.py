@@ -18,7 +18,11 @@ Searches (over candidate sets, and adversarially over colorings) are
 deterministic given their seed.  The search procedures themselves are
 artifact machinery: balls by radius plus a boundary-move hill climb for
 candidate sets, and single-atom recoloring descent for adversarial
-colorings.
+colorings.  Both keep counts rather than recount: on a partition the
+candidate search keeps the block counts of every translate gF and each
+pair's value, so a ball is scored from its new sphere and a local move from
+the one element it inserts or drops; the coloring search keeps per-pair
+color counts and updates the pairs a recolored atom touches.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from .bipartite import (
     max_matching,
     MatchingWitness,
     mu,
-    mu_partition,
     mu_partition_witness,
     mu_with_witness,
 )
@@ -166,17 +169,163 @@ def _translates(model: GroupModel, f_canon: tuple, pairs, ground: GroundSet) -> 
     return [(built[g], built[h]) for g, h in pairs]
 
 
+def _raise_escape(model: GroupModel, f_canon: tuple, pairs, ground: GroundSet):
+    """Raise the WindowEscape that ``_translates`` gives for F and the pairs."""
+    _translates(model, f_canon, pairs, ground)
+    raise AssertionError("F and its translates lie inside the window")
+
+
+class _PartitionCounts:
+    """Incremental pair values of a candidate set F under a partition.
+
+    For each distinct translator g of the pairs it keeps the block counts
+    c_g[B] = |gF & B|, and for each pair (g, h) the value sum over B of
+    min(c_g[B], c_h[B]), which is ``mu_partition(gF, hF)``.  Adding y puts
+    g*y in block b and h*y in block b': the pair's value rises by 1 when
+    b = b', and otherwise by [c_g[b] < c_h[b]] + [c_h[b'] < c_g[b']], read
+    before the counts change.  Dropping y is the same rule with <=, and the
+    value falls.  An add that would put y or some g*y outside the window is
+    refused and changes nothing.
+    """
+
+    def __init__(self, model: GroupModel, pairs, cover: Covering) -> None:
+        self._mul = model.unchecked_multiply
+        self._block = {a: b for b, block in enumerate(cover.blocks) for a in block}
+        self._nblocks = len(cover.blocks)
+        self._translators = tuple(dict.fromkeys(g for pair in pairs for g in pair))
+        slot = {g: t for t, g in enumerate(self._translators)}
+        self._pairs = tuple((slot[g], slot[h]) for g, h in pairs)
+        self._known: dict = {}
+        self.reset()
+
+    def reset(self) -> None:
+        """Make F empty."""
+        self.size = 0
+        self.counts = [[0] * self._nblocks for _ in self._translators]
+        self.values = [0] * len(self._pairs)
+
+    def least(self) -> int:
+        """The smallest pair value; |F| when there are no pairs."""
+        return min(self.values, default=self.size)
+
+    def _blocks(self, y) -> list | None:
+        """The block of g*y for each translator g; None if y or one leaves
+        the window.  Kept per y: a local search scores the same elements
+        again and again."""
+        found = self._known.get(y, False)
+        if found is False:
+            block = self._block
+            if y in block:
+                mul = self._mul
+                found = [block.get(mul(g, y)) for g in self._translators]
+                if None in found:
+                    found = None
+            else:
+                found = None
+            self._known[y] = found
+        return found
+
+    def add(self, y) -> bool:
+        """Insert y, which is not in F; False, changing nothing, on an escape."""
+        found = self._blocks(y)
+        if found is None:
+            return False
+        counts, values = self.counts, self.values
+        for p, (s, t) in enumerate(self._pairs):
+            b, b2 = found[s], found[t]
+            if b == b2:
+                values[p] += 1
+            else:
+                cs, ct = counts[s], counts[t]
+                values[p] += (cs[b] < ct[b]) + (ct[b2] < cs[b2])
+        for count, b in zip(counts, found):
+            count[b] += 1
+        self.size += 1
+        return True
+
+    def drop(self, y) -> None:
+        """Remove y, which is in F."""
+        found = self._blocks(y)
+        counts, values = self.counts, self.values
+        for p, (s, t) in enumerate(self._pairs):
+            b, b2 = found[s], found[t]
+            if b == b2:
+                values[p] -= 1
+            else:
+                cs, ct = counts[s], counts[t]
+                values[p] -= (cs[b] <= ct[b]) + (ct[b2] <= cs[b2])
+        for count, b in zip(counts, found):
+            count[b] -= 1
+        self.size -= 1
+
+
+class _CoveringRecount:
+    """``_PartitionCounts``'s moves on a covering that is not a partition.
+
+    F is kept as a set; an add checks the window the same way, and each
+    read recounts every pair through ``min_pair_mu`` on the general matcher.
+    """
+
+    def __init__(self, model: GroupModel, pairs, cover: Covering) -> None:
+        self._model, self._pairs, self._cover = model, pairs, cover
+        self._translators = tuple(dict.fromkeys(g for pair in pairs for g in pair))
+        self.reset()
+
+    def reset(self) -> None:
+        self._members: set = set()
+
+    def least(self) -> int:
+        model = self._model
+        f_canon = tuple(sorted(self._members, key=model.sort_key))
+        return min_pair_mu(model, f_canon, self._pairs, self._cover)
+
+    def add(self, y) -> bool:
+        ground = self._cover.ground
+        mul = self._model.unchecked_multiply
+        if y not in ground or any(mul(g, y) not in ground for g in self._translators):
+            return False
+        self._members.add(y)
+        return True
+
+    def drop(self, y) -> None:
+        self._members.remove(y)
+
+
+def _pair_counts(model: GroupModel, pairs, cover: Covering):
+    kind = _PartitionCounts if cover.is_partition() else _CoveringRecount
+    return kind(model, pairs, cover)
+
+
 def min_pair_mu(model: GroupModel, f_canon: tuple, pairs, cover: Covering) -> int:
     """Smallest mu(gF, hF) over the pairs; |F| when there are none.
 
     ``f_canon`` must be canonical (``canon_set`` or ``ball`` output) and the
-    pairs must come from ``required_pairs``.  Partitions take the closed
-    form, other coverings the general matcher.  Raises WindowEscape if F or
-    a translate leaves the covering's ground.
+    pairs must come from ``required_pairs``.  On a partition this is the
+    incremental evaluator ``_PartitionCounts`` filled with F; other
+    coverings build every translate and take the general matcher.  Raises
+    WindowEscape if F or a translate leaves the covering's ground.
     """
-    translates = _translates(model, f_canon, pairs, cover.ground)
-    evaluate = mu_partition if cover.is_partition() else mu
-    return min((evaluate(gf, hf, cover) for gf, hf in translates), default=len(f_canon))
+    if not cover.is_partition():
+        translates = _translates(model, f_canon, pairs, cover.ground)
+        return min((mu(gf, hf, cover) for gf, hf in translates), default=len(f_canon))
+    counts = _PartitionCounts(model, pairs, cover)
+    if not all(map(counts.add, f_canon)):
+        _raise_escape(model, f_canon, pairs, cover.ground)
+    return counts.least()
+
+
+def ball_walk(model: GroupModel, radius: int, pairs, cover: Covering):
+    """Yield (ball, min_pair_mu of the ball) for radius 0..radius.
+
+    The counts of each ball are those of the last one plus its sphere, so
+    no translate is built twice.  An escape raises the WindowEscape that
+    ``min_pair_mu`` raises on that ball.
+    """
+    counts = _pair_counts(model, pairs, cover)
+    for ball, sphere in model.ball_layers(radius):
+        if not all(map(counts.add, sphere)):
+            _raise_escape(model, ball, pairs, cover.ground)
+        yield ball, counts.least()
 
 
 def build_certificate(
@@ -412,6 +561,11 @@ def folner_search(
     translates would leave the covering's ground raise WindowEscape for the
     ball strategy (the caller sized the window) and are skipped as invalid
     moves by the local strategy.
+
+    Both strategies keep the pair counts of the current candidate: balls
+    grow by spheres (``ball_walk``), and a local move is scored by applying
+    it, reading the least pair value and undoing it.  Only a random restart
+    counts a candidate from scratch.
     """
     theta = _require_fraction(theta)
     if not (0 <= theta <= 1):
@@ -422,64 +576,93 @@ def folner_search(
     pairs = required_pairs(model, e_canon, mode)
     evaluations = 0
     best_f: tuple = ()
-    best_ratio = Fraction(-1)
+    best_least = -1  # the best ratio is best_least / |best_f|, -1 before any candidate
     key = model.sort_key
+    need: dict = {}  # |F| -> theta_threshold(theta, |F|)
 
-    def consider(f_canon) -> Fraction:
-        nonlocal evaluations, best_f, best_ratio
-        ratio = Fraction(min_pair_mu(model, f_canon, pairs, cover), len(f_canon))
+    def better(least, f_canon, than_least, than_f) -> bool:
+        """least/|F| exceeds than_least/|than_f|, or ties and F sorts first."""
+        lhs, rhs = least * len(than_f), than_least * len(f_canon)
+        return lhs > rhs or (
+            lhs == rhs and tuple(map(key, f_canon)) < tuple(map(key, than_f))
+        )
+
+    def consider(f_canon, least) -> bool:
+        """Count and track the candidate; True when it meets theta."""
+        nonlocal evaluations, best_f, best_least
         evaluations += 1
-        if ratio > best_ratio or (
-            ratio == best_ratio
-            and tuple(map(key, f_canon)) < tuple(map(key, best_f))
-        ):
-            best_f, best_ratio = f_canon, ratio
-        return ratio
+        if better(least, f_canon, best_least, best_f):
+            best_f, best_least = f_canon, least
+        size = len(f_canon)
+        if size not in need:
+            need[size] = theta_threshold(theta, size)
+        return least >= need[size]
 
-    def passed(f_canon, ratio) -> bool:
-        return ratio * len(f_canon) >= theta_threshold(theta, len(f_canon))
+    def passing(f_canon, least) -> SearchResult:
+        cert = build_certificate(model, f_canon, e_canon, cover, theta, mode)
+        return SearchResult("PASS", cert, f_canon, Fraction(least, len(f_canon)), evaluations)
+
+    def exhausted() -> SearchResult:
+        best_ratio = Fraction(best_least, len(best_f))
+        return SearchResult("EXHAUSTED", None, best_f, best_ratio, evaluations)
 
     if isinstance(strategy, BallsStrategy):
-        for f_canon in model.balls(strategy.max_radius):
-            ratio = consider(f_canon)
-            if passed(f_canon, ratio):
-                cert = build_certificate(model, f_canon, e_canon, cover, theta, mode)
-                return SearchResult("PASS", cert, f_canon, ratio, evaluations)
-        return SearchResult("EXHAUSTED", None, best_f, best_ratio, evaluations)
+        for f_canon, least in ball_walk(model, strategy.max_radius, pairs, cover):
+            if consider(f_canon, least):
+                return passing(f_canon, least)
+        return exhausted()
 
     if isinstance(strategy, LocalSetStrategy):
         rng = random.Random(strategy.seed)
         gens = model.generators()
         mul = model.unchecked_multiply
+        counts = _pair_counts(model, pairs, cover)
+        pool = [x for x in model.ball(2) if x in cover.ground]
 
-        def attempt(f_canon) -> Fraction | None:
-            """The candidate's ratio, or None when it leaves the window."""
-            try:
-                return consider(f_canon)
-            except WindowEscape:
-                return None
+        def start(f_canon) -> int | None:
+            """Count F from scratch: its least pair value, or None when it
+            leaves the window (the counts are then unusable until the next
+            start)."""
+            counts.reset()
+            return counts.least() if all(map(counts.add, f_canon)) else None
+
+        def score(y, inserted: bool) -> int | None:
+            """The least pair value after the move, by apply, read, undo;
+            None when the move leaves the window."""
+            if inserted:
+                if not counts.add(y):
+                    return None
+                least = counts.least()
+                counts.drop(y)
+            else:
+                counts.drop(y)
+                least = counts.least()
+                counts.add(y)
+            return least
 
         def random_start() -> tuple:
-            pool = [x for x in model.ball(2) if x in cover.ground]
-            rng.shuffle(pool)
-            for size in range(min(4, len(pool)), 0, -1):
-                cand = model.canon_set(pool[:size])
-                ratio = attempt(cand)
-                if ratio is not None:
-                    return cand, ratio
-            cand = model.canon_set([model.identity])
-            return cand, consider(cand)
+            """A valid start: a prefix of the shuffled pool, longest first,
+            then the identity, then each single element of the pool.  A
+            subset of a valid start is valid, so once one start was valid
+            every later restart finds one."""
+            shuffled = pool[:]
+            rng.shuffle(shuffled)
+            tries = [shuffled[:size] for size in range(min(4, len(shuffled)), 0, -1)]
+            tries.append([model.identity])
+            tries.extend([x] for x in shuffled)
+            for elems in tries:
+                cand = model.canon_set(elems)
+                least = start(cand)
+                if least is not None:
+                    return cand, least
+            raise WindowEscape("no valid starting candidate inside the window")
 
         current = model.canon_set([model.identity])
-        current_ratio = attempt(current)
-        if current_ratio is None:
-            try:
-                current, current_ratio = random_start()
-            except WindowEscape:
-                raise WindowEscape("no valid starting candidate inside the window") from None
-        if passed(current, current_ratio):
-            cert = build_certificate(model, current, e_canon, cover, theta, mode)
-            return SearchResult("PASS", cert, current, current_ratio, evaluations)
+        current_least = start(current)
+        if current_least is None:
+            current, current_least = random_start()
+        if consider(current, current_least):
+            return passing(current, current_least)
         while evaluations < strategy.budget:
             # moves keep canonical order: insert or drop at the sorted position
             moves = []
@@ -489,38 +672,42 @@ def folner_search(
                     y = mul(x, s)
                     if y not in fset and y in cover.ground:
                         at = bisect.bisect_left(current, key(y), key=key)
-                        moves.append(current[:at] + (y,) + current[at:])
+                        moves.append((current[:at] + (y,) + current[at:], y, True))
             if len(current) > 1:
-                for at in range(len(current)):
-                    moves.append(current[:at] + current[at + 1 :])
+                for at, y in enumerate(current):
+                    moves.append((current[:at] + current[at + 1 :], y, False))
             seen = set()
             scored = []
-            for cand in moves:
+            for cand, y, inserted in moves:
                 if cand in seen:
                     continue
-                ratio = attempt(cand)
-                if ratio is None:
+                least = score(y, inserted)
+                if least is None:
                     continue
                 seen.add(cand)
-                if passed(cand, ratio):
-                    cert = build_certificate(model, cand, e_canon, cover, theta, mode)
-                    return SearchResult("PASS", cert, cand, ratio, evaluations)
-                scored.append((ratio, cand))
+                if consider(cand, least):
+                    return passing(cand, least)
+                scored.append((least, cand, y, inserted))
                 if evaluations >= strategy.budget:
                     break
-            improving = [s for s in scored if s[0] > current_ratio]
-            if improving:
-                current_ratio, current = min(
-                    improving, key=lambda s: (-s[0], tuple(map(key, s[1])))
-                )
+            choice = None
+            for move in scored:
+                least, cand = move[0], move[1]
+                if least * len(current) > current_least * len(cand) and (
+                    choice is None or better(least, cand, choice[0], choice[1])
+                ):
+                    choice = move
+            if choice is not None:
+                current_least, current, y, inserted = choice
+                if inserted:
+                    counts.add(y)
+                else:
+                    counts.drop(y)
             else:
-                current, current_ratio = random_start()
-                if passed(current, current_ratio):
-                    cert = build_certificate(
-                        model, current, e_canon, cover, theta, mode
-                    )
-                    return SearchResult("PASS", cert, current, current_ratio, evaluations)
-        return SearchResult("EXHAUSTED", None, best_f, best_ratio, evaluations)
+                current, current_least = random_start()
+                if consider(current, current_least):
+                    return passing(current, current_least)
+        return exhausted()
 
     raise TypeError(f"unknown strategy: {strategy!r}")
 

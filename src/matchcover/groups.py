@@ -124,11 +124,17 @@ class GroupModel:
         return tuple(sorted([mul(g, x) for x in f], key=self.sort_key))
 
     def balls(self, radius: int):
-        """Yield the ball of each radius 0..radius from a single BFS.
+        """Yield the ball of each radius 0..radius from a single BFS."""
+        for ball, _ in self.ball_layers(radius):
+            yield ball
 
-        Each ball is canonically ordered; the ball of radius r + 1 is the
-        ball of radius r merged with the new sphere.  More than
-        ``DEFAULT_BALL_LIMIT`` elements is a GroupError.
+    def ball_layers(self, radius: int):
+        """Yield (ball, sphere) of each radius 0..radius from a single BFS.
+
+        Both are canonically ordered; the ball of radius r + 1 is the ball
+        of radius r merged with the sphere of radius r + 1, and the sphere
+        of radius 0 is the identity alone.  More than ``DEFAULT_BALL_LIMIT``
+        elements is a GroupError.
         """
         if radius < 0:
             raise ValueError("radius must be non-negative")
@@ -139,7 +145,7 @@ class GroupModel:
         seen = {self.identity}
         frontier = [self.identity]
         ball = (self.identity,)
-        yield ball
+        yield ball, ball
         for _ in range(radius):
             nxt = []
             for g in frontier:
@@ -152,8 +158,9 @@ class GroupModel:
                             raise GroupError(f"ball size exceeds cap {limit}")
             frontier = nxt
             nxt.sort(key=key)
-            ball = tuple(sorted(ball + tuple(nxt), key=key))
-            yield ball
+            sphere = tuple(nxt)
+            ball = tuple(sorted(ball + sphere, key=key))
+            yield ball, sphere
 
     def ball(self, radius: int) -> tuple:
         """All elements of word length <= radius over the symmetric generators."""

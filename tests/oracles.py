@@ -6,17 +6,20 @@ the graph into connected components to keep the subset space small.  The
 Hall-deficiency oracle never touches a matching: it enumerates every subset
 of the left part.  The ball oracle runs one BFS per radius on the validating
 group law, and the adversary oracle recounts every pair on every move.  The
-ramsey oracle is the object-level loop: ``Embedding`` composites, ``rho``
-on each pair of embeddings, and colorings as dicts keyed by embedding.  The
-certificate-pair oracle builds the whole covering graph, validates the
-witness against its edge set and reruns Hopcroft-Karp.  The perfect-net
-oracle builds the covering by all right translates of U^-1 U and matches
-each translate on its covering graph.  The associativity oracle scans every
-triple of a multiplication table.
+candidate-search and sweep oracles build every translate of every candidate
+and recount its blocks with ``mu_partition`` (``mu`` on a covering that is
+not a partition).  The ramsey oracle is the object-level loop: ``Embedding``
+composites, ``rho`` on each pair of embeddings, and colorings as dicts keyed
+by embedding.  The certificate-pair oracle builds the whole covering graph,
+validates the witness against its edge set and reruns Hopcroft-Karp.  The
+perfect-net oracle builds the covering by all right translates of U^-1 U
+and matches each translate on its covering graph.  The associativity oracle
+scans every triple of a multiplication table.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from fractions import Fraction
@@ -28,12 +31,23 @@ from matchcover.bipartite import (
     covering_graph,
     max_matching,
     mu,
+    mu_partition,
     mu_with_witness,
     validate_witness,
 )
 from matchcover import folner
 from matchcover.cover import Covering, GroundSet
-from matchcover.folner import Coloring, Finding, WindowEscape, required_pairs
+from matchcover.folner import (
+    BallsStrategy,
+    Coloring,
+    Finding,
+    LocalSetStrategy,
+    SearchResult,
+    WindowEscape,
+    build_certificate,
+    required_pairs,
+    theta_threshold,
+)
 from matchcover.ramsey import Embedding, RamseyOutcome, embeddings
 
 
@@ -303,6 +317,132 @@ def adversary_local_reference(
         default=f_size,
     )
     return coloring, Fraction(exact, f_size)
+
+
+def min_pair_mu_reference(model, f_canon: tuple, pairs, cover: Covering) -> int:
+    """Smallest mu(gF, hF) over the pairs from every translate built anew:
+    ``mu_partition`` on a partition, ``mu`` otherwise; |F| with no pairs.
+    Escapes raise as ``folner._translates`` raises them."""
+    translates = folner._translates(model, f_canon, pairs, cover.ground)
+    evaluate = mu_partition if cover.is_partition() else mu
+    return min((evaluate(gf, hf, cover) for gf, hf in translates), default=len(f_canon))
+
+
+def sweep_reference(model, radius: int, pairs, cover: Covering) -> list:
+    """(ball, min pair mu) for each radius 0..radius, each ball recounted."""
+    return [(ball, min_pair_mu_reference(model, ball, pairs, cover)) for ball in model.balls(radius)]
+
+
+def folner_search_reference(
+    model, e_set, cover, theta, mode: str, strategy, stats: dict | None = None
+) -> SearchResult:
+    """``folner_search`` on a Covering, recounting every candidate in full.
+
+    Same candidates, order, ``seen`` set, tie-breaks, evaluation count and
+    restarts as the library; the ratio of each candidate is a ``Fraction``
+    from ``min_pair_mu_reference``.  A restart tries prefixes of the shuffled
+    pool, then the identity, then each single pool element.  ``stats``, when
+    given, counts the moves that left the window (``escapes``) and the random
+    restarts after the start (``restarts``).
+    """
+    stats = stats if stats is not None else {}
+    stats.setdefault("escapes", 0)
+    stats.setdefault("restarts", 0)
+    theta = Fraction(theta)
+    e_canon = model.canon_set(e_set)
+    pairs = required_pairs(model, e_canon, mode)
+    evaluations = 0
+    best_f: tuple = ()
+    best_ratio = Fraction(-1)
+    key = model.sort_key
+
+    def consider(f_canon) -> Fraction:
+        nonlocal evaluations, best_f, best_ratio
+        ratio = Fraction(min_pair_mu_reference(model, f_canon, pairs, cover), len(f_canon))
+        evaluations += 1
+        if ratio > best_ratio or (
+            ratio == best_ratio and tuple(map(key, f_canon)) < tuple(map(key, best_f))
+        ):
+            best_f, best_ratio = f_canon, ratio
+        return ratio
+
+    def passed(f_canon, ratio) -> bool:
+        return ratio * len(f_canon) >= theta_threshold(theta, len(f_canon))
+
+    def passing(f_canon, ratio) -> SearchResult:
+        cert = build_certificate(model, f_canon, e_canon, cover, theta, mode)
+        return SearchResult("PASS", cert, f_canon, ratio, evaluations)
+
+    if isinstance(strategy, BallsStrategy):
+        for f_canon in model.balls(strategy.max_radius):
+            ratio = consider(f_canon)
+            if passed(f_canon, ratio):
+                return passing(f_canon, ratio)
+        return SearchResult("EXHAUSTED", None, best_f, best_ratio, evaluations)
+
+    assert isinstance(strategy, LocalSetStrategy)
+    rng = random.Random(strategy.seed)
+    gens = model.generators()
+
+    def attempt(f_canon) -> Fraction | None:
+        try:
+            return consider(f_canon)
+        except WindowEscape:
+            stats["escapes"] += 1
+            return None
+
+    def random_start() -> tuple:
+        pool = [x for x in model.ball(2) if x in cover.ground]
+        rng.shuffle(pool)
+        tries = [pool[:size] for size in range(min(4, len(pool)), 0, -1)]
+        tries += [[model.identity]] + [[x] for x in pool]
+        for elems in tries:
+            cand = model.canon_set(elems)
+            ratio = attempt(cand)
+            if ratio is not None:
+                return cand, ratio
+        raise WindowEscape("no valid starting candidate inside the window")
+
+    current = model.canon_set([model.identity])
+    current_ratio = attempt(current)
+    if current_ratio is None:
+        current, current_ratio = random_start()
+    if passed(current, current_ratio):
+        return passing(current, current_ratio)
+    while evaluations < strategy.budget:
+        moves = []
+        for x in current:
+            for s in gens:
+                y = model.multiply(x, s)
+                if y not in current and y in cover.ground:
+                    at = bisect.bisect_left(current, key(y), key=key)
+                    moves.append(current[:at] + (y,) + current[at:])
+        if len(current) > 1:
+            for at in range(len(current)):
+                moves.append(current[:at] + current[at + 1 :])
+        seen = set()
+        scored = []
+        for cand in moves:
+            if cand in seen:
+                continue
+            ratio = attempt(cand)
+            if ratio is None:
+                continue
+            seen.add(cand)
+            if passed(cand, ratio):
+                return passing(cand, ratio)
+            scored.append((ratio, cand))
+            if evaluations >= strategy.budget:
+                break
+        improving = [s for s in scored if s[0] > current_ratio]
+        if improving:
+            current_ratio, current = min(improving, key=lambda s: (-s[0], tuple(map(key, s[1]))))
+        else:
+            stats["restarts"] += 1
+            current, current_ratio = random_start()
+            if passed(current, current_ratio):
+                return passing(current, current_ratio)
+    return SearchResult("EXHAUSTED", None, best_f, best_ratio, evaluations)
 
 
 def check_pair_reference(model, f_set: tuple, cover: Covering, pair, need: int) -> list:

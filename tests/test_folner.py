@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import random
 from fractions import Fraction
@@ -42,16 +43,20 @@ from lemmas import (
 from oracles import (
     adversary_local_reference,
     check_pair_reference,
+    folner_search_reference,
     max_matching_bruteforce,
     perfect_net_reference,
     random_covering,
     random_partition,
     random_subset,
     right_translate_covering,
+    sweep_reference,
 )
 from matchcover.bipartite import covering_graph
+from matchcover.cli import _search_window, builtin_coloring, dispatch
 
 Z = IntegerLattice(1)
+Z2 = IntegerLattice(2)
 F2 = FreeGroup(2)
 
 
@@ -454,6 +459,226 @@ class TestSearch:
             )
             runs.append(canonical_dumps(certificate_to_json(result.certificate)))
         assert runs[0] == runs[1]
+
+
+def builtin_partition(model, name, window) -> Covering:
+    return builtin_coloring(model, name, window).partition()
+
+
+def strip_cover(window) -> Covering:
+    """Overlapping vertical strips of a Z^2 window: not a partition."""
+    blocks: dict = {}
+    for x in window:
+        blocks.setdefault(("even", x[0] // 2), []).append(x)
+        blocks.setdefault(("odd", (x[0] + 1) // 2), []).append(x)
+    return Covering(GroundSet(window), blocks.values())
+
+
+# (id, model, window radius, builtin coloring, E); every E has translators
+# g != h that put g*y and h*y in one block: (0,0) and (1,1), or (2,1) and
+# (-1,0), keep Z^2 parity for every y, the identity and ab keep F_2 parity,
+# and a and ab give a*y and ab*y the first letter a unless y starts with A
+COUNT_CASES = [
+    ("z2-parity", Z2, 6, "parity", [(0, 0), (1, 0), (0, 1), (1, 1)]),
+    ("z2-parity-far", Z2, 6, "parity", [(2, 1), (-1, 0), (0, 2)]),
+    ("f2-parity", F2, 4, "parity", [(), (1,), (1, 2), (-2, -1)]),
+    ("f2-first-letter", F2, 4, "first-letter", [(1,), (1, 2), (-2,)]),
+]
+
+
+class TestPartitionCounts:
+    @pytest.mark.parametrize("mode", ["asym", "sym"])
+    @pytest.mark.parametrize(
+        "name, model, radius, coloring, e_set", COUNT_CASES, ids=[c[0] for c in COUNT_CASES]
+    )
+    def test_values_track_mu_partition(self, name, model, radius, coloring, e_set, mode):
+        window = model.ball(radius)
+        cover = builtin_partition(model, coloring, window)
+        pairs = required_pairs(model, e_set, mode)
+        counts = folner._PartitionCounts(model, pairs, cover)
+        rng = random.Random(f"{name}/{mode}")
+        index = cover.blocks_of
+        members: set = set()
+        same_block = refused = drops = 0
+        for _ in range(400):
+            if members and rng.random() < 0.4:
+                y = rng.choice(sorted(members, key=model.sort_key))
+                counts.drop(y)
+                members.remove(y)
+                drops += 1
+            else:
+                y = rng.choice([x for x in window if x not in members])
+                before = (list(counts.values), [list(c) for c in counts.counts], counts.size)
+                if not counts.add(y):
+                    refused += 1
+                    assert (counts.values, counts.counts, counts.size) == before
+                    continue
+                members.add(y)
+            same_block += any(
+                g != h and index[model.multiply(g, y)] == index[model.multiply(h, y)]
+                for g, h in pairs
+            )
+            f = model.canon_set(members)
+            want = [
+                mu_partition(model.translate(g, f), model.translate(h, f), cover)
+                for g, h in pairs
+            ]
+            assert counts.values == want
+            assert counts.size == len(f)
+            assert counts.least() == min(want, default=len(f))
+        assert same_block and refused and drops
+
+    def test_min_pair_mu_escape_text_is_the_translates_text(self):
+        cover = builtin_partition(Z2, "parity", Z2.ball(3))
+        pairs = required_pairs(Z2, [(1, 0), (0, 2)], "sym")
+        for f in (Z2.ball(2), Z2.canon_set([(0, 0), (5, 5)]), Z2.canon_set([(-3, 0)])):
+            with pytest.raises(WindowEscape) as got:
+                folner.min_pair_mu(Z2, f, pairs, cover)
+            with pytest.raises(WindowEscape) as want:
+                folner._translates(Z2, f, pairs, cover.ground)
+            assert str(got.value) == str(want.value)
+
+
+def search_cases() -> list:
+    """(id, model, E, cover, theta, mode, strategy) for the reference tests.
+
+    The windows are tight, so local moves leave them, and theta is out of
+    reach for most, so the local searches restart."""
+    z2_window = Z2.ball(5)
+    z2_parity = builtin_partition(Z2, "parity", z2_window)
+    f2_window = F2.ball(4)
+    f2_first = builtin_partition(F2, "first-letter", f2_window)
+    f2_parity = builtin_partition(F2, "parity", f2_window)
+    cases = []
+    for mode in ("asym", "sym"):
+        # the balls fit their windows; the local searches roam out of them
+        for radius, seed, budget in ((None, 1, 400), (None, 7, 900), (3, None, None)):
+            if radius is None:
+                z2_strategy = f2_strategy = LocalSetStrategy(seed=seed, budget=budget)
+                tag = f"local{seed}-{mode}"
+            else:
+                z2_strategy, f2_strategy = BallsStrategy(radius), BallsStrategy(radius - 1)
+                tag = f"balls-{mode}"
+            cases += [
+                (f"z2-parity-{tag}", Z2, [(0, 0), (1, 0), (0, 1), (1, 1)], z2_parity,
+                 Fraction(99, 100), mode, z2_strategy),
+                (f"z2-parity-pass-{tag}", Z2, [(1, 0), (0, 1), (-1, 1)], z2_parity,
+                 Fraction(1, 2), mode, z2_strategy),
+                (f"z2-strips-{tag}", Z2, [(1, 0), (0, 1), (1, 1)], strip_cover(z2_window),
+                 Fraction(99, 100), mode, z2_strategy),
+                (f"f2-first-letter-{tag}", F2, [(1,), (-2,), (1, 2)], f2_first,
+                 Fraction(99, 100), mode, f2_strategy),
+                (f"f2-parity-{tag}", F2, [(), (1,), (2, 1)], f2_parity,
+                 Fraction(9, 10), mode, f2_strategy),
+            ]
+    return cases
+
+
+SEARCH_CASES = search_cases()
+
+
+class TestSearchReference:
+    @pytest.mark.parametrize(
+        "name, model, e_set, cover, theta, mode, strategy",
+        SEARCH_CASES,
+        ids=[c[0] for c in SEARCH_CASES],
+    )
+    def test_whole_result_matches_full_recount(self, name, model, e_set, cover, theta,
+                                               mode, strategy):
+        got = folner_search(model, e_set, cover, theta, mode, strategy)
+        want = folner_search_reference(model, e_set, cover, theta, mode, strategy)
+        assert got == want
+
+    def test_cases_leave_the_window_and_restart(self):
+        stats = {}
+        for _, model, e_set, cover, theta, mode, strategy in SEARCH_CASES:
+            if isinstance(strategy, LocalSetStrategy):
+                folner_search_reference(model, e_set, cover, theta, mode, strategy, stats)
+        assert stats["escapes"] > 0 and stats["restarts"] > 0
+
+    @pytest.mark.parametrize("mode", ["asym", "sym"])
+    def test_ball_escape_text_matches_reference(self, mode):
+        cases = [
+            (Z2, [(0, 0), (1, 0), (0, 3)], builtin_partition(Z2, "parity", Z2.ball(4))),
+            (Z2, [(3, 0), (0, 1)], strip_cover(Z2.ball(4))),
+            (F2, [(1,), (2, 2)], builtin_partition(F2, "first-letter", F2.ball(3))),
+        ]
+        for model, e_set, cover in cases:
+            with pytest.raises(WindowEscape) as got:
+                folner_search(model, e_set, cover, 1, mode, BallsStrategy(6))
+            with pytest.raises(WindowEscape) as want:
+                folner_search_reference(model, e_set, cover, 1, mode, BallsStrategy(6))
+            assert str(got.value) == str(want.value)
+            pairs = required_pairs(model, e_set, mode)
+            with pytest.raises(WindowEscape) as walked:
+                list(folner.ball_walk(model, 6, pairs, cover))
+            with pytest.raises(WindowEscape) as swept:
+                sweep_reference(model, 6, pairs, cover)
+            assert str(walked.value) == str(swept.value) == str(want.value)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_restart_finds_a_single_element_start(self, seed):
+        # E = {5} leaves only F inside {-2, -1} valid; the identity is not,
+        # and a shuffled prefix is valid only when it starts with -2 or -1
+        ground = GroundSet(z_atoms(-2, 4))
+        cover = Covering(ground, [z_atoms(-2, 2), z_atoms(3, 4)])
+        strategy = LocalSetStrategy(seed=seed, budget=50)
+        result = folner_search(Z, [(5,)], cover, 1, strategy=strategy)
+        assert result.status == "EXHAUSTED"
+        assert result.best_f == ((-2,),) and result.best_ratio == 0
+        assert result == folner_search_reference(Z, [(5,)], cover, 1, "asym", strategy)
+
+    def test_no_valid_start_is_window_escape(self):
+        cover = Covering(GroundSet(z_atoms(-2, 2)), [z_atoms(-2, 2)])
+        with pytest.raises(WindowEscape, match="no valid starting candidate"):
+            folner_search(Z, [(5,)], cover, 1, strategy=LocalSetStrategy(seed=0, budget=50))
+
+
+class TestBallWalk:
+    @pytest.mark.parametrize("d, radius", [(1, 9), (2, 6), (3, 4)])
+    def test_matches_per_ball_recount(self, d, radius):
+        model = IntegerLattice(d)
+        rng = random.Random(d)
+        window = model.ball(radius + 2)
+        covers = [builtin_partition(model, "parity", window)]
+        for _ in range(2):
+            # a random partition and a random covering of the window
+            colors = [rng.randrange(3) for _ in window]
+            covers.append(Coloring(GroundSet(window), tuple(colors), 2).partition())
+            extra = [[x for x in window if rng.random() < 0.3] or [window[0]]]
+            covers.append(Covering(GroundSet(window), [*covers[-1].blocks, *extra]))
+        e_sets = [model.generators(), rng.sample(model.ball(2), 3)]
+        for cover in covers:
+            for e_set in e_sets:
+                for mode in ("asym", "sym"):
+                    pairs = required_pairs(model, e_set, mode)
+                    assert list(folner.ball_walk(model, radius, pairs, cover)) == (
+                        sweep_reference(model, radius, pairs, cover)
+                    )
+
+    @pytest.mark.parametrize("d, radius, e_text", [(1, 12, "2;-3"), (2, 7, "1,0;0,-2;1,1"),
+                                                    (3, 4, "1,0,0;0,1,-1")])
+    @pytest.mark.parametrize("mode", ["asym", "sym"])
+    def test_sweep_rows_match_reference(self, tmp_path, d, radius, e_text, mode):
+        model = IntegerLattice(d)
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--group", f"zd{d}", f"--e={e_text}", "--theta-grid", "1/2:1:1/4",
+                "--max-radius", str(radius), "--mode", mode, "--out", str(out)]
+        assert dispatch(argv) == 0
+        e_set = [model.parse_elem(part) for part in e_text.split(";")]
+        window = _search_window(model, e_set, BallsStrategy(radius))
+        cover = builtin_partition(model, "parity", window)
+        want = [
+            (str(r), str(len(ball)), str(least))
+            for r, (ball, least) in enumerate(
+                sweep_reference(model, radius, required_pairs(model, e_set, mode), cover)
+            )
+        ]
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3 * len(want)
+        got = [(row["radius"], row["f_size"], row["min_mu"]) for row in rows]
+        assert got == want * 3
 
 
 class TestAdversary:
