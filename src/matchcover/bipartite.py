@@ -1,10 +1,12 @@
 """Maximum bipartite matching with certified witnesses.
 
 The matcher is an augmenting-path implementation (Hopcroft-Karp phasing)
-that returns an explicit matching.  The Hall deficiency, computed from
-alternating reachability on a maximum matching (Koenig's construction),
-certifies maximality from the dual side: matching size plus deficiency
-always equals the size of the left part.
+that returns an explicit matching.  Its core runs on adjacency rows, which
+library callers build directly; ``BipartiteGraph`` is the checked type for
+graphs from outside and for covering graphs.  The Hall deficiency, computed
+from alternating reachability on a maximum matching (Koenig's
+construction), certifies maximality from the dual side: matching size plus
+deficiency always equals the size of the left part.
 
 Covering-induced graphs connect x to y whenever some block of the covering
 contains both, so matching numbers between finite sets with respect to a
@@ -16,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .cover import Covering
 
@@ -36,6 +38,9 @@ class BipartiteGraph:
     edges: frozenset
 
     def __post_init__(self):
+        for side, names in (("left", self.left), ("right", self.right)):
+            if len(set(names)) != len(names):
+                raise ValueError(f"duplicate {side} vertex names")
         nl, nr = len(self.left), len(self.right)
         for i, j in self.edges:
             if not (0 <= i < nl and 0 <= j < nr):
@@ -77,15 +82,22 @@ def validate_witness(graph: BipartiteGraph, witness: MatchingWitness) -> None:
 
 
 def max_matching(graph: BipartiteGraph) -> tuple[int, MatchingWitness]:
-    """Maximum matching via Hopcroft-Karp.
+    """Maximum matching via Hopcroft-Karp on the graph's adjacency rows."""
+    return _match_rows(graph.adjacency(), len(graph.right))
 
-    Left vertices are scanned in index order and adjacency lists are sorted,
-    so the returned witness is deterministic for a fixed input ordering.
+
+def _match_rows(adj: Sequence, n_right: int) -> tuple[int, MatchingWitness]:
+    """Hopcroft-Karp on ``adj[i]``, the right indices (below ``n_right``,
+    ascending) joined to left index i.
+
+    Left vertices are scanned in index order and rows ascend, so the
+    witness depends only on the rows.  Rows are trusted: callers inside the
+    library build them in range and in order, and ``BipartiteGraph`` checks
+    graphs that come from outside.
     """
-    adj = graph.adjacency()
-    nl = len(graph.left)
+    nl = len(adj)
     match_l = [_UNSET] * nl
-    match_r = [_UNSET] * len(graph.right)
+    match_r = [_UNSET] * n_right
     dist = [0] * nl
     inf = nl + 1
 
@@ -158,10 +170,10 @@ def hall_deficiency(graph: BipartiteGraph) -> tuple[int, tuple]:
     unique inclusion-minimal maximizer; it is reported in left order.
     """
     nl = len(graph.left)
-    size, witness = max_matching(graph)
+    adj = graph.adjacency()
+    size, witness = _match_rows(adj, len(graph.right))
     matched_l = {i: j for i, j in witness.pairs}
     matched_r = {j: i for i, j in witness.pairs}
-    adj = graph.adjacency()
     # alternating reachability from unmatched left vertices
     reach = [u for u in range(nl) if u not in matched_l]
     seen_l = set(reach)

@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .bipartite import (
-    BipartiteGraph,
+    _match_rows,
     covering_graph,
     max_matching,
     MatchingWitness,
@@ -263,7 +263,8 @@ class _CoveringRecount:
     """``_PartitionCounts``'s moves on a covering that is not a partition.
 
     F is kept as a set; an add checks the window the same way, and each
-    read recounts every pair through ``min_pair_mu`` on the general matcher.
+    read builds every translate and recounts every pair on the general
+    matcher.
     """
 
     def __init__(self, model: GroupModel, pairs, cover: Covering) -> None:
@@ -275,9 +276,10 @@ class _CoveringRecount:
         self._members: set = set()
 
     def least(self) -> int:
-        model = self._model
+        model, cover = self._model, self._cover
         f_canon = tuple(sorted(self._members, key=model.sort_key))
-        return min_pair_mu(model, f_canon, self._pairs, self._cover)
+        translates = _translates(model, f_canon, self._pairs, cover.ground)
+        return min((mu(gf, hf, cover) for gf, hf in translates), default=len(f_canon))
 
     def add(self, y) -> bool:
         ground = self._cover.ground
@@ -300,15 +302,12 @@ def min_pair_mu(model: GroupModel, f_canon: tuple, pairs, cover: Covering) -> in
     """Smallest mu(gF, hF) over the pairs; |F| when there are none.
 
     ``f_canon`` must be canonical (``canon_set`` or ``ball`` output) and the
-    pairs must come from ``required_pairs``.  On a partition this is the
-    incremental evaluator ``_PartitionCounts`` filled with F; other
-    coverings build every translate and take the general matcher.  Raises
-    WindowEscape if F or a translate leaves the covering's ground.
+    pairs must come from ``required_pairs``.  This is ``_pair_counts``
+    filled with F: on a partition the incremental evaluator, on other
+    coverings the general matcher.  Raises WindowEscape if F or a translate
+    leaves the covering's ground.
     """
-    if not cover.is_partition():
-        translates = _translates(model, f_canon, pairs, cover.ground)
-        return min((mu(gf, hf, cover) for gf, hf in translates), default=len(f_canon))
-    counts = _PartitionCounts(model, pairs, cover)
+    counts = _pair_counts(model, pairs, cover)
     if not all(map(counts.add, f_canon)):
         _raise_escape(model, f_canon, pairs, cover.ground)
     return counts.least()
@@ -1006,10 +1005,8 @@ def perfect_net(model: FiniteTableGroup, u_set: Iterable) -> PerfectNet:
     matchings = []
     for g in range(n):
         gf = model.unchecked_translate(g, f_canon)
-        edges = frozenset(
-            (i, j) for i, reach in enumerate(near) for j, b in enumerate(gf) if b in reach
-        )
-        size, witness = max_matching(BipartiteGraph(f_canon, gf, edges))
+        rows = [[j for j, b in enumerate(gf) if b in reach] for reach in near]
+        size, witness = _match_rows(rows, len(gf))
         if size != len(f_canon):
             raise RuntimeError(
                 f"imperfect matching for translate {model.elem_str(g)}"

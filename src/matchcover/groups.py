@@ -123,11 +123,6 @@ class GroupModel:
         mul = self.unchecked_multiply
         return tuple(sorted([mul(g, x) for x in f], key=self.sort_key))
 
-    def balls(self, radius: int):
-        """Yield the ball of each radius 0..radius from a single BFS."""
-        for ball, _ in self.ball_layers(radius):
-            yield ball
-
     def ball_layers(self, radius: int):
         """Yield (ball, sphere) of each radius 0..radius from a single BFS.
 
@@ -164,7 +159,7 @@ class GroupModel:
 
     def ball(self, radius: int) -> tuple:
         """All elements of word length <= radius over the symmetric generators."""
-        for last in self.balls(radius):
+        for last, _ in self.ball_layers(radius):
             pass
         return last
 

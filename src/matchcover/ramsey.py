@@ -25,7 +25,7 @@ over sets of colors (König; Ore), which walks 2^(k+1) sets at most.
 ``check_report`` replays a stored outcome for ``matchcover verify`` on the
 same kernel.  Where a mask graph may carry more colors than that (a stored
 coloring with too many colors, or ``ramsey_mu``, which has no k), its
-matching number comes from ``max_matching`` instead.
+matching number comes from Hopcroft-Karp on the mask graph's rows instead.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .bipartite import BipartiteGraph, max_matching
+from .bipartite import _match_rows
 from .folner import CheckReport, Finding
 from .groups import _require_fraction
 
@@ -214,11 +214,8 @@ def _hall_mu(left: Sequence, right: Sequence) -> int:
 def _matcher_mu(left: Sequence, right: Sequence) -> int:
     """The matching number of ``_hall_mu``'s graph by Hopcroft-Karp, whose
     cost does not grow with the number of colors."""
-    edges = frozenset(
-        (i, j) for i, x in enumerate(left) for j, y in enumerate(right) if x & y
-    )
-    graph = BipartiteGraph(tuple(range(len(left))), tuple(range(len(right))), edges)
-    return max_matching(graph)[0]
+    rows = [[j for j, y in enumerate(right) if x & y] for x in left]
+    return _match_rows(rows, len(right))[0]
 
 
 def _need(eps: Fraction, size: int) -> int:
@@ -247,10 +244,11 @@ def ramsey_mu(
     ``alpha`` and ``beta`` are source-to-mid embeddings.  Indices gamma and
     gamma' are joined when the composites psi[gamma] o alpha and
     psi[gamma'] o beta both lie strictly within eps of a single color class
-    of ``phi``.  Validates eps, the family and the coloring, then gives each
-    composite the bitmask of the colors within eps of it and matches the
-    mask graph with ``max_matching``.  Nothing bounds the number of colors here, so Hall's
-    defect, which walks every set of them, is not used.
+    of ``phi``.  Validates eps, the family and the coloring, then reads the
+    two sides off the check's kernel, with (alpha, beta) as emb(a, b) and
+    ``psi`` as emb(b, c), and matches the mask graph with ``_matcher_mu``.
+    Nothing bounds the number of colors here, so Hall's defect, which walks
+    every set of them, is not used.
     """
     eps = _require_fraction(eps)
     if eps <= 0:
@@ -265,20 +263,10 @@ def ramsey_mu(
     emb_ac = embeddings(alpha.source, large)
     if set(phi.keys()) != set(emb_ac):
         raise ValueError("coloring is not total on the source-to-large embeddings")
-    colored = [(e.images, phi[e]) for e in emb_ac]
-    codes: dict = {}
-
-    def near(p: Embedding, via: Embedding) -> int:
-        images = tuple(p.images[j] for j in via.images)
-        colors: set = set()
-        for other, color in colored:
-            if color in colors:
-                continue  # one member within eps puts its whole color near
-            if max(large.dist[x][y] for x, y in zip(images, other)) < eps:
-                colors.add(color)
-        return sum(1 << codes.setdefault(color, len(codes)) for color in colors)
-
-    return _matcher_mu([near(p, alpha) for p in psi], [near(p, beta) for p in psi])
+    emb_ab, emb_bc = [alpha.images, beta.images], [p.images for p in psi]
+    close, comp = _kernel(large.dist, eps, emb_ab, [e.images for e in emb_ac], emb_bc)
+    left, right = _sides(close, comp, _color_bits([phi[e] for e in emb_ac]))
+    return _matcher_mu(left, right)
 
 
 @dataclass(frozen=True)

@@ -329,8 +329,10 @@ def min_pair_mu_reference(model, f_canon: tuple, pairs, cover: Covering) -> int:
 
 
 def sweep_reference(model, radius: int, pairs, cover: Covering) -> list:
-    """(ball, min pair mu) for each radius 0..radius, each ball recounted."""
-    return [(ball, min_pair_mu_reference(model, ball, pairs, cover)) for ball in model.balls(radius)]
+    """(ball, min pair mu) for each radius 0..radius, each ball rebuilt by
+    ``ball_reference`` and recounted."""
+    balls = (ball_reference(model, r) for r in range(radius + 1))
+    return [(ball, min_pair_mu_reference(model, ball, pairs, cover)) for ball in balls]
 
 
 def folner_search_reference(
@@ -374,7 +376,7 @@ def folner_search_reference(
         return SearchResult("PASS", cert, f_canon, ratio, evaluations)
 
     if isinstance(strategy, BallsStrategy):
-        for f_canon in model.balls(strategy.max_radius):
+        for f_canon in (ball_reference(model, r) for r in range(strategy.max_radius + 1)):
             ratio = consider(f_canon)
             if passed(f_canon, ratio):
                 return passing(f_canon, ratio)

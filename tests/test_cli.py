@@ -206,6 +206,22 @@ class TestMuAndMatch:
         assert doc["deficiency"] == 1
         assert doc["deficiency_witness"] == ["a", "b"]
 
+    @pytest.mark.parametrize(
+        "left, right, side",
+        [(["x", "x"], ["u"], "left"), (["x", "y"], ["u", "u"], "right")],
+        ids=["left", "right"],
+    )
+    def test_match_duplicate_names_is_exit_two(self, tmp_path, capsys, left, right, side):
+        # read by name, S = {x, x} is one vertex with one neighbour, not a
+        # deficient pair
+        graph = write(
+            tmp_path / "graph.json", {"left": left, "right": right, "edges": [[0, 0], [1, 0]]}
+        )
+        assert dispatch(["match", "--graph", graph, "--deficiency"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: duplicate {side} vertex names\n"
+
     def test_match_long_alternating_path(self, tmp_path, capsys):
         n = 1200
         edges = [[i, j] for i in range(n - 1) for j in (i, i + 1)] + [[n - 1, 0]]

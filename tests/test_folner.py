@@ -788,6 +788,11 @@ def net_cases() -> list:
         cases.append(
             (f"s5-bench{k}", s5, [s5.identity, *three_cycles, rng.choice(transpositions)])
         )
+    # W*W a proper subset of S_5, so no translate graph is complete: A_5
+    # (the 3-cycles alone; most witnesses are not i -> i), and {e, t} (two
+    # edges per row)
+    cases.append(("s5-even", s5, [s5.identity, *three_cycles]))
+    cases.append(("s5-transposition", s5, [s5.identity, rng.choice(transpositions)]))
     return cases
 
 

@@ -142,7 +142,7 @@ class TestBall:
             (symmetric_group(4), 3),
         ]
         for model, radius in models:
-            balls = list(model.balls(radius))
+            balls = [ball for ball, _ in model.ball_layers(radius)]
             assert len(balls) == radius + 1
             for r, ball in enumerate(balls):
                 assert ball == ball_reference(model, r), (model.describe(), r)
@@ -151,7 +151,7 @@ class TestBall:
     def test_balls_cap_and_negative_radius(self, monkeypatch):
         monkeypatch.setattr(groups, "DEFAULT_BALL_LIMIT", 100)
         with pytest.raises(GroupError, match="cap"):
-            list(F2.balls(8))
+            list(F2.ball_layers(8))
         with pytest.raises(ValueError):
             F2.ball(-1)
 

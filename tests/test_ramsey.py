@@ -12,6 +12,7 @@ from matchcover.ramsey import (
     FinMetric,
     RamseyOutcome,
     _hall_mu,
+    _matcher_mu,
     check_report,
     embeddings,
     ramsey_condition_check,
@@ -259,6 +260,7 @@ class TestHallDefect:
                 )
                 graph = BipartiteGraph(tuple(range(m)), tuple(range(m)), edges)
                 value = _hall_mu(left, right)
+                assert value == _matcher_mu(left, right)
                 assert value == max_matching(graph)[0] == max_matching_bruteforce(graph)
 
 
