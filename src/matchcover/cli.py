@@ -546,20 +546,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v")
     p.add_argument("-n", type=int, default=1, help="star iterate count")
     _add_output(p)
-    p.set_defaults(handler=_cmd_cover)
+    p.set_defaults(handler="_cmd_cover")
 
     p = sub.add_parser("mu", help="matching number between two sets under a covering")
     p.add_argument("--cover", required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     _add_output(p)
-    p.set_defaults(handler=_cmd_mu)
+    p.set_defaults(handler="_cmd_mu")
 
     p = sub.add_parser("match", help="maximum matching on a bipartite graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--deficiency", action="store_true")
     _add_output(p)
-    p.set_defaults(handler=_cmd_match)
+    p.set_defaults(handler="_cmd_match")
 
     p = sub.add_parser("folner", help="certificate search, adversaries, nets")
     fol = p.add_subparsers(dest="action", required=True)
@@ -577,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--budget", type=int, default=300)
     _add_output(q, summary=False)
     q.add_argument("--seed", type=int, default=0)
-    q.set_defaults(handler=_cmd_folner_search)
+    q.set_defaults(handler="_cmd_folner_search")
 
     q = fol.add_parser("adversary")
     q.add_argument("--group", required=True)
@@ -592,14 +592,14 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--plateau", type=int, default=20)
     _add_output(q)
     q.add_argument("--seed", type=int, default=0)
-    q.set_defaults(handler=_cmd_folner_adversary)
+    q.set_defaults(handler="_cmd_folner_adversary")
 
     q = fol.add_parser("net")
     q.add_argument("--group", required=True)
     q.add_argument("--u")
     q.add_argument("--u-file")
     _add_output(q)
-    q.set_defaults(handler=_cmd_folner_net)
+    q.set_defaults(handler="_cmd_folner_net")
 
     q = fol.add_parser("mono")
     q.add_argument("--group", required=True)
@@ -608,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--e")
     q.add_argument("--e-file")
     _add_output(q)
-    q.set_defaults(handler=_cmd_folner_mono)
+    q.set_defaults(handler="_cmd_folner_mono")
 
     p = sub.add_parser("means", help="convolution and rational approximation")
     p.add_argument("action", choices=["convolve", "rationalize"])
@@ -618,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha")
     p.add_argument("--theta")
     _add_output(p, summary=False)
-    p.set_defaults(handler=_cmd_means)
+    p.set_defaults(handler="_cmd_means")
 
     p = sub.add_parser("ramsey", help="matching condition on finite metric spaces")
     ram = p.add_subparsers(dest="action", required=True)
@@ -632,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--max-family", type=int, default=4)
     _add_output(q, summary=False)
     q.add_argument("--seed", type=int, default=0)
-    q.set_defaults(handler=_cmd_ramsey)
+    q.set_defaults(handler="_cmd_ramsey")
 
     p = sub.add_parser("sweep", help="CSV of min ratios per (theta, radius)")
     p.add_argument("--group", required=True)
@@ -644,23 +644,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-radius", type=int, default=8)
     p.add_argument("--mode", choices=["asym", "sym"], default="asym")
     p.add_argument("--out", help="write the CSV to this path (default sweep.csv)")
-    p.set_defaults(handler=_cmd_sweep)
+    p.set_defaults(handler="_cmd_sweep")
 
     p = sub.add_parser("verify", help="replay any emitted certificate document")
     p.add_argument("path")
-    p.set_defaults(handler=_cmd_verify)
+    p.set_defaults(handler="_cmd_verify")
 
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use.  ``parse_args`` keeps
+    no state between calls, and each leaf names its handler, which
+    ``dispatch`` looks up when it runs, so a replaced ``_cmd_*`` is seen."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return args.handler(args, argv)
+        return globals()[args.handler](args, argv)
     except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

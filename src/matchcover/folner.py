@@ -726,6 +726,11 @@ class LocalColorings:
     budget: int = 2000
     plateau: int = 20
 
+    def __post_init__(self):
+        # with no evaluation there is no coloring to report
+        if self.budget < 1:
+            raise ValueError(f"local coloring budget must be at least 1, got {self.budget}")
+
 
 def adversary_coloring(
     model: GroupModel,

@@ -26,6 +26,12 @@ over sets of colors (König; Ore), which walks 2^(k+1) sets at most.
 same kernel.  Where a mask graph may carry more colors than that (a stored
 coloring with too many colors, or ``ramsey_mu``, which has no k), its
 matching number comes from Hopcroft-Karp on the mask graph's rows instead.
+
+A family's verdict depends only on its mask matrix, one row of masks per
+source-to-mid embedding, and few matrices recur across many colorings and
+families.  So one check, and one replay, keeps a dict from each matrix it
+has met to its verdict and runs a matcher only on a miss.  The dict lives
+and dies with the call; nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -224,11 +230,25 @@ def _need(eps: Fraction, size: int) -> int:
     return -((eps.numerator - eps.denominator) * size // eps.denominator)
 
 
-def _family_holds(sides, family, need: int, mu) -> bool:
-    """Whether the family of emb(b, c) indices reaches ``need`` for every
-    pair (alpha, beta) of emb(a, b), with ``mu`` the mask matcher."""
-    masks = [[row[p] for p in family] for row in sides]
+def _family_holds(masks, need: int, mu) -> bool:
+    """Whether every pair (alpha, beta) of rows of a family's mask matrix
+    reaches ``need``, with ``mu`` the mask matcher."""
     return all(mu(left, right) >= need for left in masks for right in masks)
+
+
+def _family_verdict(verdicts: dict, sides, family, need: int, mu) -> bool:
+    """``_family_holds`` for the family of emb(b, c) indices, looked up in
+    ``verdicts`` under its mask matrix, ``masks[alpha][gamma]``.
+
+    Within one check eps is fixed and ``need`` follows from the family size,
+    the row length, so the matrix alone decides the verdict; Hall's defect
+    and Hopcroft-Karp give the same exact one, so either may fill the entry.
+    """
+    masks = tuple(tuple(row[p] for p in family) for row in sides)
+    holds = verdicts.get(masks)
+    if holds is None:
+        holds = verdicts[masks] = _family_holds(masks, need, mu)
+    return holds
 
 
 def ramsey_mu(
@@ -327,6 +347,7 @@ def ramsey_condition_check(
     # no b -> c embedding means no family, however large max_family is
     sizes = range(1, max_family + 1) if emb_bc else ()
     need = {size: _need(eps, size) for size in sizes}
+    verdicts: dict = {}
     witnesses = []
     for checked, vector in enumerate(itertools.product(range(k + 1), repeat=len(emb_ac)), 1):
         sides = _sides(close, comp, _color_bits(vector))
@@ -335,7 +356,7 @@ def ramsey_condition_check(
             for size in sizes
         )
         for combo in itertools.islice(families, max(family_budget, 0)):
-            if _family_holds(sides, combo, need[len(combo)], _hall_mu):
+            if _family_verdict(verdicts, sides, combo, need[len(combo)], _hall_mu):
                 witnesses.append((vector, combo))
                 break
         else:
@@ -387,6 +408,7 @@ def check_report(
         findings.append(Finding("witnesses-mismatch", message))
     if replay:
         close, comp = _kernel(c.dist, eps, emb_ab, emb_ac, emb_bc)
+        verdicts: dict = {}
         for vector, family in outcome.witnesses:
             # a stored vector may have any length and colors; as under zip,
             # the elements of emb(a, c) past its end have no color
@@ -396,7 +418,7 @@ def check_report(
             # defect would walk 2^colors sets for it
             mu = _hall_mu if len(set(head)) <= k + 1 else _matcher_mu
             sides = _sides(close, comp, bits)
-            if not _family_holds(sides, family, _need(eps, len(family)), mu):
+            if not _family_verdict(verdicts, sides, family, _need(eps, len(family)), mu):
                 message = f"family {list(family)} fails for coloring {list(vector)}"
                 findings.append(Finding("witness-fails", message))
     return CheckReport("PASS" if not findings else "FAIL", tuple(findings))

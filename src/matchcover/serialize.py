@@ -52,6 +52,25 @@ def atom_parse(s, model: GroupModel | None):
     return model.parse_elem(s) if model is not None else _require_atom(s)
 
 
+def _atom_parser(model: GroupModel | None):
+    """``atom_parse`` for one document: each distinct element string is
+    parsed once.  Anything but a string goes to the model every time, so it
+    fails as ``atom_parse`` would, unhashable JSON values included."""
+    if model is None:
+        return _require_atom
+    parsed: dict = {}
+
+    def parse(s):
+        if type(s) is not str:
+            return model.parse_elem(s)
+        elem = parsed.get(s)
+        if elem is None:
+            elem = parsed[s] = model.parse_elem(s)
+        return elem
+
+    return parse
+
+
 def elems_to_json(model: GroupModel | None, elems: Iterable) -> list:
     return [atom_str(a, model) for a in elems]
 
@@ -71,8 +90,13 @@ def covering_to_json(cov: Covering, model: GroupModel | None = None) -> dict:
 
 
 def covering_from_json(obj: dict, model: GroupModel | None = None) -> Covering:
-    ground = GroundSet(elems_from_json(model, obj["ground"]))
-    return Covering(ground, [elems_from_json(model, b) for b in obj["blocks"]])
+    return _read_covering(obj, _atom_parser(model))
+
+
+def _read_covering(obj: dict, parse) -> Covering:
+    """A covering whose atoms go through ``parse``, one ``_atom_parser``."""
+    ground = GroundSet([parse(s) for s in obj["ground"]])
+    return Covering(ground, [[parse(s) for s in block] for block in obj["blocks"]])
 
 
 def coloring_to_json(col: Coloring, model: GroupModel | None = None) -> dict:
@@ -184,7 +208,8 @@ def certificate_from_json(obj: dict) -> FolnerCertificate:
     duplicate entries, and theta must lie in [0, 1].
     """
     model = group_from_json(obj["group"])
-    f_set = tuple(elems_from_json(model, obj["f"]))
+    parse = _atom_parser(model)  # the window repeats F, each g and h, and itself
+    f_set = tuple(parse(s) for s in obj["f"])
     if not f_set:
         raise ValueError("certificate has an empty candidate set F")
     if len(set(f_set)) != len(f_set):
@@ -192,11 +217,11 @@ def certificate_from_json(obj: dict) -> FolnerCertificate:
     theta = frac_parse(obj["theta"])
     if not (0 <= theta <= 1):
         raise ValueError(f"certificate theta {theta} is outside [0, 1]")
-    cover = covering_from_json(obj["cover"], model)
+    cover = _read_covering(obj["cover"], parse)
     pairs = tuple(
         PairResult(
-            model.parse_elem(p["g"]),
-            model.parse_elem(p["h"]),
+            parse(p["g"]),
+            parse(p["h"]),
             _require_int(p["mu"], "pair mu"),
             witness_from_json(p["witness"]),
         )
@@ -205,7 +230,7 @@ def certificate_from_json(obj: dict) -> FolnerCertificate:
     return FolnerCertificate(
         group=model,
         f_set=f_set,
-        e_set=tuple(elems_from_json(model, obj["e"])),
+        e_set=tuple(parse(s) for s in obj["e"]),
         theta=theta,
         mode=obj["mode"],
         cover=cover,

@@ -10,7 +10,7 @@ from matchcover.cli import build_parser, dispatch
 from matchcover import serialize as ser
 from matchcover.cover import Covering, GroundSet
 from matchcover.folner import Coloring, build_certificate
-from matchcover.groups import FreeGroup, IntegerLattice, cyclic_group
+from matchcover.groups import FreeGroup, GroupError, IntegerLattice, cyclic_group
 from matchcover.means import uniform
 from matchcover.ramsey import FinMetric
 
@@ -380,6 +380,48 @@ class TestFolnerCommands:
         assert (code, captured.out) == (2, "")
         assert captured.err == f"error: bad Z^1 element string: {value!r}\n"
 
+    @pytest.mark.parametrize("value", [0, None, [0], {"x": 1}, "+0"])
+    @pytest.mark.parametrize("where", ["ground", "block", "f", "e", "h"])
+    def test_bad_atom_anywhere_is_the_parsers_error(self, tmp_path, capsys, where, value):
+        # a document's element strings are parsed once each; anything else,
+        # unhashable JSON values included, fails as the model's parser does
+        def edit(doc):
+            if where == "ground":
+                doc["cover"]["ground"][0] = value
+            elif where == "block":
+                doc["cover"]["blocks"][0][0] = value
+            elif where == "h":
+                doc["pairs"][0]["h"] = value
+            else:
+                doc[where][0] = value
+
+        code, captured = self.verify_edited(tmp_path, capsys, edit)
+        with pytest.raises(GroupError) as expected:
+            IntegerLattice(1).parse_elem(value)
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {expected.value}\n"
+
+    def test_each_element_string_is_parsed_once(self, tmp_path, monkeypatch):
+        _, out = self.run_search(tmp_path)
+        doc = json.loads(out.read_text())
+        parse, seen = IntegerLattice.parse_elem, []
+
+        def counting(model, s):
+            seen.append(s)
+            return parse(model, s)
+
+        monkeypatch.setattr(IntegerLattice, "parse_elem", counting)
+        cert = ser.certificate_from_json(doc)
+        strings = {*doc["cover"]["ground"], *doc["f"], *doc["e"]}
+        strings.update(s for pair in doc["pairs"] for s in (pair["g"], pair["h"]))
+        assert sorted(seen) == sorted(strings)
+        del doc["manifest"]
+        assert ser.certificate_to_json(cert) == doc
+        seen.clear()
+        z = IntegerLattice(1)
+        assert ser.covering_from_json(doc["cover"], z) == cert.cover
+        assert sorted(seen) == sorted(doc["cover"]["ground"])
+
     @pytest.mark.parametrize("value", ["zd1", [1]])
     def test_group_not_an_object_is_exit_two(self, tmp_path, capsys, value):
         code, captured = self.verify_edited(
@@ -510,6 +552,14 @@ class TestFolnerCommands:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert Fraction(doc["min_ratio"]) <= 1
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_adversary_budget_below_one_is_exit_two(self, capsys, budget):
+        argv = ["folner", "adversary", "--group", "free2", "--f", "1;a;A;b;B", "--e", "a"]
+        assert dispatch(argv + ["--budget", budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: local coloring budget must be at least 1, got {budget}\n"
 
     def test_net(self, tmp_path, capsys):
         group = write(tmp_path / "z6.json", cyclic_group(6).describe())
@@ -822,6 +872,55 @@ class TestExitCodes:
             )
             == 2
         )
+
+
+class TestSharedParser:
+    """``dispatch`` builds its parser once per process and reuses it."""
+
+    def run(self, capsys, argv):
+        code = dispatch(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_sequence_matches_fresh_parsers(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        z = IntegerLattice(1)
+        cover = Coloring(GroundSet(z.ball(3)), tuple(v[0] % 2 for v in z.ball(3)), 1)
+        cert = build_certificate(z, z.ball(2), [(1,)], cover.partition(), Fraction(1, 2))
+        write(tmp_path / "cert.json", ser.certificate_to_json(cert))
+        runs = [
+            ["folner", "search", "--group", "zd1"],  # usage error: no --theta
+            ["verify", "cert.json"],
+            ["folner", "search", "--group", "free2", "--coloring", "first-letter",
+             "--e", "a;b", "--theta", "9/10", "--strategy", "local", "--budget", "30",
+             "--seed", "3", "--mode", "sym"],
+            ["folner", "search", "--group", "zd1", "--coloring", "parity", "--e", "1;-1",
+             "--theta", "9/10"],
+        ]
+        monkeypatch.setattr(cli, "_PARSER", None)
+        shared = [self.run(capsys, runs[0])]
+        parser = cli._PARSER
+        shared += [self.run(capsys, argv) for argv in runs[1:]]
+        assert parser is not None and cli._PARSER is parser
+        fresh = []
+        for argv in runs:
+            monkeypatch.setattr(cli, "_PARSER", build_parser())
+            fresh.append(self.run(capsys, argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [2, 0, 1, 0]
+        assert "the following arguments are required: --theta" in shared[0][2]
+        # the default search kept none of the local search's flags
+        manifest = json.loads(shared[3][1])["manifest"]
+        assert (manifest["argv"], manifest["seed"]) == (runs[3], 0)
+        assert shared[3][2] == "PASS: |F| = 11, min ratio = 10/11 (6 candidates)\n"  # radii 0..5
+
+    def test_patched_handler_is_seen_after_the_first_build(self, monkeypatch, capsys):
+        dispatch(["verify"])  # a usage error, after which the parser exists
+        assert cli._PARSER is not None
+        monkeypatch.setattr(cli, "_cmd_verify", lambda args, argv: 7)
+        assert dispatch(["verify", "nowhere.json"]) == 7
+        capsys.readouterr()
 
 
 def leaf_parsers(parser, path=()):

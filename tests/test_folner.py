@@ -706,6 +706,12 @@ class TestAdversary:
         )
         assert exhaustive <= local
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_local_budget_below_one_is_refused(self, budget):
+        # no evaluation leaves no coloring to report
+        with pytest.raises(ValueError, match=f"budget must be at least 1, got {budget}"):
+            LocalColorings(budget=budget)
+
     def test_f2_ball_two_optimum(self):
         f = F2.ball(2)
         coloring, ratio = adversary_coloring(

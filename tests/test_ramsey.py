@@ -456,3 +456,82 @@ class TestCheckReport:
             failing = [code for code in codes if code == "witness-fails"]
             assert codes[0] == "witnesses-mismatch"
             assert len(failing) == sum(self.fails(v, f) for v, f in witnesses)
+
+
+# the bench's six ramsey shapes (eps 1/2) and two larger ones
+MEMO_CASES = {
+    "pt-p3-p5-k2": (POINT, PATH3, path(5), 2, Fraction(1, 2)),
+    "pt-p3-p9-k1": (POINT, PATH3, path(9), 1, Fraction(1, 2)),
+    "pt-p3-p8-k1": (POINT, PATH3, path(8), 1, Fraction(1, 2)),
+    "pt-p3-c8-k1": (POINT, PATH3, cycle(8), 1, Fraction(1, 2)),
+    "edge-p3-p5-k1": (EDGE, PATH3, path(5), 1, Fraction(1, 2)),
+    "edge-c4-p6-k1": (EDGE, cycle(4), path(6), 1, Fraction(1, 2)),
+    "pt-p3-c10-k1": (POINT, PATH3, cycle(10), 1, Fraction(1, 2)),
+    "pt-p3-p7-k2-eps3": (POINT, PATH3, path(7), 2, Fraction(1, 3)),
+}
+
+
+class TestVerdictMemo:
+    """One check, and one replay, keep each family's verdict under its mask
+    matrix and evaluate a matrix only once."""
+
+    @pytest.mark.parametrize("name", list(MEMO_CASES))
+    def test_check_and_replay_match_reference(self, name):
+        spaces = MEMO_CASES[name]
+        outcome = ramsey_condition_check(*spaces)
+        assert outcome == ramsey_check_reference(*spaces)
+        assert check_report(outcome, *spaces[:3], 4, 2000).status == "PASS"
+
+    def evaluations(self, monkeypatch):
+        """Record each mask matrix that ``_family_holds`` evaluates, and fail
+        on a ``_hall_mu`` call outside such an evaluation."""
+        matrices: list = []
+        current: list = []
+        family_holds, hall_mu = ramsey_module._family_holds, ramsey_module._hall_mu
+
+        def counting_family_holds(masks, need, mu):
+            matrices.append(masks)
+            current.append(masks)
+            try:
+                return family_holds(masks, need, mu)
+            finally:
+                current.pop()
+
+        def counting_hall_mu(left, right):
+            assert current, "Hall's defect run outside a mask matrix evaluation"
+            return hall_mu(left, right)
+
+        monkeypatch.setattr(ramsey_module, "_family_holds", counting_family_holds)
+        monkeypatch.setattr(ramsey_module, "_hall_mu", counting_hall_mu)
+        return matrices
+
+    @pytest.mark.parametrize("name", ["pt-p3-p9-k1", "edge-p3-p5-k1", "pt-p3-c10-k1"])
+    def test_each_matrix_is_evaluated_once(self, name, monkeypatch):
+        spaces = MEMO_CASES[name]
+        matrices = self.evaluations(monkeypatch)
+        outcome = ramsey_condition_check(*spaces)
+        # many more families are tried than there are distinct matrices
+        assert matrices and len(set(matrices)) == len(matrices) < len(outcome.witnesses)
+        first = list(matrices)
+        matrices.clear()
+        assert check_report(outcome, *spaces[:3], 4, 2000).status == "PASS"
+        assert matrices and len(set(matrices)) == len(matrices)
+        # nothing carries over from one call to the next
+        matrices.clear()
+        assert ramsey_condition_check(*spaces) == outcome
+        assert matrices == first
+
+    def test_many_color_replay_shares_the_memo(self, monkeypatch):
+        # a stored coloring with more than k + 1 colors goes to Hopcroft-Karp;
+        # its verdicts land in the same dict as Hall's defect's
+        spaces = (POINT, path(3, Fraction(1, 2)), path(5, Fraction(1, 4)))
+        outcome = ramsey_condition_check(*spaces, 1, Fraction(1, 2))
+        wide = tuple(range(len(outcome.witnesses[0][0])))
+        witnesses = outcome.witnesses + tuple((wide, family) for _, family in outcome.witnesses)
+        forged = RamseyOutcome(
+            True, False, outcome.eps, 1, outcome.colorings_checked, witnesses, None
+        )
+        matrices = self.evaluations(monkeypatch)
+        report = check_report(forged, *spaces, 4, 2000)
+        assert [f.code for f in report.findings][:1] == ["witnesses-mismatch"]
+        assert matrices and len(set(matrices)) == len(matrices)
