@@ -15,7 +15,6 @@ covering reduce to plain maximum matching here.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
@@ -224,17 +223,10 @@ def mu_partition(e: Iterable, f: Iterable, p: Covering) -> int:
     """Closed form for partitions: sum of min(|e & B|, |f & B|) over blocks.
 
     Valid because disjoint blocks make the covering graph a disjoint union
-    of complete bipartite graphs.  Repeated atoms count once.
+    of complete bipartite graphs.  Repeated atoms count once.  The value of
+    ``mu_partition_witness``, the one partition route.
     """
-    if not p.is_partition():
-        raise ValueError("covering is not a partition")
-    index = p.blocks_of
-    try:
-        # distinct atoms per block, keyed by the atom's (one-block) index entry
-        left, right = (Counter([index[a] for a in dict.fromkeys(s)]) for s in (e, f))
-    except KeyError as exc:
-        raise ValueError(f"atom not in ground set: {exc.args[0]!r}") from None
-    return sum(min(n, right[b]) for b, n in left.items())
+    return mu_partition_witness(e, f, p)[0]
 
 
 def mu_partition_witness(e: Iterable, f: Iterable, p: Covering) -> tuple[int, MatchingWitness]:

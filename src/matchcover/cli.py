@@ -108,20 +108,18 @@ def _status_text(word: str) -> str:
     return f"\x1b[{color}m{word}\x1b[0m"
 
 
+_BUILTIN_GROUP = re.compile(r"(zd|free)(\d+)")  # the one place for these spellings
+
+
 def _load_group(spec: str) -> GroupModel:
-    m = re.fullmatch(r"zd(\d+)", spec)
+    m = _BUILTIN_GROUP.fullmatch(spec)
     if m:
-        return IntegerLattice(int(m.group(1)))
-    m = re.fullmatch(r"free(\d+)", spec)
-    if m:
-        return FreeGroup(int(m.group(1)))
+        return (IntegerLattice if m[1] == "zd" else FreeGroup)(int(m[2]))
     return group_from_json(_load_json(spec))
 
 
 def _group_input_path(spec: str) -> str | None:
-    if re.fullmatch(r"zd\d+|free\d+", spec):
-        return None
-    return spec
+    return None if _BUILTIN_GROUP.fullmatch(spec) else spec
 
 
 def _parse_elems(model: GroupModel, text: str | None, path: str | None) -> tuple:
@@ -160,19 +158,24 @@ def builtin_coloring(model: GroupModel, name: str, window) -> Coloring:
     raise ValueError(f"unknown builtin coloring: {name!r}")
 
 
-def _cover_for_search(model, args, window) -> tuple:
-    """Resolve --cover/--coloring into a Covering plus the input path used."""
+def _cover_for_search(model, args, e_set, strategy) -> tuple:
+    """Resolve --cover/--coloring into a Covering plus the input path used.
+
+    Only a builtin coloring reads the search window, so only it builds one.
+    """
     if args.cover:
         return ser.covering_from_json(_load_json(args.cover), model), args.cover
     if args.coloring:
         if os.path.exists(args.coloring):
             col = ser.coloring_from_json(_load_json(args.coloring), model)
             return col.partition(), args.coloring
+        window = _search_window(model, e_set, strategy)
         return builtin_coloring(model, args.coloring, window).partition(), None
     raise ValueError("one of --cover or --coloring is required")
 
 
 def _search_window(model, e_set, strategy) -> tuple:
+    """The ball the strategy roams, with its translates by E."""
     if isinstance(strategy, BallsStrategy):
         base = model.ball(strategy.max_radius)
     else:
@@ -272,8 +275,7 @@ def _cmd_folner_search(args, argv) -> int:
         strategy = BallsStrategy(args.max_radius)
     else:
         strategy = LocalSetStrategy(seed=args.seed, budget=args.budget)
-    window = _search_window(model, e_set, strategy)
-    cover, cover_path = _cover_for_search(model, args, window)
+    cover, cover_path = _cover_for_search(model, args, e_set, strategy)
     result = folner_search(model, e_set, cover, theta, mode=args.mode, strategy=strategy)
     inputs = [p for p in (_group_input_path(args.group), cover_path, args.e_file) if p]
     outcome = 0 if result.status == "PASS" else 1
@@ -486,10 +488,11 @@ def _cmd_sweep(args, argv) -> int:
     else:
         e_set = model.generators()
     grid = _parse_grid(args.theta_grid)
-    window = _search_window(model, e_set, BallsStrategy(args.max_radius))
+    strategy = BallsStrategy(args.max_radius)
     if args.cover or args.coloring:
-        cover, _ = _cover_for_search(model, args, window)
+        cover, _ = _cover_for_search(model, args, e_set, strategy)
     else:
+        window = _search_window(model, e_set, strategy)
         cover = builtin_coloring(model, "parity", window).partition()
     pairs = required_pairs(model, e_set, args.mode)
     per_radius = [

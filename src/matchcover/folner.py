@@ -22,7 +22,9 @@ colorings.  Both keep counts rather than recount: on a partition the
 candidate search keeps the block counts of every translate gF and each
 pair's value, so a ball is scored from its new sphere and a local move from
 the one element it inserts or drops; the coloring search keeps per-pair
-color counts and updates the pairs a recolored atom touches.
+color counts and updates the pairs a recolored atom touches.  Each step of
+the hill climb is one pass over its moves: every boundary element is scored
+once, and the best improving move is kept as the pass goes.
 """
 
 from __future__ import annotations
@@ -169,12 +171,6 @@ def _translates(model: GroupModel, f_canon: tuple, pairs, ground: GroundSet) -> 
     return [(built[g], built[h]) for g, h in pairs]
 
 
-def _raise_escape(model: GroupModel, f_canon: tuple, pairs, ground: GroundSet):
-    """Raise the WindowEscape that ``_translates`` gives for F and the pairs."""
-    _translates(model, f_canon, pairs, ground)
-    raise AssertionError("F and its translates lie inside the window")
-
-
 class _PartitionCounts:
     """Incremental pair values of a candidate set F under a partition.
 
@@ -298,32 +294,20 @@ def _pair_counts(model: GroupModel, pairs, cover: Covering):
     return kind(model, pairs, cover)
 
 
-def min_pair_mu(model: GroupModel, f_canon: tuple, pairs, cover: Covering) -> int:
-    """Smallest mu(gF, hF) over the pairs; |F| when there are none.
-
-    ``f_canon`` must be canonical (``canon_set`` or ``ball`` output) and the
-    pairs must come from ``required_pairs``.  This is ``_pair_counts``
-    filled with F: on a partition the incremental evaluator, on other
-    coverings the general matcher.  Raises WindowEscape if F or a translate
-    leaves the covering's ground.
-    """
-    counts = _pair_counts(model, pairs, cover)
-    if not all(map(counts.add, f_canon)):
-        _raise_escape(model, f_canon, pairs, cover.ground)
-    return counts.least()
-
-
 def ball_walk(model: GroupModel, radius: int, pairs, cover: Covering):
-    """Yield (ball, min_pair_mu of the ball) for radius 0..radius.
+    """Yield (ball, least pair value of the ball) for radius 0..radius.
 
-    The counts of each ball are those of the last one plus its sphere, so
-    no translate is built twice.  An escape raises the WindowEscape that
-    ``min_pair_mu`` raises on that ball.
+    The least pair value is the smallest mu(gF, hF) over the pairs, or |F|
+    when there are none.  The counts of each ball are those of the last
+    one plus its sphere, so no translate is built twice.  When the ball or
+    one of its translates leaves the covering's ground, this raises the
+    WindowEscape that ``_translates`` gives for that ball.
     """
     counts = _pair_counts(model, pairs, cover)
     for ball, sphere in model.ball_layers(radius):
         if not all(map(counts.add, sphere)):
-            _raise_escape(model, ball, pairs, cover.ground)
+            _translates(model, ball, pairs, cover.ground)  # raises the escape
+            raise AssertionError("the ball and its translates lie inside the window")
         yield ball, counts.least()
 
 
@@ -527,6 +511,11 @@ class LocalSetStrategy:
     seed: int = 0
     budget: int = 300
 
+    def __post_init__(self):
+        # the start is an evaluation: a budget below 1 would already be overrun
+        if self.budget < 1:
+            raise ValueError(f"local search budget must be at least 1, got {self.budget}")
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -656,6 +645,21 @@ def folner_search(
                     return cand, least
             raise WindowEscape("no valid starting candidate inside the window")
 
+        def moves():
+            """(y, inserted) for each move off the current candidate: every
+            boundary element x*s inside the window once, in first-reach
+            order, then every element to drop when |F| > 1."""
+            reached = set(current)
+            for x in current:
+                for s in gens:
+                    y = mul(x, s)
+                    if y not in reached and y in cover.ground:
+                        reached.add(y)
+                        yield y, True
+            if len(current) > 1:
+                for y in current:
+                    yield y, False
+
         current = model.canon_set([model.identity])
         current_least = start(current)
         if current_least is None:
@@ -663,39 +667,25 @@ def folner_search(
         if consider(current, current_least):
             return passing(current, current_least)
         while evaluations < strategy.budget:
-            # moves keep canonical order: insert or drop at the sorted position
-            moves = []
-            fset = set(current)
-            for x in current:
-                for s in gens:
-                    y = mul(x, s)
-                    if y not in fset and y in cover.ground:
-                        at = bisect.bisect_left(current, key(y), key=key)
-                        moves.append((current[:at] + (y,) + current[at:], y, True))
-            if len(current) > 1:
-                for at, y in enumerate(current):
-                    moves.append((current[:at] + current[at + 1 :], y, False))
-            seen = set()
-            scored = []
-            for cand, y, inserted in moves:
-                if cand in seen:
-                    continue
+            choice = None  # the best move that raises the ratio: (least, cand, y, inserted)
+            for y, inserted in moves():
                 least = score(y, inserted)
                 if least is None:
                     continue
-                seen.add(cand)
+                # the candidate keeps canonical order: y goes in or out at its sorted position
+                at = bisect.bisect_left(current, key(y), key=key)
+                if inserted:
+                    cand = current[:at] + (y,) + current[at:]
+                else:
+                    cand = current[:at] + current[at + 1 :]
                 if consider(cand, least):
                     return passing(cand, least)
-                scored.append((least, cand, y, inserted))
-                if evaluations >= strategy.budget:
-                    break
-            choice = None
-            for move in scored:
-                least, cand = move[0], move[1]
                 if least * len(current) > current_least * len(cand) and (
                     choice is None or better(least, cand, choice[0], choice[1])
                 ):
-                    choice = move
+                    choice = (least, cand, y, inserted)
+                if evaluations >= strategy.budget:
+                    break
             if choice is not None:
                 current_least, current, y, inserted = choice
                 if inserted:

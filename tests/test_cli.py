@@ -561,6 +561,15 @@ class TestFolnerCommands:
         assert captured.out == ""
         assert captured.err == f"error: local coloring budget must be at least 1, got {budget}\n"
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_local_search_budget_below_one_is_exit_two(self, capsys, budget):
+        argv = ["folner", "search", "--group", "free2", "--coloring", "first-letter",
+                "--e", "a", "--theta", "1/2", "--strategy", "local"]
+        assert dispatch(argv + ["--budget", budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: local search budget must be at least 1, got {budget}\n"
+
     def test_net(self, tmp_path, capsys):
         group = write(tmp_path / "z6.json", cyclic_group(6).describe())
         code = dispatch(
@@ -839,6 +848,59 @@ class TestSweep:
         assert code == 0
         rows = out.read_text().strip().splitlines()[1:]
         assert rows[0].split(",")[0] == "1/2"
+
+
+class TestSearchWindow:
+    """Only a builtin coloring reads the search window, so only it builds one."""
+
+    SEARCH = ["folner", "search", "--group", "zd2", "--e", "1,0;0,-1", "--theta", "1/2",
+              "--max-radius", "3"]
+    SWEEP = ["sweep", "--group", "zd2", "--theta-grid", "1/2:1:1/2", "--max-radius", "3"]
+    LOCAL = ["--strategy", "local", "--budget", "40"]
+
+    @pytest.fixture
+    def cover_files(self, tmp_path):
+        model = IntegerLattice(2)
+        coloring = cli.builtin_coloring(model, "parity", model.ball(5))
+        return {
+            "--coloring": write(tmp_path / "coloring.json", ser.coloring_to_json(coloring, model)),
+            "--cover": write(tmp_path / "cover.json", ser.covering_to_json(coloring.partition(), model)),
+        }
+
+    def window_calls(self, monkeypatch) -> list:
+        calls = []
+        real = cli._search_window
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_search_window", counted)
+        return calls
+
+    @pytest.mark.parametrize("flag", ["--coloring", "--cover"])
+    @pytest.mark.parametrize("run", ["balls", "local", "sweep"])
+    def test_file_driven_run_builds_no_window(self, tmp_path, monkeypatch, capsys, cover_files,
+                                              flag, run):
+        def unread(*_):
+            raise AssertionError("the search window was built for a file-driven run")
+
+        monkeypatch.setattr(cli, "_search_window", unread)
+        argv = {"balls": self.SEARCH, "local": self.SEARCH + self.LOCAL, "sweep": self.SWEEP}[run]
+        argv = argv + [flag, cover_files[flag], "--out", str(tmp_path / "out")]
+        assert dispatch(argv) in (0, 1)
+        assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [SEARCH + ["--coloring", "parity"], SEARCH + LOCAL + ["--coloring", "parity"],
+         SWEEP + ["--coloring", "parity"], SWEEP],
+        ids=["balls", "local", "sweep", "sweep-default"],
+    )
+    def test_builtin_coloring_builds_the_window_once(self, tmp_path, monkeypatch, argv):
+        calls = self.window_calls(monkeypatch)
+        assert dispatch(argv + ["--out", str(tmp_path / "out")]) in (0, 1)
+        assert len(calls) == 1
 
 
 class TestExitCodes:

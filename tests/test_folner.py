@@ -450,6 +450,12 @@ class TestSearch:
         assert result.status == "PASS"
         assert check_certificate(result.certificate).ok
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_local_budget_below_one_is_refused(self, budget):
+        # the start alone is one evaluation
+        with pytest.raises(ValueError, match=f"^local search budget must be at least 1, got {budget}$"):
+            LocalSetStrategy(budget=budget)
+
     def test_deterministic_bytes(self):
         cover = z_parity_cover(-11, 11)
         runs = []
@@ -528,15 +534,27 @@ class TestPartitionCounts:
             assert counts.least() == min(want, default=len(f))
         assert same_block and refused and drops
 
-    def test_min_pair_mu_escape_text_is_the_translates_text(self):
+    @pytest.mark.parametrize("partition", [True, False], ids=["partition", "covering"])
+    @pytest.mark.parametrize(
+        "e_set, mode, radius",
+        [([(1, 0), (0, 2)], "sym", 2), ([(1, 0)], "asym", 3), ([(1, 0)], "sym", 4)],
+        ids=["translate-of-two", "translate", "ball-itself"],
+    )
+    def test_ball_walk_escape_text_is_the_translates_text(self, partition, e_set, mode, radius):
+        # the first ball that leaves the window (or whose translate does) raises
+        # the error _translates gives for it; "ball-itself" has no pair at all
         cover = builtin_partition(Z2, "parity", Z2.ball(3))
-        pairs = required_pairs(Z2, [(1, 0), (0, 2)], "sym")
-        for f in (Z2.ball(2), Z2.canon_set([(0, 0), (5, 5)]), Z2.canon_set([(-3, 0)])):
-            with pytest.raises(WindowEscape) as got:
-                folner.min_pair_mu(Z2, f, pairs, cover)
-            with pytest.raises(WindowEscape) as want:
-                folner._translates(Z2, f, pairs, cover.ground)
-            assert str(got.value) == str(want.value)
+        if not partition:
+            cover = Covering(cover.ground, [*cover.blocks, Z2.ball(1)])
+        pairs = required_pairs(Z2, e_set, mode)
+        walked = []
+        with pytest.raises(WindowEscape) as got:
+            for ball, _ in folner.ball_walk(Z2, 5, pairs, cover):
+                walked.append(ball)
+        assert walked == [Z2.ball(r) for r in range(radius)]
+        with pytest.raises(WindowEscape) as want:
+            folner._translates(Z2, Z2.ball(radius), pairs, cover.ground)
+        assert str(got.value) == str(want.value)
 
 
 def search_cases() -> list:
