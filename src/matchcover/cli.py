@@ -386,12 +386,13 @@ def _cmd_folner_net(args, argv) -> int:
         raise ValueError("perfect nets need a finite table group")
     u_set = _parse_elems(model, args.u, args.u_file)
     net = perfect_net(model, u_set)
+    write = ser._atom_writer(model)
     doc = {
-        "v": ser.elems_to_json(model, net.v_set),
-        "f": ser.elems_to_json(model, net.f_set),
+        "v": list(map(write, net.v_set)),
+        "f": list(map(write, net.f_set)),
         "minimal": net.minimal,
         "matchings": [
-            {"g": model.elem_str(g), "witness": ser.witness_to_json(w)}
+            {"g": write(g), "witness": ser.witness_to_json(w)}
             for g, w in net.matchings
         ],
     }
@@ -413,10 +414,8 @@ def _cmd_folner_mono(args, argv) -> int:
         print(_status_text("NOT-FOUND"))
         return 1
     g, block = found
-    doc = {
-        "g": model.elem_str(g),
-        "block": ser.elems_to_json(model, block),
-    }
+    write = ser._atom_writer(model)
+    doc = {"g": write(g), "block": list(map(write, block))}
     _emit(args, doc, f"{_status_text('FOUND')}: g = {doc['g']}")
     return 0
 

@@ -11,7 +11,9 @@ Elements are checked where they enter: by the string codecs and by the
 public ``multiply``, ``inverse``, ``canon_set`` and ``translate``.  Each
 model also has one unchecked product, ``unchecked_multiply``, for callers
 whose elements are already valid; the public ``multiply`` is ``validate``
-on both arguments followed by it, so each model has one group law.
+on both arguments followed by it, so each model has one group law.  In the
+same way ``elem_str`` is ``validate`` followed by ``unchecked_elem_str``,
+the one spelling, which the JSON writer uses on the library's own elements.
 """
 
 from __future__ import annotations
@@ -19,10 +21,12 @@ from __future__ import annotations
 import re
 import string
 from fractions import Fraction
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, Sequence
 
 DEFAULT_BALL_LIMIT = 10**6
+
+_first, _second = itemgetter(0), itemgetter(1)
 
 _LETTERS = string.ascii_lowercase
 # Z^d spellings exactly as elem_str writes them: str(int) per coordinate
@@ -97,6 +101,10 @@ class GroupModel:
         raise NotImplementedError
 
     def elem_str(self, g) -> str:
+        return self.unchecked_elem_str(self.validate(g))
+
+    def unchecked_elem_str(self, g) -> str:
+        """``elem_str`` of an element already known to be valid."""
         raise NotImplementedError
 
     def parse_elem(self, s: str):
@@ -140,6 +148,10 @@ class GroupModel:
         seen = {self.identity}
         frontier = [self.identity]
         ball = (self.identity,)
+        # (sort key, element) in canonical order: each element is keyed once,
+        # when its sphere is sorted, and each new ball is a merge of two
+        # sorted runs, which the sort finds and merges by key alone
+        keyed = [(key(self.identity), self.identity)]
         yield ball, ball
         for _ in range(radius):
             nxt = []
@@ -152,9 +164,10 @@ class GroupModel:
                         if len(seen) > limit:
                             raise GroupError(f"ball size exceeds cap {limit}")
             frontier = nxt
-            nxt.sort(key=key)
-            sphere = tuple(nxt)
-            ball = tuple(sorted(ball + sphere, key=key))
+            shell = sorted(zip(map(key, nxt), nxt), key=_first)
+            sphere = tuple(map(_second, shell))
+            keyed = sorted(keyed + shell, key=_first)
+            ball = tuple(map(_second, keyed))
             yield ball, sphere
 
     def ball(self, radius: int) -> tuple:
@@ -208,8 +221,8 @@ class IntegerLattice(GroupModel):
             gens.append(self.inverse(unit))
         return tuple(gens)
 
-    def elem_str(self, g) -> str:
-        return ",".join(str(x) for x in self.validate(g))
+    def unchecked_elem_str(self, g) -> str:
+        return ",".join(map(str, g))
 
     def parse_elem(self, s: str):
         _require_str(s)
@@ -281,8 +294,7 @@ class FreeGroup(GroupModel):
             gens.append((-i,))
         return tuple(gens)
 
-    def elem_str(self, g) -> str:
-        g = self.validate(g)
+    def unchecked_elem_str(self, g) -> str:
         if not g:
             return "1"
         return "".join(
@@ -428,8 +440,8 @@ class FiniteTableGroup(GroupModel):
     def generators(self) -> tuple:
         return tuple(x for x in range(self.order) if x != self._identity)
 
-    def elem_str(self, g) -> str:
-        return self.names[self.validate(g)]
+    def unchecked_elem_str(self, g) -> str:
+        return self.names[g]
 
     def parse_elem(self, s: str):
         _require_str(s)

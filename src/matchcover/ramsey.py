@@ -37,8 +37,10 @@ and dies with the call; nothing is cached between calls.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import gt
 from typing import Mapping, Sequence
 
 from .bipartite import _match_rows
@@ -69,22 +71,26 @@ class FinMetric:
             raise ValueError("duplicate point names")
         if len(self.dist) != n or any(len(row) != n for row in self.dist):
             raise ValueError("distance matrix is not square")
+        # scaled once by the common denominator, the checks compare ints
+        scale = math.lcm(*(x.denominator for row in self.dist for x in row))
+        d = [[x.numerator * (scale // x.denominator) for x in row] for row in self.dist]
         for i in range(n):
-            if self.dist[i][i] != 0:
+            if d[i][i] != 0:
                 raise ValueError(f"nonzero diagonal at {self.points[i]!r}")
             for j in range(n):
-                if self.dist[i][j] != self.dist[j][i]:
+                if d[i][j] != d[j][i]:
                     raise ValueError("distance matrix is not symmetric")
-                if i != j and self.dist[i][j] <= 0:
+                if i != j and d[i][j] <= 0:
                     raise ValueError("distinct points at non-positive distance")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.dist[i][k] > self.dist[i][j] + self.dist[j][k]:
-                        raise ValueError(
-                            "triangle inequality fails at "
-                            f"({self.points[i]!r},{self.points[j]!r},{self.points[k]!r})"
-                        )
+        for i, row in enumerate(d):
+            for j, via in enumerate(row):
+                # d(i, k) > d(i, j) + d(j, k) for some k, the first such k
+                if any(map(gt, row, map(via.__add__, d[j]))):
+                    k = next(k for k, (x, y) in enumerate(zip(row, d[j])) if x > via + y)
+                    raise ValueError(
+                        "triangle inequality fails at "
+                        f"({self.points[i]!r},{self.points[j]!r},{self.points[k]!r})"
+                    )
 
     @classmethod
     def build(cls, points: Sequence, dist: Sequence[Sequence]) -> "FinMetric":

@@ -3,7 +3,10 @@
 Rationals travel as exact "p/q" strings, never floats.  Group elements are
 encoded through their model's string codec, so a document embeds everything
 needed to replay it.  ``canonical_dumps`` fixes key order and layout, which
-makes emitted documents byte-reproducible for identical inputs and seeds.
+makes emitted documents byte-reproducible for identical inputs and seeds;
+it writes the bytes of ``json.dumps`` with sorted keys and indent 2 by a
+small recursive writer, and each ``*_to_json`` spells an element once per
+document (``_atom_writer``).
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable
 
 from .bipartite import BipartiteGraph, MatchingWitness
@@ -31,7 +35,78 @@ def frac_str(x) -> str:
 
 
 def canonical_dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)`` and a
+    newline, byte for byte, written without the pure-Python encoder that
+    ``indent`` selects.  A document holds str, int, bool, None, lists,
+    tuples (written as lists) and dicts with str keys; floats and any other
+    type raise TypeError, since exact documents hold none."""
+    return _write(doc, "\n") + "\n"
+
+
+_encode_str = json.encoder.encode_basestring  # C when the accelerator is built
+_int_str = int.__repr__
+_STR, _INT, _SEQ, _TWO = {str}, {int}, {list, tuple}, {2}
+
+
+def _write(value, nl: str) -> str:
+    """The JSON text of ``value``; ``nl`` is a newline and the indent of the
+    line that ``value`` starts on.  Bools are tested before ints, as
+    ``json.dumps`` tests them."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, (list, tuple)):
+        return _write_list(value, nl)
+    if isinstance(value, dict):
+        return _write_dict(value, nl)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return _int_str(value)
+    raise TypeError(f"{type(value).__name__} values have no exact JSON form: {value!r}")
+
+
+def _write_list(seq, nl: str) -> str:
+    """Lists of exact strs, of exact ints and of [int, int] pairs are written
+    in one pass each, with their types checked by ``set(map(type, ...))``, so
+    a bool never takes an int path; anything else goes item by item."""
+    if not seq:
+        return "[]"
+    inner = nl + "  "
+    sep = "," + inner
+    kinds = set(map(type, seq))
+    if kinds == _STR:
+        body = sep.join(map(_encode_str, seq))
+    elif kinds == _INT:
+        body = sep.join(map(_int_str, seq))
+    elif (
+        kinds <= _SEQ
+        and set(map(len, seq)) == _TWO
+        and set(map(type, chain.from_iterable(seq))) == _INT
+    ):
+        deeper = inner + "  "
+        pair = f"[{deeper}%d,{deeper}%d{inner}]"
+        body = sep.join(map(pair.__mod__, map(tuple, seq)))
+    else:
+        body = sep.join([_write(item, inner) for item in seq])
+    return f"[{inner}{body}{nl}]"
+
+
+def _write_dict(obj: dict, nl: str) -> str:
+    """Keys are strs, as in every document the library writes; another key
+    raises TypeError from ``encode_basestring``."""
+    if not obj:
+        return "{}"
+    inner = nl + "  "
+    keys = sorted(obj)
+    names = map(_encode_str, keys)
+    body = ("," + inner).join(
+        [f"{name}: {_write(obj[key], inner)}" for name, key in zip(names, keys)]
+    )
+    return f"{{{inner}{body}{nl}}}"
 
 
 # -- atoms ------------------------------------------------------------------
@@ -42,10 +117,6 @@ def _require_atom(atom) -> str:
     if not isinstance(atom, str):
         raise ValueError(f"atoms must be strings without a group context: {atom!r}")
     return atom
-
-
-def atom_str(atom, model: GroupModel | None) -> str:
-    return model.elem_str(atom) if model is not None else _require_atom(atom)
 
 
 def atom_parse(s, model: GroupModel | None):
@@ -71,8 +142,23 @@ def _atom_parser(model: GroupModel | None):
     return parse
 
 
-def elems_to_json(model: GroupModel | None, elems: Iterable) -> list:
-    return [atom_str(a, model) for a in elems]
+def _atom_writer(model: GroupModel | None):
+    """The element codec for one document the library builds: each distinct
+    element is spelled once, by ``unchecked_elem_str``, since the library's
+    own elements are valid (validation is for input).  The mirror of
+    ``_atom_parser``; without a group context an atom is its own string."""
+    if model is None:
+        return _require_atom
+    written: dict = {}
+    spell = model.unchecked_elem_str
+
+    def write(elem) -> str:
+        text = written.get(elem)
+        if text is None:
+            text = written[elem] = spell(elem)
+        return text
+
+    return write
 
 
 def elems_from_json(model: GroupModel | None, arr: Iterable) -> list:
@@ -83,9 +169,14 @@ def elems_from_json(model: GroupModel | None, arr: Iterable) -> list:
 
 
 def covering_to_json(cov: Covering, model: GroupModel | None = None) -> dict:
+    return _write_covering(cov, _atom_writer(model))
+
+
+def _write_covering(cov: Covering, write) -> dict:
+    """A covering whose atoms go through ``write``, one ``_atom_writer``."""
     return {
-        "ground": elems_to_json(model, cov.ground.atoms),
-        "blocks": [elems_to_json(model, block) for block in cov.blocks],
+        "ground": list(map(write, cov.ground.atoms)),
+        "blocks": [list(map(write, block)) for block in cov.blocks],
     }
 
 
@@ -101,7 +192,7 @@ def _read_covering(obj: dict, parse) -> Covering:
 
 def coloring_to_json(col: Coloring, model: GroupModel | None = None) -> dict:
     return {
-        "ground": elems_to_json(model, col.ground.atoms),
+        "ground": list(map(_atom_writer(model), col.ground.atoms)),
         "colors": list(col.colors),
         "k": col.k,
     }
@@ -109,7 +200,7 @@ def coloring_to_json(col: Coloring, model: GroupModel | None = None) -> dict:
 
 def coloring_from_json(obj: dict, model: GroupModel | None = None) -> Coloring:
     ground = GroundSet(elems_from_json(model, obj["ground"]))
-    colors = tuple(_require_int(c, "coloring color") for c in obj["colors"])
+    colors = _ints(obj["colors"], "coloring color")
     return Coloring(ground, colors, _require_int(obj["k"], "coloring k"))
 
 
@@ -128,7 +219,7 @@ def graph_from_json(obj: dict) -> BipartiteGraph:
 
 
 def witness_to_json(w: MatchingWitness) -> dict:
-    return {"pairs": sorted([i, j] for i, j in w.pairs)}
+    return {"pairs": sorted(map(list, w.pairs))}
 
 
 def witness_from_json(obj: dict) -> MatchingWitness:
@@ -137,10 +228,18 @@ def witness_from_json(obj: dict) -> MatchingWitness:
         isinstance(p, list) and len(p) == 2 for p in pairs
     ):
         raise ValueError("witness must be an object whose pairs are [i, j] lists")
-    return MatchingWitness(
-        tuple(sorted((_require_int(i, "witness index"), _require_int(j, "witness index"))
-                     for i, j in pairs))
-    )
+    _ints(chain.from_iterable(pairs), "witness index")
+    return MatchingWitness(tuple(sorted(map(tuple, pairs))))
+
+
+def _ints(values, what: str) -> tuple:
+    """``values`` as a tuple of JSON integers: one pass over their types, and
+    ``_require_int`` only to raise at the first value that is not one."""
+    values = tuple(values)
+    if not set(map(type, values)) <= _INT:
+        for value in values:
+            _require_int(value, what)
+    return values
 
 
 # -- means ------------------------------------------------------------------
@@ -180,19 +279,20 @@ def finmetric_from_json(obj: dict) -> FinMetric:
 
 def certificate_to_json(cert: FolnerCertificate) -> dict:
     model = cert.group
+    write = _atom_writer(model)  # the window repeats F, each g and h, and itself
     return {
         "schema": FOLNER_CERT_SCHEMA,
         "group": model.describe(),
-        "f": elems_to_json(model, cert.f_set),
-        "e": elems_to_json(model, cert.e_set),
+        "f": list(map(write, cert.f_set)),
+        "e": list(map(write, cert.e_set)),
         "theta": frac_str(cert.theta),
         "mode": cert.mode,
         "status": cert.status,
-        "cover": covering_to_json(cert.cover, model),
+        "cover": _write_covering(cert.cover, write),
         "pairs": [
             {
-                "g": model.elem_str(p.g),
-                "h": model.elem_str(p.h),
+                "g": write(p.g),
+                "h": write(p.h),
                 "mu": p.value,
                 "witness": witness_to_json(p.witness),
             }
@@ -272,7 +372,7 @@ def ramsey_outcome_to_json(
 def _index_tuple(arr, what: str) -> tuple:
     if isinstance(arr, list):
         try:
-            return tuple(_require_int(i, what) for i in arr)
+            return _ints(arr, what)
         except GroupError:
             pass
     raise ValueError(f"{what} must be a list of integers")

@@ -34,7 +34,7 @@ from matchcover.groups import (
     group_from_json,
 )
 from matchcover.means import ConvexCombination
-from matchcover.serialize import elems_to_json
+from matchcover.serialize import _atom_writer
 
 
 # -- matchings ----------------------------------------------------------------
@@ -84,9 +84,10 @@ def compose_matchings(
 
 def graph_to_json(g: BipartiteGraph, model: GroupModel | None = None) -> dict:
     """The encoding ``serialize.graph_from_json`` reads."""
+    write = _atom_writer(model)
     return {
-        "left": elems_to_json(model, g.left),
-        "right": elems_to_json(model, g.right),
+        "left": list(map(write, g.left)),
+        "right": list(map(write, g.right)),
         "edges": sorted([i, j] for i, j in g.edges),
     }
 

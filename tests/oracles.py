@@ -224,6 +224,31 @@ def associativity_reference(names, table) -> str | None:
     return None
 
 
+def finmetric_error_reference(points, dist) -> str | None:
+    """The error ``FinMetric`` raises for a square matrix of exact rationals,
+    by the direct ``Fraction`` comparisons, or None for a metric; a failing
+    triangle is the first (i, j, k) in lexicographic order."""
+    n = len(points)
+    dist = [[Fraction(x) for x in row] for row in dist]
+    for i in range(n):
+        if dist[i][i] != 0:
+            return f"nonzero diagonal at {points[i]!r}"
+        for j in range(n):
+            if dist[i][j] != dist[j][i]:
+                return "distance matrix is not symmetric"
+            if i != j and dist[i][j] <= 0:
+                return "distinct points at non-positive distance"
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if dist[i][k] > dist[i][j] + dist[j][k]:
+                    return (
+                        "triangle inequality fails at "
+                        f"({points[i]!r},{points[j]!r},{points[k]!r})"
+                    )
+    return None
+
+
 def adversary_local_reference(
     model, f_set, e_set, k: int, mode: str, seed: int, budget: int, plateau: int
 ) -> tuple:

@@ -148,6 +148,30 @@ class TestBall:
                 assert ball == ball_reference(model, r), (model.describe(), r)
                 assert model.ball(r) == ball
 
+    @pytest.mark.parametrize(
+        "model, radius",
+        [(IntegerLattice(2), 9), (IntegerLattice(3), 5), (F2, 5), (symmetric_group(4), 3)],
+        ids=["zd2", "zd3", "free2", "s4"],
+    )
+    def test_layers_are_sorted_merges_keyed_once(self, model, radius, monkeypatch):
+        """Each layer equals the sorted reference: the ball of radius r and
+        the sphere of its new elements.  The merge keys each element once."""
+        keyed = []
+        sort_key = type(model).sort_key
+        monkeypatch.setattr(
+            type(model), "sort_key", lambda self, g: keyed.append(g) or sort_key(self, g)
+        )
+        layers = list(model.ball_layers(radius))
+        monkeypatch.undo()
+        previous: set = set()
+        for r, (ball, sphere) in enumerate(layers):
+            want = ball_reference(model, r)
+            assert ball == want, (model.describe(), r)
+            new = [g for g in want if g not in previous]
+            assert sphere == tuple(sorted(new, key=model.sort_key)), (model.describe(), r)
+            previous = set(want)
+        assert sorted(keyed, key=model.sort_key) == list(layers[-1][0])
+
     def test_balls_cap_and_negative_radius(self, monkeypatch):
         monkeypatch.setattr(groups, "DEFAULT_BALL_LIMIT", 100)
         with pytest.raises(GroupError, match="cap"):

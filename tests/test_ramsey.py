@@ -22,6 +22,7 @@ from matchcover.ramsey import (
 from oracles import (
     _ramsey_mu_reference,
     compose,
+    finmetric_error_reference,
     max_matching_bruteforce,
     ramsey_check_reference,
     rho,
@@ -86,6 +87,69 @@ class TestFinMetric:
     def test_bools_rejected(self):
         with pytest.raises(TypeError, match="bools are not accepted"):
             FinMetric.build(["a", "b"], [[0, True], [True, 0]])
+
+
+def _seeded_distance_matrix(rng, n: int) -> list:
+    """A symmetric matrix with a zero diagonal and entries in [1, 2] over
+    mixed denominators, so a metric; then, by the draw, one pair pushed to
+    the tightest triangle, just past it, or far past it, two pairs at one
+    point pushed far, or one entry made asymmetric, diagonal or zero."""
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            q = rng.choice([1, 2, 3, 5, 7, 12])
+            dist[i][j] = dist[j][i] = Fraction(rng.randint(q, 2 * q), q)
+    how = rng.choice(["metric", "tight", "past", "far", "fan", "asym", "diag", "zero"])
+    if n >= 4 and how == "fan":  # two failing k for one (i, j)
+        a, b, c = rng.sample(range(n), 3)
+        dist[a][b] = dist[b][a] = Fraction(rng.randint(13, 30), 2)
+        dist[a][c] = dist[c][a] = Fraction(rng.randint(13, 30), 3)
+    elif n >= 3 and how in ("tight", "past", "far"):
+        a, b = rng.sample(range(n), 2)
+        bound = min(dist[a][j] + dist[j][b] for j in range(n) if j not in (a, b))
+        extra = {"tight": 0, "past": Fraction(1, rng.choice([6, 35])), "far": 3}[how]
+        dist[a][b] = dist[b][a] = bound + extra
+    elif n >= 2 and how == "asym":
+        a, b = rng.sample(range(n), 2)
+        dist[a][b] *= 2
+    elif n >= 2 and how == "zero":
+        a, b = rng.sample(range(n), 2)
+        dist[a][b] = dist[b][a] = Fraction(0)
+    elif how == "diag":
+        i = rng.randrange(n)
+        dist[i][i] = Fraction(1, 3)
+    return dist
+
+
+class TestFinMetricIntegerChecks:
+    """The checks run on the matrix scaled by its common denominator; they
+    must give the ``Fraction`` route's verdict and its first failing triple."""
+
+    def test_matches_the_fraction_route_on_seeded_matrices(self):
+        rng = random.Random(20260)
+        verdicts = []
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            points = [f"p{i}" for i in range(n)]
+            dist = _seeded_distance_matrix(rng, n)
+            want = finmetric_error_reference(points, dist)
+            try:
+                FinMetric.build(points, dist)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want, (points, dist)
+            verdicts.append((want or "metric").split(" at ")[0])  # drop the names
+        # every branch is reached, valid and violating alike
+        assert set(verdicts) == {
+            "metric",
+            "triangle inequality fails",
+            "distance matrix is not symmetric",
+            "nonzero diagonal",
+            "distinct points",
+        }
+        assert verdicts.count("triangle inequality fails") >= 50
+        assert verdicts.count("metric") >= 50
 
 
 class TestEmbeddings:
