@@ -2,8 +2,10 @@
 
 The matcher is an augmenting-path implementation (Hopcroft-Karp phasing)
 that returns an explicit matching.  Its core runs on adjacency rows, which
-library callers build directly; ``BipartiteGraph`` is the checked type for
-graphs from outside and for covering graphs.  The Hall deficiency, computed
+library callers build directly (a covering's rows come from its block
+index); ``BipartiteGraph`` is the checked type for graphs from outside, and
+``covering_graph`` spells a covering graph out edge by edge for display and
+for reference checks.  The Hall deficiency, computed
 from alternating reachability on a maximum matching (Koenig's
 construction), certifies maximality from the dual side: matching size plus
 deficiency always equals the size of the left part.
@@ -168,6 +170,12 @@ def hall_deficiency(graph: BipartiteGraph) -> tuple[int, tuple]:
     and is closed under alternating steps, so the reachable set is the
     unique inclusion-minimal maximizer; it is reported in left order.
     """
+    return _match_with_deficiency(graph)[2:]
+
+
+def _match_with_deficiency(graph: BipartiteGraph) -> tuple[int, MatchingWitness, int, tuple]:
+    """``max_matching`` and ``hall_deficiency`` from one adjacency and one
+    matching: (size, witness, deficiency, attaining subset)."""
     nl = len(graph.left)
     adj = graph.adjacency()
     size, witness = _match_rows(adj, len(graph.right))
@@ -190,7 +198,7 @@ def hall_deficiency(graph: BipartiteGraph) -> tuple[int, tuple]:
                 seen_l.add(w)
                 reach.append(w)
     atoms = tuple(graph.left[i] for i in sorted(seen_l))
-    return nl - size, atoms
+    return size, witness, nl - size, atoms
 
 
 def covering_graph(e: Iterable, f: Iterable, u: Covering) -> BipartiteGraph:
@@ -211,8 +219,37 @@ def covering_graph(e: Iterable, f: Iterable, u: Covering) -> BipartiteGraph:
     return BipartiteGraph(left, right, edges)
 
 
+def _covering_rows(e: Iterable, f: Iterable, u: Covering) -> tuple[tuple, tuple, list]:
+    """The canonical orders of e and f and the adjacency rows of their
+    covering graph, read from the covering's block index.
+
+    The row of a left atom is the ascending right indices of the atoms that
+    share one of its blocks: the same row as in
+    ``covering_graph(e, f, u).adjacency()``, with no edge set built.  Atoms
+    with the same blocks share one row.
+    """
+    left = u.ground.canon(e)
+    right = u.ground.canon(f)
+    blocks_of = u.blocks_of
+    in_block: dict = {}  # block index -> its right indices, ascending
+    for j, a in enumerate(right):
+        for b in blocks_of[a]:
+            in_block.setdefault(b, []).append(j)
+    rows: dict = {}  # blocks_of entry -> its row
+    for blocks in map(blocks_of.__getitem__, left):
+        if blocks not in rows:
+            near: set = set()
+            for b in blocks:
+                near.update(in_block.get(b, ()))
+            rows[blocks] = sorted(near)
+    return left, right, [rows[blocks_of[a]] for a in left]
+
+
 def mu_with_witness(e: Iterable, f: Iterable, u: Covering) -> tuple[int, MatchingWitness]:
-    return max_matching(covering_graph(e, f, u))
+    """Maximum matching of the covering graph, on ``_covering_rows``: the
+    value and witness of ``max_matching(covering_graph(e, f, u))``."""
+    _, right, rows = _covering_rows(e, f, u)
+    return _match_rows(rows, len(right))
 
 
 def mu(e: Iterable, f: Iterable, u: Covering) -> int:

@@ -25,7 +25,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .bipartite import covering_graph, hall_deficiency, max_matching
+from .bipartite import _match_with_deficiency, max_matching, mu_with_witness
 from .cover import Covering, GroundSet, join, refines, star_iterate, star_refines
 from .folner import (
     BallsStrategy,
@@ -239,29 +239,31 @@ def _cmd_mu(args, argv) -> int:
     cover = ser.covering_from_json(_load_json(args.cover))
     left = ser.elems_from_json(None, _load_json(args.left))
     right = ser.elems_from_json(None, _load_json(args.right))
-    graph = covering_graph(left, right, cover)
-    value, witness = max_matching(graph)
+    value, witness = mu_with_witness(left, right, cover)
     doc = {
         "mu": value,
-        "left": list(graph.left),
-        "right": list(graph.right),
+        "left": list(cover.ground.canon(left)),
+        "right": list(cover.ground.canon(right)),
         "witness": ser.witness_to_json(witness),
     }
-    witness_text = ser.canonical_dumps(doc["witness"]).rstrip("\n")
-    _emit(args, doc, f"mu = {value}\n{witness_text}")
+    summary = None  # --json prints no summary, so its witness text is not written
+    if not args.json:
+        summary = f"mu = {value}\n" + ser.canonical_dumps(doc["witness"]).rstrip("\n")
+    _emit(args, doc, summary)
     return 0
 
 
 def _cmd_match(args, argv) -> int:
     graph = ser.graph_from_json(_load_json(args.graph))
-    size, witness = max_matching(graph)
-    doc = {"size": size, "witness": ser.witness_to_json(witness)}
     if args.deficiency:
-        deficiency, subset = hall_deficiency(graph)
-        doc["deficiency"] = deficiency
-        doc["deficiency_witness"] = list(subset)
+        size, witness, deficiency, subset = _match_with_deficiency(graph)
+    else:
+        size, witness = max_matching(graph)
+    doc = {"size": size, "witness": ser.witness_to_json(witness)}
     summary = f"maximum matching size = {size}"
     if args.deficiency:
+        doc["deficiency"] = deficiency
+        doc["deficiency_witness"] = list(subset)
         summary += f"\nhall deficiency = {deficiency} at S = {doc['deficiency_witness']}"
     _emit(args, doc, summary)
     return 0

@@ -67,8 +67,12 @@ class GroundSet:
 
     def canon(self, atoms: Iterable[Atom]) -> tuple:
         """Sort a subset into canonical ground order, dropping duplicates."""
-        idx = sorted({self.position(a) for a in atoms})
-        return tuple(self.atoms[i] for i in idx)
+        pos = self._pos
+        try:
+            idx = sorted({pos[a] for a in atoms})
+        except KeyError as missing:  # the message of ``position``
+            raise ValueError(f"atom not in ground set: {missing.args[0]!r}") from None
+        return tuple(map(self.atoms.__getitem__, idx))
 
 
 class Covering:
@@ -95,7 +99,7 @@ class Covering:
         if covered != set(ground.atoms):
             missing = [a for a in ground.atoms if a not in covered]
             raise ValueError(f"blocks do not cover the ground set; missing {missing!r}")
-        canon_blocks.sort(key=lambda b: tuple(ground.position(a) for a in b))
+        canon_blocks.sort(key=lambda b: tuple(map(ground._pos.__getitem__, b)))
         self.ground = ground
         self.blocks = tuple(canon_blocks)
         index: dict = {}

@@ -5,9 +5,10 @@ of an explicit finite window, and a rational threshold theta.  It records,
 for every required pair of translates, the exact matching number together
 with a witness matching.  The checker recomputes the translates itself,
 verifies each stored witness by block lookup and proves it maximum by an
-alternating search on the block incidence (Berge's theorem), building no
-covering graph; nothing outside the window is ever consulted, and any
-reference escaping the window is an error rather than a silent truncation.
+alternating search on the block incidence (Berge's theorem), augmenting a
+witness that is not maximum until it is, and builds no covering graph;
+nothing outside the window is ever consulted, and any reference escaping
+the window is an error rather than a silent truncation.
 
 Two pair modes ship side by side: ``asym`` compares F against each
 translate gF, while ``sym`` compares all pairs of translates gF, hF.  The
@@ -21,8 +22,10 @@ candidate sets, and single-atom recoloring descent for adversarial
 colorings.  Both keep counts rather than recount: on a partition the
 candidate search keeps the block counts of every translate gF and each
 pair's value, so a ball is scored from its new sphere and a local move from
-the one element it inserts or drops; the coloring search keeps per-pair
-color counts and updates the pairs a recolored atom touches.  Each step of
+the one element it inserts or drops; on any other covering it keeps one
+maximum matching per pair and re-augments it after each change; the
+coloring search keeps per-pair color counts and updates the pairs a
+recolored atom touches.  Each step of
 the hill climb is one pass over its moves: every boundary element is scored
 once, and the best improving move is kept as the pass goes.
 """
@@ -39,8 +42,6 @@ from typing import Iterable, Sequence
 
 from .bipartite import (
     _match_rows,
-    covering_graph,
-    max_matching,
     MatchingWitness,
     mu,
     mu_partition_witness,
@@ -258,35 +259,137 @@ class _PartitionCounts:
 class _CoveringRecount:
     """``_PartitionCounts``'s moves on a covering that is not a partition.
 
-    F is kept as a set; an add checks the window the same way, and each
-    read builds every translate and recounts every pair on the general
-    matcher.
+    Each pair (g, h) keeps the atoms of gF and hF, by their positions in
+    the ground, and one maximum matching between them across adds and
+    drops.  An add puts g*y and h*y into the two sides and checks the
+    window as ``_PartitionCounts`` does; a drop takes them out together with
+    their matched edges, at most two per pair.  A read re-augments every
+    pair: first a direct edge for each free left atom, to a free right atom
+    in one of its blocks, then ``_path`` until no augmenting path is left.
+    The search reads values only, so the matching may differ from the one a
+    cold ``mu_with_witness`` finds.
     """
 
     def __init__(self, model: GroupModel, pairs, cover: Covering) -> None:
-        self._model, self._pairs, self._cover = model, pairs, cover
+        self._mul = model.unchecked_multiply
+        atoms = cover.ground.atoms
+        self._pos = {a: p for p, a in enumerate(atoms)}
+        self._blocks = [tuple(map(self._pos.__getitem__, block)) for block in cover.blocks]
+        self._blocks_at = list(map(cover.blocks_of.__getitem__, atoms))
+        self._near: list = [None] * len(atoms)  # position -> the positions sharing a block
         self._translators = tuple(dict.fromkeys(g for pair in pairs for g in pair))
+        slot = {g: t for t, g in enumerate(self._translators)}
+        self._pairs = tuple((slot[g], slot[h]) for g, h in pairs)
+        self._known: dict = {}
         self.reset()
 
     def reset(self) -> None:
-        self._members: set = set()
+        """Make F empty."""
+        self.size = 0
+        # per pair: the free atoms of gF, the atoms of hF, and the matching
+        # both ways (left atom -> right atom, right atom -> left atom)
+        self._sides = [(set(), set(), {}, {}) for _ in self._pairs]
 
     def least(self) -> int:
-        model, cover = self._model, self._cover
-        f_canon = tuple(sorted(self._members, key=model.sort_key))
-        translates = _translates(model, f_canon, self._pairs, cover.ground)
-        return min((mu(gf, hf, cover) for gf, hf in translates), default=len(f_canon))
+        """The smallest pair value; |F| when there are no pairs."""
+        least = self.size
+        for free, right, mate_l, mate_r in self._sides:
+            if free:
+                open_right = right.difference(mate_r)
+                for a in list(free):
+                    hit = open_right.intersection(self._nearby(a))
+                    if hit:
+                        c = hit.pop()
+                        open_right.remove(c)
+                        mate_l[a], mate_r[c] = c, a
+                        free.remove(a)
+            while free and (path := self._path(free, right, mate_l, mate_r)):
+                for a, c in path:
+                    mate_l[a], mate_r[c] = c, a
+                free.remove(a)  # the free atom the path started from
+            least = min(least, len(mate_l))
+        return least
+
+    def _nearby(self, a) -> frozenset:
+        """The atoms that share a block with a, kept per atom."""
+        near = self._near[a]
+        if near is None:
+            blocks = self._blocks
+            near = frozenset(itertools.chain.from_iterable(blocks[b] for b in self._blocks_at[a]))
+            self._near[a] = near
+        return near
+
+    def _path(self, free, right, mate_l: dict, mate_r: dict) -> list | None:
+        """An augmenting path from the free left atoms, or None when the
+        pair's matching is maximum: the alternating search of the checker's
+        ``_augment``, on positions, returning (left, right) pairs from the
+        free right atom back to the free left atom it started from."""
+        blocks_at, blocks = self._blocks_at, self._blocks
+        queue = list(free)
+        via = dict.fromkeys(queue)  # left atom reached -> the left atom it came from
+        expanded: set = set()
+        for a in queue:  # grows while it is walked
+            for b in blocks_at[a]:
+                if b in expanded:
+                    continue
+                expanded.add(b)
+                for c in blocks[b]:
+                    if c not in right:
+                        continue
+                    k = mate_r.get(c)
+                    if k is None:
+                        path = [(a, c)]
+                        while via[a] is not None:
+                            path.append((via[a], mate_l[a]))
+                            a = via[a]
+                        return path
+                    if k not in via:
+                        via[k] = a
+                        queue.append(k)
+        return None
+
+    def _images(self, y) -> list | None:
+        """The position of g*y for each translator g; None if y or one
+        leaves the window.  Kept per y, as ``_PartitionCounts._blocks``
+        keeps its blocks."""
+        found = self._known.get(y, False)
+        if found is False:
+            pos = self._pos
+            found = None
+            if y in pos:
+                mul = self._mul
+                found = [pos.get(mul(g, y)) for g in self._translators]
+                if None in found:
+                    found = None
+            self._known[y] = found
+        return found
 
     def add(self, y) -> bool:
-        ground = self._cover.ground
-        mul = self._model.unchecked_multiply
-        if y not in ground or any(mul(g, y) not in ground for g in self._translators):
+        """Insert y, which is not in F; False, changing nothing, on an escape."""
+        found = self._images(y)
+        if found is None:
             return False
-        self._members.add(y)
+        for (s, t), (free, right, _, _) in zip(self._pairs, self._sides):
+            free.add(found[s])
+            right.add(found[t])
+        self.size += 1
         return True
 
     def drop(self, y) -> None:
-        self._members.remove(y)
+        """Remove y, which is in F."""
+        found = self._images(y)
+        for (s, t), (free, right, mate_l, mate_r) in zip(self._pairs, self._sides):
+            a, c = found[s], found[t]
+            if a in mate_l:
+                del mate_r[mate_l.pop(a)]
+            else:
+                free.remove(a)
+            right.remove(c)
+            if c in mate_r:
+                k = mate_r.pop(c)
+                del mate_l[k]
+                free.add(k)
+        self.size -= 1
 
 
 def _pair_counts(model: GroupModel, pairs, cover: Covering):
@@ -324,8 +427,10 @@ def build_certificate(
     The stored covering is restricted to the union of F and the translates
     actually used; restriction preserves every pair relation inside that
     window, so matching numbers are unchanged.  A partition takes the
-    per-block greedy ``mu_partition_witness``, which returns the general
-    matcher's witness without building the covering graph.
+    per-block greedy ``mu_partition_witness``, any other covering the
+    general matcher on rows read from the block index
+    (``mu_with_witness``); both give the witness of the covering graph's
+    matcher without building the graph.
     """
     theta = _require_fraction(theta)
     f_canon = model.canon_set(f_set)
@@ -385,21 +490,24 @@ def _witness_error(left: tuple, right: tuple, cover: Covering, witness) -> str |
     return None
 
 
-def _augmentable(left: tuple, right: tuple, cover: Covering, witness) -> bool:
-    """True iff the (valid) witness has an augmenting path, i.e. is not maximum.
+def _augment(left: tuple, right_pos: dict, cover: Covering, mate: dict) -> list | None:
+    """An augmenting path of a valid witness, or None when it is maximum.
 
-    Alternating search from the unmatched left vertices on the block
-    incidence: a left vertex expands each of its blocks not yet expanded,
-    reaching every right vertex in it; a matched right vertex leads on to
-    its mate, and a free one ends an augmenting path.  Each block is
-    expanded at most once, and no edge is built.
+    ``mate`` maps each matched right index to its left index, and
+    ``right_pos`` each right atom to its index.  Alternating search from
+    the unmatched left vertices on the block incidence: a left vertex
+    expands each of its blocks not yet expanded, reaching every right
+    vertex in it; a matched right vertex leads on to its mate, and a free
+    one ends an augmenting path.  Each block is expanded at most once, and
+    no edge is built.  The path comes back as (left index, right index)
+    pairs, from the free right vertex back to the free left vertex it
+    started from; setting ``mate[j] = i`` for each pair makes the matching
+    one larger (Berge).
     """
     blocks_of = cover.blocks_of
-    right_pos = {a: j for j, a in enumerate(right)}
-    mate = {j: i for i, j in witness.pairs}
     matched = set(mate.values())
     queue = [i for i in range(len(left)) if i not in matched]
-    reached = set(queue)
+    via = dict.fromkeys(queue)  # left vertex reached -> the left vertex it came from
     expanded: set = set()
     for i in queue:  # grows while it is walked
         for b in blocks_of[left[i]]:
@@ -412,11 +520,16 @@ def _augmentable(left: tuple, right: tuple, cover: Covering, witness) -> bool:
                     continue
                 k = mate.get(j)
                 if k is None:
-                    return True
-                if k not in reached:
-                    reached.add(k)
+                    mate_of = {i: j for j, i in mate.items()}
+                    path = [(i, j)]
+                    while via[i] is not None:
+                        path.append((via[i], mate_of[i]))
+                        i = via[i]
+                    return path
+                if k not in via:
+                    via[k] = i
                     queue.append(k)
-    return False
+    return None
 
 
 def _check_pair(model: GroupModel, f_canon: tuple, cover: Covering, pair, need: int) -> list:
@@ -424,9 +537,9 @@ def _check_pair(model: GroupModel, f_canon: tuple, cover: Covering, pair, need: 
 
     ``f_canon`` must be valid and duplicate-free (``canon_set`` output); the
     pair's g and h are validated here, once each.  The witness is validated
-    by block lookup and proved maximum by ``_augmentable``; only a valid
-    witness that is not maximum falls back to the general matcher, to report
-    the value it should have had.
+    by block lookup and proved maximum by ``_augment``; a valid witness that
+    is not maximum is augmented until it is, which gives the value it should
+    have had.
     """
     gf = model.unchecked_translate(model.validate(pair.g), f_canon)
     hf = model.unchecked_translate(model.validate(pair.h), f_canon)
@@ -447,9 +560,12 @@ def _check_pair(model: GroupModel, f_canon: tuple, cover: Covering, pair, need: 
                 f"claimed {pair.value}",
             )
         )
-    value = len(pair.witness)
-    if _augmentable(left, right, cover, pair.witness):
-        value, _ = max_matching(covering_graph(left, right, cover))
+    right_pos = {a: j for j, a in enumerate(right)}
+    mate = {j: i for i, j in pair.witness.pairs}
+    value = len(mate)
+    while path := _augment(left, right_pos, cover, mate):
+        mate.update((j, i) for i, j in path)
+        value += 1
     if value != pair.value:
         findings.append(
             Finding("value-mismatch", f"pair {label}: stored {pair.value}, recomputed {value}")

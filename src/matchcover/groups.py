@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 import string
 from fractions import Fraction
+from itertools import chain
 from operator import add, itemgetter
 from typing import Iterable, Sequence
 
@@ -339,11 +340,19 @@ class FiniteTableGroup(GroupModel):
             raise GroupError("duplicate element names")
         if len(table) != n or any(len(row) != n for row in table):
             raise GroupError("multiplication table is not square")
-        self.table = tuple(tuple(_require_int(x, "table entry") for x in row) for row in table)
-        for row in self.table:
-            for x in row:
-                if not (0 <= x < n):
-                    raise GroupError(f"table entry {x} out of range")
+        # one pass over the types and one over the range; the loops below run
+        # only to name the first entry that fails
+        if set(map(type, chain.from_iterable(table))) == {int}:
+            self.table = tuple(map(tuple, table))
+        else:
+            self.table = tuple(
+                tuple(_require_int(x, "table entry") for x in row) for row in table
+            )
+        if not (min(map(min, self.table)) >= 0 and max(map(max, self.table)) < n):
+            for row in self.table:
+                for x in row:
+                    if not (0 <= x < n):
+                        raise GroupError(f"table entry {x} out of range")
         self._identity = self._find_identity()
         self._inverses = self._find_inverses()
         self._check_associativity()

@@ -208,14 +208,19 @@ def coloring_from_json(obj: dict, model: GroupModel | None = None) -> Coloring:
 
 
 def graph_from_json(obj: dict) -> BipartiteGraph:
-    return BipartiteGraph(
-        tuple(elems_from_json(None, obj["left"])),
-        tuple(elems_from_json(None, obj["right"])),
-        frozenset(
-            (_require_int(i, "edge index"), _require_int(j, "edge index"))
-            for i, j in obj["edges"]
-        ),
-    )
+    left = tuple(elems_from_json(None, obj["left"]))
+    right = tuple(elems_from_json(None, obj["right"]))
+    edges = obj["edges"]
+    # one pass over the edge types, one over their lengths, one over the index types
+    if (
+        set(map(type, edges)) <= _SEQ
+        and set(map(len, edges)) <= _TWO
+        and set(map(type, chain.from_iterable(edges))) <= _INT
+    ):
+        edges = map(tuple, edges)
+    else:  # edge by edge, to raise at the first bad edge or index
+        edges = [(_require_int(i, "edge index"), _require_int(j, "edge index")) for i, j in edges]
+    return BipartiteGraph(left, right, frozenset(edges))
 
 
 def witness_to_json(w: MatchingWitness) -> dict:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from matchcover import bipartite
 from matchcover.bipartite import (
     BipartiteGraph,
     MatchingWitness,
@@ -95,6 +96,13 @@ class TestHallDeficiency:
             assert hall_deficiency(g) == hall_deficiency_bruteforce(g)
 
 
+    def test_one_matching_gives_both(self):
+        rng = random.Random(7)
+        for _ in range(80):
+            g = random_graph(rng, 12, 12)
+            assert bipartite._match_with_deficiency(g) == (*max_matching(g), *hall_deficiency(g))
+
+
 class TestPerfectMatching:
     def test_complete(self):
         g = complete(5, 5)
@@ -134,6 +142,45 @@ class TestCoveringGraph:
         u = Covering(GroundSet(range(3)), [range(3)])
         with pytest.raises(ValueError, match="not in ground"):
             covering_graph([0, 7], [1], u)
+
+
+class TestCoveringRows:
+    """``_covering_rows`` reads the covering graph's rows off the block index."""
+
+    def test_rows_are_the_covering_graph_adjacency(self):
+        rng = random.Random(20261019)
+        overlapping = 0
+        for trial in range(300):
+            n = rng.randint(1, 14)
+            raw = random_covering(rng, n, max_blocks=7)
+            atoms = list(range(n))
+            rng.shuffle(atoms)  # ground order differs from atom order
+            u = Covering(GroundSet(atoms), raw.blocks)
+            overlapping += not u.is_partition()
+            e = random_subset(rng, range(n)) + random_subset(rng, range(n), allow_empty=True)
+            f = random_subset(rng, range(n), allow_empty=True)
+            graph = covering_graph(e, f, u)
+            left, right, rows = bipartite._covering_rows(e, f, u)
+            assert (left, right) == (graph.left, graph.right)
+            assert rows == graph.adjacency(), (trial, u.blocks, e, f)
+            assert mu_with_witness(e, f, u) == max_matching(graph)
+        assert overlapping > 200
+
+    def test_builds_no_graph(self, monkeypatch):
+        u = Covering(GroundSet(range(6)), [[0, 1, 2], [2, 3], [3, 4, 5], [1, 4]])
+        want = max_matching(covering_graph([0, 1, 2, 3], [2, 3, 4, 5], u))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("mu_with_witness built a graph")
+
+        for name in ("covering_graph", "BipartiteGraph", "max_matching"):
+            monkeypatch.setattr(bipartite, name, refuse)
+        assert mu_with_witness([0, 1, 2, 3], [2, 3, 4, 5], u) == want
+
+    def test_elements_outside_ground(self):
+        u = Covering(GroundSet(range(3)), [range(3)])
+        with pytest.raises(ValueError, match="not in ground"):
+            mu([0, 7], [1], u)
 
 
 class TestMu:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from matchcover import cli
+from matchcover import bipartite, cli
 from matchcover.cli import build_parser, dispatch
 from matchcover import serialize as ser
 from matchcover.cover import Covering, GroundSet
@@ -194,6 +194,29 @@ class TestMuAndMatch:
         doc = json.loads(capsys.readouterr().out)
         assert doc["mu"] == 2
 
+    @pytest.mark.parametrize("as_json", [True, False], ids=["json", "summary"])
+    def test_mu_writes_the_witness_text_only_when_shown(
+        self, tmp_path, covering_file, capsys, monkeypatch, as_json
+    ):
+        written = []
+        dumps = ser.canonical_dumps
+
+        def counted(doc):
+            written.append(doc)
+            return dumps(doc)
+
+        monkeypatch.setattr(ser, "canonical_dumps", counted)
+        left = write(tmp_path / "left.json", ["a", "b"])
+        right = write(tmp_path / "right.json", ["b", "c"])
+        argv = ["mu", "--cover", covering_file, "--left", left, "--right", right]
+        assert dispatch(argv + ["--json"] * as_json) == 0
+        out = capsys.readouterr().out
+        if as_json:
+            assert len(written) == 1 and json.loads(out)["mu"] == 2
+        else:
+            assert len(written) == 1 and written[0] == {"pairs": [[0, 0], [1, 1]]}
+            assert out == "mu = 2\n" + dumps(written[0])
+
     def test_match_with_deficiency(self, tmp_path, capsys):
         graph = write(
             tmp_path / "graph.json",
@@ -221,6 +244,52 @@ class TestMuAndMatch:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: duplicate {side} vertex names\n"
+
+    @pytest.mark.parametrize(
+        "edges, kind, message",
+        [
+            ([[0, "1"], [0]], "GroupError", "edge index must be an integer, not '1'"),
+            ([[0], [0, "1"]], "ValueError", "not enough values to unpack (expected 2, got 1)"),
+            # a whole-list pass that let the short edge through would meet the
+            # out-of-range edge (2, 3) first in the edge set
+            ([[2, 3], [0]], "ValueError", "not enough values to unpack (expected 2, got 1)"),
+            ([[0, 0], [True, 0]], "GroupError", "edge index must be an integer, not True"),
+            ([[0, 0], [0, 0.0]], "GroupError", "edge index must be an integer, not 0.0"),
+            ([[0, 0], [0, 0, 0]], "ValueError", "too many values to unpack (expected 2)"),
+            ([[0, 0], "01"], "GroupError", "edge index must be an integer, not '0'"),
+            ([[0, 0], None], "TypeError", "cannot unpack non-iterable NoneType object"),
+            (5, "TypeError", "'int' object is not iterable"),
+        ],
+        ids=["index-before-short", "short-before-index", "range-before-short", "bool", "float",
+             "long", "str",
+             "null", "not-a-list"],
+    )
+    def test_malformed_edges_keep_their_messages(self, edges, kind, message):
+        """Edges are type-checked in one pass; a failing list raises what a
+        check edge by edge raises at its first bad edge."""
+        doc = {"left": ["a", "b"], "right": ["x", "y"], "edges": edges}
+        with pytest.raises(Exception) as got:
+            ser.graph_from_json(doc)
+        assert (type(got.value).__name__, str(got.value)) == (kind, message)
+
+    def test_deficiency_matches_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        match_rows = bipartite._match_rows
+
+        def counted(adj, n_right):
+            calls.append(len(adj))
+            return match_rows(adj, n_right)
+
+        monkeypatch.setattr(bipartite, "_match_rows", counted)
+        graph = write(
+            tmp_path / "graph.json",
+            {"left": ["a", "b", "c"], "right": ["1", "2"], "edges": [[0, 0], [1, 0], [2, 1]]},
+        )
+        assert dispatch(["match", "--graph", graph, "--deficiency"]) == 0
+        assert capsys.readouterr().out == (
+            "maximum matching size = 2\nhall deficiency = 1 at S = ['a', 'b']\n"
+        )
+        assert calls == [3]
 
     def test_match_long_alternating_path(self, tmp_path, capsys):
         n = 1200

@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import random
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from matchcover.bipartite import MatchingWitness, mu, mu_partition, mu_with_witness
+from matchcover.bipartite import MatchingWitness, _match_rows, mu, mu_partition, mu_with_witness
 from matchcover.cover import Covering, GroundSet, join
 from matchcover import bipartite, folner
 from matchcover.folner import (
@@ -181,9 +182,40 @@ class TestCertificates:
         def no_graph(*args):
             raise AssertionError("covering graph built for a partition")
 
-        monkeypatch.setattr(folner, "covering_graph", no_graph)
+        assert not hasattr(folner, "covering_graph")
         monkeypatch.setattr(bipartite, "covering_graph", no_graph)
         assert build_all() == general
+
+    def test_non_partition_routes_build_no_covering_graph(self, monkeypatch):
+        """On a covering that is not a partition, certificates, both
+        searches, the checker and mu read the block index: no covering graph,
+        no BipartiteGraph and no max_matching."""
+        cover = strip_cover(Z2.ball(5))
+        e_set = [(2, 0), (0, 1), (1, 1)]
+        f = Z2.ball(3)
+        theta = Fraction(99, 100)
+
+        def run_all():
+            cert = build_certificate(Z2, f, e_set, cover, Fraction(1, 2), "sym")
+            return [
+                canonical_dumps(certificate_to_json(cert)),
+                check_certificate(cert),
+                folner_search(Z2, e_set, cover, theta, "asym", BallsStrategy(3)),
+                folner_search(Z2, e_set, cover, theta, "sym", LocalSetStrategy(seed=3, budget=300)),
+                mu(f, Z2.translate((2, 0), f), cover),
+            ]
+
+        want = run_all()
+        assert want[1].ok and want[4] < len(f)
+        assert want[2] == folner_search_reference(Z2, e_set, cover, theta, "asym", BallsStrategy(3))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a covering graph route was taken")
+
+        assert not hasattr(folner, "covering_graph") and not hasattr(folner, "max_matching")
+        for name in ("covering_graph", "BipartiteGraph", "max_matching"):
+            monkeypatch.setattr(bipartite, name, refuse)
+        assert run_all() == want
 
     def test_f2_first_letter_fails_at_nine_tenths(self):
         f = F2.ball(2)
@@ -332,6 +364,46 @@ class TestCheckerRoute:
                     )
         # deep: the shortest augmenting path has three edges or more
         assert cases > 2000 and fallbacks > 100 and deep >= 10
+
+    def test_recomputed_value_is_the_brute_force_optimum(self):
+        """A valid witness that is not maximum is augmented by the checker's
+        own search; the value it reports is the exhaustive optimum."""
+        rng = random.Random(20261019)
+        deep = 0
+        for trial in range(400):
+            n = rng.randint(2, 12)
+            model = cyclic_group(n)
+            raw = random_covering(rng, n)
+            atoms = list(range(n))
+            rng.shuffle(atoms)
+            cover = Covering(GroundSet(atoms), raw.blocks)
+            f_set = model.canon_set(random_subset(rng, range(n)))
+            g, h = rng.randrange(n), rng.randrange(n)
+            gf, hf = model.translate(g, f_set), model.translate(h, f_set)
+            graph = covering_graph(gf, hf, cover)
+            best = max_matching_bruteforce(graph)
+            # a greedy matching in a random edge order, on every other trial
+            # with some edges passed over: valid, and when maximal short of
+            # the optimum only by paths of three edges or more
+            edges = sorted(graph.edges)
+            rng.shuffle(edges)
+            keep = 1 if trial % 2 else 0.7
+            used_l, used_r, pairs = set(), set(), []
+            for i, j in edges:
+                if i not in used_l and j not in used_r and rng.random() < keep:
+                    used_l.add(i)
+                    used_r.add(j)
+                    pairs.append((i, j))
+            if len(pairs) == best:
+                continue
+            deep += all(i in used_l or j in used_r for i, j in graph.edges)
+            witness = MatchingWitness(tuple(sorted(pairs)))
+            pair = folner.PairResult(g, h, len(pairs), witness)
+            got = folner._check_pair(model, f_set, cover, pair, 0)
+            assert [(x.code, x.message) for x in got] == [
+                ("value-mismatch", f"pair ({g},{h}): stored {len(pairs)}, recomputed {best}")
+            ], trial
+        assert deep >= 10
 
     def test_valid_non_maximum_witness_reports_recomputed_value(self):
         cover = z_parity_cover(-1, 10)
@@ -555,6 +627,107 @@ class TestPartitionCounts:
         with pytest.raises(WindowEscape) as want:
             folner._translates(Z2, Z2.ball(radius), pairs, cover.ground)
         assert str(got.value) == str(want.value)
+
+
+def overlapping_cases() -> list:
+    """(id, model, window, covering, E, radius) with coverings that are not
+    partitions; the ball of the radius and its translates fit the window."""
+    z2_window = Z2.ball(6)
+    rng = random.Random(20261019)
+    z2_extra = [[x for x in z2_window if rng.random() < 0.2] for _ in range(3)]
+    z2_random = Covering(
+        GroundSet(z2_window),
+        [*builtin_partition(Z2, "parity", z2_window).blocks, *z2_extra],
+    )
+    f2_window = F2.ball(4)
+    f2_first = builtin_partition(F2, "first-letter", f2_window)
+    f2_cover = Covering(f2_first.ground, [*f2_first.blocks, F2.ball(1)])
+    return [
+        ("z2-strips", Z2, z2_window, strip_cover(z2_window), [(2, 0), (0, 1), (1, 1)], 4),
+        ("z2-parity-plus", Z2, z2_window, z2_random, [(0, 0), (1, 0), (2, 1)], 3),
+        ("f2-first-letter-plus", F2, f2_window, f2_cover, [(1,), (1, 2), (-2,)], 2),
+    ]
+
+
+OVERLAPPING_CASES = overlapping_cases()
+
+
+class TestCoveringRecount:
+    """The warm matchings of ``_CoveringRecount`` against a cold ``_match_rows``
+    on each pair's rows, after every ball radius and every local move."""
+
+    @staticmethod
+    def assert_warm_is_cold(counts, model, pairs, cover, members) -> None:
+        least = counts.least()
+        f = model.canon_set(members)
+        atom = cover.ground.atoms  # the sides hold ground positions
+        index = cover.blocks_of
+        cold = []
+        for (g, h), (free, right, mate_l, mate_r) in zip(pairs, counts._sides):
+            gf, hf = model.translate(g, f), model.translate(h, f)
+            _, _, rows = bipartite._covering_rows(gf, hf, cover)
+            cold.append(_match_rows(rows, len(hf))[0])
+            # a matching of the pair's covering graph, kept the same both ways
+            assert len(mate_l) == cold[-1]
+            assert mate_r == {c: a for a, c in mate_l.items()}
+            assert {atom[a] for a in free} == set(gf) - {atom[a] for a in mate_l}
+            assert {atom[c] for c in right} == set(hf) and set(mate_r) <= right
+            assert all(
+                not index[atom[a]].isdisjoint(index[atom[c]]) for a, c in mate_l.items()
+            )
+        assert counts.size == len(f)
+        assert least == min(cold, default=len(f))
+
+    @pytest.mark.parametrize("mode", ["asym", "sym"])
+    @pytest.mark.parametrize(
+        "name, model, window, cover, e_set, radius", OVERLAPPING_CASES,
+        ids=[c[0] for c in OVERLAPPING_CASES],
+    )
+    def test_every_ball_radius(self, name, model, window, cover, e_set, radius, mode):
+        assert not cover.is_partition()
+        pairs = required_pairs(model, e_set, mode)
+        counts = folner._CoveringRecount(model, pairs, cover)
+        for ball, sphere in model.ball_layers(radius):
+            assert all(map(counts.add, sphere))
+            self.assert_warm_is_cold(counts, model, pairs, cover, ball)
+
+    @pytest.mark.parametrize("mode", ["asym", "sym"])
+    @pytest.mark.parametrize(
+        "name, model, window, cover, e_set, radius", OVERLAPPING_CASES,
+        ids=[c[0] for c in OVERLAPPING_CASES],
+    )
+    def test_every_local_move(self, name, model, window, cover, e_set, radius, mode):
+        pairs = required_pairs(model, e_set, mode)
+        counts = folner._CoveringRecount(model, pairs, cover)
+        rng = random.Random(f"{name}/{mode}")
+        # the ball one past the radius: dense enough that a dropped atom's
+        # translates are matched apart, with some adds that leave the window
+        reach = model.ball(radius + 1)
+        members: set = set()
+        refused = drops = both_sides = 0
+        for _ in range(300):
+            if members and rng.random() < 0.3:
+                y = rng.choice(sorted(members, key=model.sort_key))
+                # count the drops that unmatch an atom of gF and a different
+                # atom of hF in the same pair: two matched edges go
+                for (g, h), (_, _, mate_l, mate_r) in zip(pairs, counts._sides):
+                    a, c = (cover.ground.position(model.multiply(x, y)) for x in (g, h))
+                    if a in mate_l and c in mate_r and mate_l[a] != c:
+                        both_sides += 1
+                        break
+                counts.drop(y)
+                members.remove(y)
+                drops += 1
+            else:
+                y = rng.choice([x for x in reach if x not in members])
+                before = copy.deepcopy((counts._sides, counts.size))
+                if not counts.add(y):
+                    refused += 1
+                    assert (counts._sides, counts.size) == before
+                    continue
+                members.add(y)
+            self.assert_warm_is_cold(counts, model, pairs, cover, members)
+        assert refused and drops and both_sides
 
 
 def search_cases() -> list:
@@ -850,9 +1023,9 @@ class TestPerfectNet:
         def refuse(*args, **kwargs):
             raise AssertionError("perfect_net built a covering or a covering graph")
 
+        assert not hasattr(folner, "covering_graph")
         for owner, name in [
             (folner, "Covering"),
-            (folner, "covering_graph"),
             (bipartite, "covering_graph"),
             (folner, "mu_with_witness"),
         ]:

@@ -225,6 +225,28 @@ class TestFiniteTable:
         e = s3.identity
         assert all(s3.multiply(x, s3.inverse(x)) == e for x in s3.elements())
 
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ([[0, True], [1, 0]], "table entry must be an integer, not True"),
+            ([[0, 1.0], [1, 0]], "table entry must be an integer, not 1.0"),
+            # the type check covers the whole table before the range check
+            ([[0, 5], [1, "0"]], "table entry must be an integer, not '0'"),
+            ([[0, 1], "ab"], "table entry must be an integer, not 'a'"),
+            ([[0, 1], [1, 2]], "table entry 2 out of range"),
+            ([[0, 7], [-1, 0]], "table entry 7 out of range"),
+            ([[0, 1], [-1, 0]], "table entry -1 out of range"),
+        ],
+        ids=["bool", "float", "str-after-range", "str-row", "high", "first-in-order", "negative"],
+    )
+    def test_malformed_entries_keep_their_messages(self, table, message):
+        """The whole table is checked in one pass over its types and one over
+        its range; a failing table names the same first entry as a check
+        entry by entry."""
+        with pytest.raises(GroupError) as got:
+            FiniteTableGroup(["e", "a"], table)
+        assert str(got.value) == message
+
     def test_non_associative_rejected(self):
         # 2-element table with a broken product
         with pytest.raises(GroupError):
