@@ -24,10 +24,12 @@ candidate search keeps the block counts of every translate gF and each
 pair's value, so a ball is scored from its new sphere and a local move from
 the one element it inserts or drops; on any other covering it keeps one
 maximum matching per pair and re-augments it after each change; the
-coloring search keeps per-pair color counts and updates the pairs a
-recolored atom touches.  Each step of
-the hill climb is one pass over its moves: every boundary element is scored
-once, and the best improving move is kept as the pass goes.
+coloring search keeps, per pair and color, the sign of the count difference
+between the two translates, and scores a recoloring with one lookup for
+each pair that holds the atom on one side only (a pair that holds it on
+both sides keeps its value).  Each step of the hill climb is one pass over
+its moves: every boundary element is scored once, and the best improving
+move is kept as the pass goes.
 """
 
 from __future__ import annotations
@@ -836,6 +838,8 @@ class LocalColorings:
         # with no evaluation there is no coloring to report
         if self.budget < 1:
             raise ValueError(f"local coloring budget must be at least 1, got {self.budget}")
+        if self.plateau < 0:
+            raise ValueError(f"local coloring plateau must be at least 0, got {self.plateau}")
 
 
 def adversary_coloring(
@@ -855,9 +859,13 @@ def adversary_coloring(
     the partition shortcut used during the search.
 
     |F| is fixed, so the search compares the integer min over pairs of
-    sum over colors of min(#c in gF, #c in hF).  The local strategy keeps
-    those per-pair color counts and scores a single-atom recoloring by
-    updating only the pairs whose translates contain the atom.
+    v = sum over colors of min(#c in gF, #c in hF).  The local strategy
+    keeps, per pair, D[c] = #c in gF - #c in hF as two 0/1 vectors (gF has
+    more of c, hF has more of c), and scores a single-atom recoloring from
+    o to c by the one-sided rule: on a pair that holds the atom in gF only
+    the value becomes v - [D[o] <= 0] + [D[c] < 0], in hF only
+    v - [D[o] >= 0] + [D[c] > 0], and in both (or neither) it stays v.
+    An applied move refreshes the vectors of the pairs that hold the atom.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -900,94 +908,117 @@ def adversary_coloring(
     best_vec: list | None = None
     best_obj: int | None = None
 
-    def track(vec, obj) -> None:
-        """Keep the least objective, ties going to the least vector."""
-        nonlocal best_vec, best_obj
-        if best_obj is None or obj < best_obj or (obj == best_obj and vec < best_vec):
-            best_vec, best_obj = list(vec), obj
-
     if isinstance(strategy, ExhaustiveColorings):
         total = (k + 1) ** n
         if total > DEFAULT_COLORING_CAP:
             raise ValueError(
                 f"exhaustive coloring space {total} exceeds cap {DEFAULT_COLORING_CAP}"
             )
+        # product order is increasing, so the first least objective is
+        # also the least vector among its ties
         for vec in itertools.product(colors, repeat=n):
-            vec = list(vec)
-            track(vec, min(pair_values(recount(vec)), default=f_size))
+            obj = min(pair_values(recount(vec)), default=f_size)
+            if best_obj is None or obj < best_obj:
+                best_vec, best_obj = list(vec), obj
     elif isinstance(strategy, LocalColorings):
-        # per atom: (pair, in gF, in hF) for the pairs it touches, and the
-        # pairs it leaves alone
-        touches: list = [[] for _ in range(n)]
+        # per atom: (pair, in gF) for the pairs that hold it on one side
+        # only, and the pairs whose value its recoloring leaves fixed (those
+        # without it, and those with it on both sides, where the -1 and the
+        # +1 cancel)
+        one_sided: list = [[] for _ in range(n)]
+        fixed: list = [[] for _ in range(n)]
         for p, (left_idx, right_idx) in enumerate(pair_indices):
             left, right = set(left_idx), set(right_idx)
-            for i in left | right:
-                touches[i].append((p, int(i in left), int(i in right)))
-        untouched = []
-        for touched in touches:
-            hit = {p for p, _, _ in touched}
-            untouched.append([p for p in range(len(pairs)) if p not in hit])
+            for i in range(n):
+                if (i in left) != (i in right):
+                    one_sided[i].append((p, i in left))
+                else:
+                    fixed[i].append(p)
+        budget = strategy.budget
         rng = random.Random(strategy.seed)
         evaluations = 0
-        while evaluations < strategy.budget:
+        while evaluations < budget:
             current = [rng.randint(0, k) for _ in range(n)]
             counts = recount(current)
             values = pair_values(counts)
+            # per pair, D and its signs: gF has more of c, hF has more of c
+            diffs = [[a - b for a, b in zip(*pair_counts)] for pair_counts in counts]
+            left_more = [[int(d > 0) for d in diff] for diff in diffs]
+            right_more = [[int(d < 0) for d in diff] for diff in diffs]
             current_obj = min(values, default=f_size)
             evaluations += 1
-            track(current, current_obj)
+            if best_obj is None or current_obj < best_obj or (
+                current_obj == best_obj and current < best_vec
+            ):
+                best_vec, best_obj = current[:], current_obj
             plateau_left = strategy.plateau
-            while evaluations < strategy.budget:
-                move_best = None
+            while evaluations < budget:
+                # the scan visits (i, c) in increasing order, so the first
+                # least objective is the least (obj, i, c)
+                move_obj = move_i = move_c = None
                 for i in range(n):
                     old = current[i]
-                    touched = touches[i]
-                    rest = min((values[p] for p in untouched[i]), default=f_size)
+                    rest = f_size
+                    for p in fixed[i]:
+                        if values[p] < rest:
+                            rest = values[p]
+                    # (value with no gain at c, gain at c) for the one-sided
+                    # pairs that can go below rest
+                    sided = []
+                    for p, on_left in one_sided[i]:
+                        if on_left:
+                            base = values[p] - 1 + left_more[p][old]
+                            gain = right_more[p]
+                        else:
+                            base = values[p] - 1 + right_more[p][old]
+                            gain = left_more[p]
+                        if base < rest:
+                            sided.append((base, gain))
                     for c in colors:
                         if c == old:
                             continue
                         obj = rest
-                        for p, dl, dr in touched:
-                            counts_l, counts_r = counts[p]
-                            value = (
-                                values[p]
-                                - min(counts_l[old], counts_r[old])
-                                - min(counts_l[c], counts_r[c])
-                                + min(counts_l[old] - dl, counts_r[old] - dr)
-                                + min(counts_l[c] + dl, counts_r[c] + dr)
-                            )
+                        for base, gain in sided:
+                            value = base + gain[c]
                             if value < obj:
                                 obj = value
-                        current[i] = c
                         evaluations += 1
-                        track(current, obj)
-                        cand = (obj, i, c)
-                        if move_best is None or cand < move_best:
-                            move_best = cand
-                        if evaluations >= strategy.budget:
+                        if obj <= best_obj:
+                            current[i] = c
+                            if obj < best_obj or current < best_vec:
+                                best_vec, best_obj = current[:], obj
+                            current[i] = old
+                        if move_obj is None or obj < move_obj:
+                            move_obj, move_i, move_c = obj, i, c
+                        if evaluations >= budget:
                             break
-                    current[i] = old
-                    if evaluations >= strategy.budget:
+                    if evaluations >= budget:
                         break
-                if move_best is None:
+                if move_obj is None:
                     break
-                obj, i, c = move_best
-                if obj < current_obj:
+                if move_obj < current_obj:
                     plateau_left = strategy.plateau
-                elif obj == current_obj and plateau_left > 0:
+                elif move_obj == current_obj and plateau_left > 0:
                     plateau_left -= 1
                 else:
                     break
+                i, c = move_i, move_c
                 old = current[i]
                 current[i] = c
-                current_obj = obj
-                for p, dl, dr in touches[i]:
-                    counts_l, counts_r = counts[p]
-                    counts_l[old] -= dl
-                    counts_l[c] += dl
-                    counts_r[old] -= dr
-                    counts_r[c] += dr
-                    values[p] = sum(map(min, counts_l, counts_r))
+                current_obj = move_obj
+                for p, on_left in one_sided[i]:
+                    diff, more_l, more_r = diffs[p], left_more[p], right_more[p]
+                    if on_left:
+                        values[p] += more_l[old] - 1 + more_r[c]
+                        diff[old] -= 1
+                        diff[c] += 1
+                    else:
+                        values[p] += more_r[old] - 1 + more_l[c]
+                        diff[old] += 1
+                        diff[c] -= 1
+                    for x in (old, c):
+                        more_l[x] = int(diff[x] > 0)
+                        more_r[x] = int(diff[x] < 0)
     else:
         raise TypeError(f"unknown strategy: {strategy!r}")
 

@@ -178,6 +178,14 @@ class GroupModel:
         return last
 
 
+def _require_reduced(word: tuple) -> tuple:
+    """A word with no letter next to its inverse, else a GroupError."""
+    for a, b in zip(word, word[1:]):
+        if a == -b:
+            raise GroupError(f"word not freely reduced: {word!r}")
+    return word
+
+
 class IntegerLattice(GroupModel):
     """Z^d with componentwise addition; word metric is the l1 norm."""
 
@@ -233,7 +241,10 @@ class IntegerLattice(GroupModel):
             vec = tuple(map(int, s.split(",")))
         except ValueError:
             raise GroupError(f"bad Z^{self.d} element string: {s!r}") from None
-        return self.validate(vec)
+        # the spelling gives ints; only the length is left to check
+        if len(vec) != self.d:
+            raise GroupError(f"not a Z^{self.d} element: {vec!r}")
+        return vec
 
     def describe(self) -> dict:
         return {"kind": "zd", "d": self.d}
@@ -253,6 +264,11 @@ class FreeGroup(GroupModel):
         if not (1 <= rank <= 26):
             raise GroupError("rank must be between 1 and 26")
         self.rank = rank
+        # the spelling of each letter: a generator, or a capital for its inverse
+        self._letter_values = {}
+        for i, ch in enumerate(_LETTERS[:rank], 1):
+            self._letter_values[ch] = i
+            self._letter_values[ch.upper()] = -i
 
     @property
     def identity(self):
@@ -264,10 +280,7 @@ class FreeGroup(GroupModel):
         for x in g:
             if not isinstance(x, int) or x == 0 or abs(x) > self.rank:
                 raise GroupError(f"bad letter {x!r} in word {g!r}")
-        for a, b in zip(g, g[1:]):
-            if a == -b:
-                raise GroupError(f"word not freely reduced: {g!r}")
-        return g
+        return _require_reduced(g)
 
     def multiply(self, g, h):
         return self.unchecked_multiply(self.validate(g), self.validate(h))
@@ -308,15 +321,12 @@ class FreeGroup(GroupModel):
             return ()
         if not s:
             raise GroupError("empty word string (the identity is written 1)")
-        word = []
-        for ch in s:
-            if ch in _LETTERS[: self.rank]:
-                word.append(_LETTERS.index(ch) + 1)
-            elif ch.lower() in _LETTERS[: self.rank]:
-                word.append(-(_LETTERS.index(ch.lower()) + 1))
-            else:
-                raise GroupError(f"bad letter {ch!r} in word string {s!r}")
-        return self.validate(tuple(word))
+        try:
+            word = tuple(map(self._letter_values.__getitem__, s))
+        except KeyError as exc:
+            raise GroupError(f"bad letter {exc.args[0]!r} in word string {s!r}") from None
+        # the table gives valid letters; only the reduction is left to check
+        return _require_reduced(word)
 
     def describe(self) -> dict:
         return {"kind": "free", "rank": self.rank}

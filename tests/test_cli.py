@@ -630,6 +630,20 @@ class TestFolnerCommands:
         assert captured.out == ""
         assert captured.err == f"error: local coloring budget must be at least 1, got {budget}\n"
 
+    @pytest.mark.parametrize("plateau", ["-1", "-7"])
+    def test_adversary_plateau_below_zero_is_exit_two(self, capsys, plateau):
+        argv = ["folner", "adversary", "--group", "free2", "--f", "1;a;A;b;B", "--e", "a"]
+        assert dispatch(argv + ["--plateau", plateau]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: local coloring plateau must be at least 0, got {plateau}\n"
+
+    def test_adversary_plateau_zero_is_accepted(self, capsys):
+        argv = ["folner", "adversary", "--group", "free2", "--f", "1;a;A;b;B", "--e", "a",
+                "--budget", "50", "--json"]
+        assert dispatch(argv + ["--plateau", "0"]) == 0
+        assert Fraction(json.loads(capsys.readouterr().out)["min_ratio"]) <= 1
+
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_local_search_budget_below_one_is_exit_two(self, capsys, budget):
         argv = ["folner", "search", "--group", "free2", "--coloring", "first-letter",

@@ -942,6 +942,109 @@ class TestAdversary:
                     )
                     assert got == want, (k, mode, seed, budget)
 
+    @pytest.mark.parametrize("plateau", [-1, -20])
+    def test_local_plateau_below_zero_is_refused(self, plateau):
+        with pytest.raises(
+            ValueError, match=f"local coloring plateau must be at least 0, got {plateau}"
+        ):
+            LocalColorings(plateau=plateau)
+
+
+def _sides(model, f, e_set, mode) -> set:
+    """Which sides of the required pairs the window's atoms lie on: "left"
+    and "right" for gF or hF alone, "both" for both translates."""
+    f_canon = model.canon_set(f)
+    found = set()
+    for g, h in required_pairs(model, e_set, mode):
+        left, right = set(model.translate(g, f_canon)), set(model.translate(h, f_canon))
+        found.update("both" if x in right else "left" for x in left)
+        found.update("right" for x in right - left)
+    return found
+
+
+def _window_size(model, f, e_set, mode) -> int:
+    f_canon = model.canon_set(f)
+    window = set(f_canon)
+    for pair in required_pairs(model, e_set, mode):
+        for g in pair:
+            window.update(model.translate(g, f_canon))
+    return len(window)
+
+
+# (model, F, E, mode); each puts atoms on the left alone, the right alone and both
+ONE_SIDED_CASES = {
+    # the identity in E: every atom of F is on both sides of (1, 1)
+    "asym-identity-z2": (Z2, Z2.ball(2), [(0, 0), (1, 0)], "asym"),
+    "asym-identity-f2": (F2, F2.ball(2), [(), (1,), (-2,)], "asym"),
+    # translates by short steps share most of their atoms
+    "sym-overlap-z2": (Z2, Z2.ball(3), [(0, 0), (1, 0), (0, 1), (1, 1)], "sym"),
+    "sym-overlap-z1": (Z, Z.ball(6), [(0,), (1,), (2,), (-1,)], "sym"),
+    "sym-f2": (F2, F2.ball(2), [(1,), (2,), (1, 2)], "sym"),
+    "asym-table-s3": (symmetric_group(3), [0, 1, 2], [1, 3, 4], "asym"),
+    "sym-table-c7": (cyclic_group(7), [0, 1, 3], [0, 2, 5], "sym"),
+}
+
+
+class TestOneSidedRule:
+    """The local coloring search against the full-recount reference, on the
+    branches of its one-sided update: atoms on the left side alone, the
+    right side alone and both sides of a pair, three and four colors,
+    budgets that end before, at and inside a scan, and no plateau moves."""
+
+    @pytest.mark.parametrize("name", ONE_SIDED_CASES)
+    def test_cases_reach_every_side(self, name):
+        assert _sides(*ONE_SIDED_CASES[name]) == {"left", "right", "both"}
+
+    @pytest.mark.parametrize("name", ONE_SIDED_CASES)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_reference(self, name, k):
+        model, f, e_set, mode = ONE_SIDED_CASES[name]
+        for seed, budget, plateau in ((0, 300, 0), (1, 900, 4), (5, 120, 20)):
+            got = adversary_coloring(
+                model, f, e_set, k, mode,
+                strategy=LocalColorings(seed=seed, budget=budget, plateau=plateau),
+            )
+            want = adversary_local_reference(model, f, e_set, k, mode, seed, budget, plateau)
+            assert got == want, (seed, budget, plateau)
+
+    @pytest.mark.parametrize("name", ["asym-identity-f2", "sym-overlap-z1", "sym-table-c7"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_every_budget_cut_matches_reference(self, name, k):
+        # budget 1 is the random start alone, budget 2 adds one recoloring;
+        # the rest end inside the first and second scans and at their ends
+        model, f, e_set, mode = ONE_SIDED_CASES[name]
+        scan = _window_size(model, f, e_set, mode) * k
+        budgets = sorted({1, 2, 3, scan // 2, scan, scan + 1, scan + 2, 2 * scan - 1,
+                          2 * scan + 1, 2 * scan + 2, 3 * scan})
+        for budget in budgets:
+            for plateau in (0, 2):
+                got = adversary_coloring(
+                    model, f, e_set, k, mode,
+                    strategy=LocalColorings(seed=budget, budget=budget, plateau=plateau),
+                )
+                want = adversary_local_reference(
+                    model, f, e_set, k, mode, budget, budget, plateau
+                )
+                assert got == want, (budget, plateau)
+
+    def test_seeded_random_configurations_match_reference(self):
+        rng = random.Random(23)
+        models = [Z2, F2, cyclic_group(6), symmetric_group(3)]
+        for _ in range(60):
+            model = rng.choice(models)
+            pool = list(model.ball(2))
+            f = rng.sample(pool, rng.randint(1, min(8, len(pool))))
+            e_set = rng.sample(list(model.ball(1)), rng.randint(1, 3))
+            mode = rng.choice(["asym", "sym"])
+            k = rng.randint(1, 3)
+            seed, budget, plateau = rng.randrange(100), rng.randint(1, 400), rng.randint(0, 6)
+            got = adversary_coloring(
+                model, f, e_set, k, mode,
+                strategy=LocalColorings(seed=seed, budget=budget, plateau=plateau),
+            )
+            want = adversary_local_reference(model, f, e_set, k, mode, seed, budget, plateau)
+            assert got == want, (model.describe(), f, e_set, mode, k, seed, budget, plateau)
+
 
 class TestThetaBoost:
     def test_perfect_hypotheses_compose_perfectly(self):

@@ -353,6 +353,46 @@ class TestElementCodecs:
         with pytest.raises(GroupError):
             F2.parse_elem("")
 
+    @pytest.mark.parametrize(
+        "model, value, message",
+        [
+            (F2, "abx", "bad letter 'x' in word string 'abx'"),
+            (F2, "a1", "bad letter '1' in word string 'a1'"),
+            (F2, "a b", "bad letter ' ' in word string 'a b'"),
+            (F2, "abc", "bad letter 'c' in word string 'abc'"),
+            (F2, "aC", "bad letter 'C' in word string 'aC'"),
+            (FreeGroup(1), "ab", "bad letter 'b' in word string 'ab'"),
+            # the Kelvin sign lowers to "k" but is no spelling of K
+            (FreeGroup(11), "\u212a", "bad letter '\u212a' in word string '\u212a'"),
+            (F2, "abBa", "word not freely reduced: (1, 2, -2, 1)"),
+            (F2, "Aa", "word not freely reduced: (-1, 1)"),
+            (F2, "", "empty word string (the identity is written 1)"),
+            (F2, ("a",), "element must be a string: ('a',)"),
+            (Z2, "1,2,3", "not a Z^2 element: (1, 2, 3)"),
+            (Z2, "5", "not a Z^2 element: (5,)"),
+            (IntegerLattice(3), "1,-2", "not a Z^3 element: (1, -2)"),
+            (Z2, "1,,2", "bad Z^2 element string: '1,,2'"),
+            (Z2, "a", "bad Z^2 element string: 'a'"),
+            (Z2, (1, 2), "element must be a string: (1, 2)"),
+        ],
+    )
+    def test_rejected_spellings_keep_their_messages(self, model, value, message):
+        with pytest.raises(GroupError) as caught:
+            model.parse_elem(value)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("rank", [1, 2, 5, 26])
+    def test_free_parses_every_letter_of_its_rank(self, rank):
+        model = FreeGroup(rank)
+        letters = [x for i in range(1, rank + 1) for x in (i, -i)]
+        for x, y in itertools.product(letters, repeat=2):
+            spelling = model.elem_str((x,)) + model.elem_str((y,))
+            if x == -y:
+                with pytest.raises(GroupError, match="not freely reduced"):
+                    model.parse_elem(spelling)
+            else:
+                assert model.parse_elem(spelling) == (x, y)
+
     @pytest.mark.parametrize("value", ["zd1", [1], None, 2])
     def test_group_from_json_rejects_non_objects(self, value):
         with pytest.raises(GroupError, match="group must be a JSON object"):
