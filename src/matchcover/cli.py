@@ -367,10 +367,10 @@ def _cmd_folner_adversary(args, argv) -> int:
     model = _load_group(args.group)
     f_set = _parse_elems(model, args.f, args.f_file)
     e_set = _parse_elems(model, args.e, args.e_file)
+    # built under either strategy, so that out-of-range flags never pass
+    strategy = LocalColorings(seed=args.seed, budget=args.budget, plateau=args.plateau)
     if args.strategy == "exhaustive":
         strategy = ExhaustiveColorings()
-    else:
-        strategy = LocalColorings(seed=args.seed, budget=args.budget, plateau=args.plateau)
     coloring, ratio = adversary_coloring(
         model, f_set, e_set, args.colors, mode=args.mode, strategy=strategy
     )

@@ -3,35 +3,31 @@
 Works over finite metric spaces with rational distances and no extra
 relational structure.  Embeddings are isometric maps; the sup-distance
 between two embeddings with a common source is taken over the SOURCE
-points (the natural reading when both maps are defined on the source; the
-alternative convention of ranging over the target makes no sense for
-partial images and is not used here).
+points, where both maps are defined (over the target it would make no
+sense for partial images).
 
 The matching condition asks, for every coloring of the source-to-large
 embeddings, for a finite family of mid-to-large embeddings whose induced
-bipartite graphs (composites landing near a common color class) have
-matching number at least (1-eps) times the family size, for every pair of
-source-to-mid embeddings.  Eps-balls around color classes use strict
-inequality.
+bipartite graphs (composites strictly within eps of a common color class)
+have matching number at least (1-eps) times the family size, for every
+pair of source-to-mid embeddings.
 
-Inputs are validated where they enter; inside, one indexed kernel works on
-image tuples and builds no ``Embedding``.  Once per check it lists, for each
-source-to-large embedding, the ones within eps of it (its closeness list),
-and tabulates each mid-to-large embedding after each source-to-mid one as
-an index.  Once per coloring it ORs the colors over each closeness list
-into a bitmask.  A family's two sides are then mask lookups, and since
-adjacency depends only on the masks, the matching number is Hall's defect
-over sets of colors (König; Ore), which walks 2^(k+1) sets at most.
-``check_report`` replays a stored outcome for ``matchcover verify`` on the
-same kernel.  Where a mask graph may carry more colors than that (a stored
-coloring with too many colors, or ``ramsey_mu``, which has no k), its
-matching number comes from Hopcroft-Karp on the mask graph's rows instead.
+Inputs are validated where they enter.  Inside, one kernel works on image
+tuples, found on integer distances.  Once per check it lists, for each
+source-to-large embedding, those within eps of it (its closeness list), and
+tabulates each mid-to-large embedding after each source-to-mid one.  Once
+per coloring it ORs the colors over each closeness list into a bitmask, so
+a family's two sides are mask lookups and the matching number is Hall's
+defect over at most 2^(k+1) color sets (König; Ore), or Hopcroft-Karp where
+colors are unbounded (``ramsey_mu``, or a stored coloring with too many).
+``check_report`` replays a stored outcome on the same kernel.
 
-A family's verdict depends only on its mask matrix, one row of masks per
-source-to-mid embedding, and few matrices recur across many colorings and
-families.  So one check, and one replay, keeps a dict from each matrix it
-has met to its verdict and runs a matcher only on a miss.  The dict lives
-and dies with the call; nothing is cached between calls.
+A verdict depends only on the multiset of the family's mask columns (column
+p: the masks near p after each source-to-mid embedding), as permuting the
+family permutes both sides of every (alpha, beta) graph alike and the bound
+depends only on its size.  So a check, or a replay, numbers each column when
+a family first needs it and keeps a dict from sorted column numbers to
+verdict; a matcher runs only on a miss, and nothing outlives the call.
 """
 
 from __future__ import annotations
@@ -56,6 +52,12 @@ class CapExceeded(ValueError):
     """An enumeration would exceed its configured size cap."""
 
 
+def _scaled(*dists) -> list:
+    """Rational matrices as ints, scaled by the common denominator of all."""
+    scale = math.lcm(*(x.denominator for dist in dists for row in dist for x in row))
+    return [[[x.numerator * (scale // x.denominator) for x in row] for row in d] for d in dists]
+
+
 @dataclass(frozen=True)
 class FinMetric:
     """A finite metric space with rational distances, validated on load."""
@@ -71,9 +73,7 @@ class FinMetric:
             raise ValueError("duplicate point names")
         if len(self.dist) != n or any(len(row) != n for row in self.dist):
             raise ValueError("distance matrix is not square")
-        # scaled once by the common denominator, the checks compare ints
-        scale = math.lcm(*(x.denominator for row in self.dist for x in row))
-        d = [[x.numerator * (scale // x.denominator) for x in row] for row in self.dist]
+        (d,) = _scaled(self.dist)
         for i in range(n):
             if d[i][i] != 0:
                 raise ValueError(f"nonzero diagonal at {self.points[i]!r}")
@@ -119,96 +119,103 @@ class Embedding:
         for idx in self.images:
             if not (0 <= idx < len(self.target)):
                 raise ValueError(f"image index {idx} out of range")
-        for i in range(n):
-            for j in range(n):
-                if self.target.d(self.images[i], self.images[j]) != self.source.d(i, j):
-                    raise ValueError(
-                        "map is not isometric at "
-                        f"({self.source.points[i]!r},{self.source.points[j]!r})"
-                    )
+        for (i, x), (j, y) in itertools.product(enumerate(self.images), repeat=2):
+            if self.target.d(x, y) != self.source.d(i, j):
+                names = self.source.points
+                raise ValueError(f"map is not isometric at ({names[i]!r},{names[j]!r})")
 
     def mapping(self) -> dict:
-        return {
-            self.source.points[i]: self.target.points[self.images[i]]
-            for i in range(len(self.source))
-        }
+        return dict(zip(self.source.points, map(self.target.points.__getitem__, self.images)))
 
 
-def embeddings(a: FinMetric, c: FinMetric) -> tuple:
-    """All isometric maps from a into c, lexicographic by image indices."""
+def _images(a: FinMetric, c: FinMetric) -> list:
+    """``embeddings`` as image tuples, found on ints."""
     if len(a) > MAX_SOURCE_POINTS:
         raise CapExceeded(f"source has more than {MAX_SOURCE_POINTS} points")
     if len(c) > MAX_TARGET_POINTS:
         raise CapExceeded(f"target has more than {MAX_TARGET_POINTS} points")
-    n, m = len(a), len(c)
-    found = []
-    images: list = []
+    da, dc = _scaled(a.dist, c.dist)
+    found = [()]
+    for row in da:  # extend each partial map, in order, by each fitting image
+        found = [
+            m + (cand,) for m in found for cand, to in enumerate(dc)
+            if all(to[x] == row[j] for j, x in enumerate(m))
+        ]
+    return found
 
-    def extend(i: int) -> None:
-        if i == n:
-            found.append(Embedding(a, c, tuple(images)))
-            return
-        for cand in range(m):
-            if all(c.d(images[j], cand) == a.d(j, i) for j in range(i)):
-                images.append(cand)
-                extend(i + 1)
-                images.pop()
 
-    extend(0)
-    return tuple(found)
+def embeddings(a: FinMetric, c: FinMetric) -> tuple:
+    """All isometric maps from a into c, lexicographic by image indices."""
+    return tuple(Embedding(a, c, images) for images in _images(a, c))
 
 
 def _kernel(dist, eps: Fraction, emb_ab: Sequence, emb_ac: Sequence, emb_bc: Sequence) -> tuple:
-    """The coloring-independent index of a check, with ``dist`` the large
-    space's matrix and the embeddings as image tuples.
-
-    Returns the closeness lists, for each element of emb(a, c) the indices
-    of emb(a, c) within sup-distance < eps of it, and the composition table
-    ``comp[alpha][p]``, the emb(a, c) index of p after alpha, whose image
-    tuple is ``tuple(p[j] for j in alpha)``.
-    """
+    """The closeness lists, for each element of emb(a, c) the indices of
+    those within sup-distance < eps of it (``dist`` is c's matrix), and the
+    table ``comp[p][alpha]``, the emb(a, c) index of p after alpha."""
     close = [
-        [
-            j
-            for j, other in enumerate(emb_ac)
-            if max(dist[x][y] for x, y in zip(images, other)) < eps
-        ]
-        for images in emb_ac
+        [j for j, other in enumerate(emb_ac) if max(dist[x][y] for x, y in zip(e, other)) < eps]
+        for e in emb_ac
     ]
-    index = {images: i for i, images in enumerate(emb_ac)}
-    comp = [[index[tuple(p[j] for j in alpha)] for p in emb_bc] for alpha in emb_ab]
+    index = {e: i for i, e in enumerate(emb_ac)}
+    comp = [[index[tuple(p[j] for j in alpha)] for alpha in emb_ab] for p in emb_bc]
     return close, comp
 
 
-def _color_bits(vector) -> list:
-    """One bit per color of a coloring in emb(a, c) order, the colors
-    numbered in order of first appearance; matching numbers do not depend
-    on the names of the colors."""
-    codes: dict = {}
-    return [1 << codes.setdefault(color, len(codes)) for color in vector]
-
-
-def _sides(close, comp, bits) -> list:
-    """``sides[alpha][p]``: the bitmask of the colors that lie near p after
-    alpha, with ``bits[j]`` the color bit of element j of emb(a, c)."""
+def _near(close, vector) -> list:
+    """``near[i]``: the colors within eps of element i of emb(a, c) as a
+    bitmask, one bit per color of ``vector`` in order of first appearance;
+    elements past the end of ``vector`` have no color."""
+    codes = {}
+    bits = [1 << codes.setdefault(color, len(codes)) for color in vector]
+    bits += [0] * (len(close) - len(bits))
     near = []
     for row in close:
         mask = 0
         for j in row:
             mask |= bits[j]
         near.append(mask)
-    return [[near[i] for i in row] for row in comp]
+    return near
+
+
+class _Memo(dict):
+    """One call's family verdicts, keyed on sorted mask column numbers; as
+    a dict, p -> the number of p's column under the current coloring."""
+
+    def __init__(self, comp: list):
+        self.comp, self.near = comp, []
+        self.numbers: dict = {}  # mask column -> its number
+        self.verdicts: dict = {}
+
+    def color(self, near: list) -> None:
+        self.clear()
+        self.near = near
+
+    def __missing__(self, p: int) -> int:
+        column = tuple(map(self.near.__getitem__, self.comp[p]))
+        n = self[p] = self.numbers.setdefault(column, len(self.numbers))
+        return n
+
+    def verdict(self, family, need: int, mu) -> bool:
+        """``_family_holds`` for a family of emb(b, c) indices, memoised;
+        either matcher may fill an entry, as both are exact."""
+        key = tuple(sorted(map(self.__getitem__, family)))
+        holds = self.verdicts.get(key)
+        if holds is None:
+            near, comp = self.near, self.comp
+            columns = [tuple(map(near.__getitem__, comp[p])) for p in sorted(family, key=self.get)]
+            holds = self.verdicts[key] = _family_holds(tuple(zip(*columns)), need, mu)
+        return holds
 
 
 def _hall_mu(left: Sequence, right: Sequence) -> int:
     """Matching number of the graph joining left i to right j when the color
     masks ``left[i]`` and ``right[j]`` meet.
 
-    Hall's theorem in defect form (König; Ore): the matching number is
-    len(left) minus the max over color sets U of #{left masks inside U}
-    minus #{right masks meeting U}.  Shrinking U to its meet with the union
-    of the left masks loses no left mask and meets no more right masks, so
-    U ranges over the subsets of that union.
+    Hall's defect form (König; Ore): len(left) minus the max over color
+    sets U of #{left masks inside U} - #{right masks meeting U}.  Meeting U
+    with the union of the left masks loses no left mask and meets no more
+    right masks, so U ranges over the subsets of that union.
     """
     union = 0
     for mask in left:
@@ -242,21 +249,6 @@ def _family_holds(masks, need: int, mu) -> bool:
     return all(mu(left, right) >= need for left in masks for right in masks)
 
 
-def _family_verdict(verdicts: dict, sides, family, need: int, mu) -> bool:
-    """``_family_holds`` for the family of emb(b, c) indices, looked up in
-    ``verdicts`` under its mask matrix, ``masks[alpha][gamma]``.
-
-    Within one check eps is fixed and ``need`` follows from the family size,
-    the row length, so the matrix alone decides the verdict; Hall's defect
-    and Hopcroft-Karp give the same exact one, so either may fill the entry.
-    """
-    masks = tuple(tuple(row[p] for p in family) for row in sides)
-    holds = verdicts.get(masks)
-    if holds is None:
-        holds = verdicts[masks] = _family_holds(masks, need, mu)
-    return holds
-
-
 def ramsey_mu(
     psi: Sequence[Embedding],
     alpha: Embedding,
@@ -266,15 +258,11 @@ def ramsey_mu(
 ) -> int:
     """Matching number of the color-proximity graph on a family of embeddings.
 
-    ``psi`` lists mid-to-large embeddings indexed by a finite set F;
-    ``alpha`` and ``beta`` are source-to-mid embeddings.  Indices gamma and
-    gamma' are joined when the composites psi[gamma] o alpha and
-    psi[gamma'] o beta both lie strictly within eps of a single color class
-    of ``phi``.  Validates eps, the family and the coloring, then reads the
-    two sides off the check's kernel, with (alpha, beta) as emb(a, b) and
-    ``psi`` as emb(b, c), and matches the mask graph with ``_matcher_mu``.
-    Nothing bounds the number of colors here, so Hall's defect, which walks
-    every set of them, is not used.
+    ``psi`` lists mid-to-large embeddings, ``alpha`` and ``beta`` are
+    source-to-mid ones.  Indices gamma and gamma' are joined when psi[gamma]
+    o alpha and psi[gamma'] o beta both lie strictly within eps of a single
+    color class of ``phi``.  Runs the check's kernel, with (alpha, beta) as
+    emb(a, b) and ``psi`` as emb(b, c), and Hopcroft-Karp.
     """
     eps = _require_fraction(eps)
     if eps <= 0:
@@ -291,7 +279,8 @@ def ramsey_mu(
         raise ValueError("coloring is not total on the source-to-large embeddings")
     emb_ab, emb_bc = [alpha.images, beta.images], [p.images for p in psi]
     close, comp = _kernel(large.dist, eps, emb_ab, [e.images for e in emb_ac], emb_bc)
-    left, right = _sides(close, comp, _color_bits([phi[e] for e in emb_ac]))
+    near = _near(close, [phi[e] for e in emb_ac])
+    left, right = zip(*(map(near.__getitem__, row) for row in comp))
     return _matcher_mu(left, right)
 
 
@@ -308,15 +297,13 @@ class RamseyOutcome:
 
 def _image_spaces(a, b, c, k: int, eps: Fraction) -> tuple:
     """Check k and eps; return emb(a, b), emb(a, c) and emb(b, c) as image
-    tuples.  Unless emb(a, b) is empty, emb(a, c) must be non-empty and its
-    colorings must fit under ``MAX_COLORINGS``."""
+    tuples.  Unless emb(a, b) is empty, emb(a, c) must be non-empty and have
+    at most ``MAX_COLORINGS`` colorings."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if not (0 < eps < 1):
         raise ValueError("eps must lie strictly between 0 and 1")
-    emb_ab, emb_ac, emb_bc = (
-        [e.images for e in embeddings(x, y)] for x, y in ((a, b), (a, c), (b, c))
-    )
+    emb_ab, emb_ac, emb_bc = (_images(x, y) for x, y in ((a, b), (a, c), (b, c)))
     if emb_ab and not emb_ac:
         raise ValueError("no embeddings of the small space into the large one")
     n = len(emb_ac)
@@ -338,14 +325,14 @@ def ramsey_condition_check(
     """Check the matching condition for every coloring of emb(a, c).
 
     For each coloring with colors 0..k, in ``itertools.product`` order,
-    searches multiset families psi of embeddings b -> c (sizes
-    1..max_family, at most ``family_budget`` candidates per coloring)
-    achieving min over alpha, beta in emb(a, b) of ramsey_mu >= (1-eps)*|F|.
-    Returns per-coloring witnesses, or the first coloring whose budgeted
-    search fails.  When emb(a, b) is empty the condition holds vacuously.
-    Raises ``CapExceeded`` beyond ``MAX_COLORINGS`` colorings.
+    tries multiset families psi of embeddings b -> c, by size 1..max_family
+    and at most ``family_budget`` per coloring, for one with min over alpha,
+    beta in emb(a, b) of ramsey_mu >= (1-eps)*|F|.  Returns the witnesses,
+    or the first coloring whose search fails; vacuous when emb(a, b) is
+    empty.  Raises ``CapExceeded`` beyond ``MAX_COLORINGS`` colorings.
     """
     eps = _require_fraction(eps)
+    _require_bounds(max_family, family_budget)
     emb_ab, emb_ac, emb_bc = _image_spaces(a, b, c, k, eps)
     if not emb_ab:
         return RamseyOutcome(True, True, eps, k, 0, (), None)
@@ -353,21 +340,33 @@ def ramsey_condition_check(
     # no b -> c embedding means no family, however large max_family is
     sizes = range(1, max_family + 1) if emb_bc else ()
     need = {size: _need(eps, size) for size in sizes}
-    verdicts: dict = {}
+    memo = _Memo(comp)
+    verdicts = memo.verdicts
     witnesses = []
     for checked, vector in enumerate(itertools.product(range(k + 1), repeat=len(emb_ac)), 1):
-        sides = _sides(close, comp, _color_bits(vector))
+        memo.color(_near(close, vector))
         families = itertools.chain.from_iterable(
             itertools.combinations_with_replacement(range(len(emb_bc)), size)
             for size in sizes
         )
-        for combo in itertools.islice(families, max(family_budget, 0)):
-            if _family_verdict(verdicts, sides, combo, need[len(combo)], _hall_mu):
+        for combo in itertools.islice(families, family_budget):
+            # nearly every family is a hit, found here without a call
+            key = tuple(sorted(map(memo.__getitem__, combo)))
+            holds = verdicts.get(key)
+            if holds is None:
+                holds = memo.verdict(combo, need[len(combo)], _hall_mu)
+            if holds:
                 witnesses.append((vector, combo))
                 break
         else:
             return RamseyOutcome(False, False, eps, k, checked, tuple(witnesses), vector)
     return RamseyOutcome(True, False, eps, k, len(witnesses), tuple(witnesses), None)
+
+
+def _require_bounds(max_family: int, family_budget: int) -> None:
+    for name, bound in (("max_family", max_family), ("family_budget", family_budget)):
+        if bound < 1:  # no family would be tried
+            raise ValueError(f"{name} must be at least 1, got {bound}")
 
 
 def check_report(
@@ -381,12 +380,12 @@ def check_report(
     """Replay a stored ``ramsey_condition_check`` outcome.
 
     Raises ``ValueError`` on a malformed report: eps outside (0, 1), k < 1,
-    or a witness family that is not a non-empty list of emb(b, c) indices.
-    A report that holds must pair each coloring, in ``itertools.product``
-    order, with a family that passes on the evaluator.  Any other report
-    must equal a rerun of the budgeted search.
+    a bound below 1, or a witness family that is not a non-empty list of
+    emb(b, c) indices.  A report that holds must pair each coloring, in
+    product order, with a family that passes; any other must equal a rerun.
     """
     k, eps = outcome.k, outcome.eps
+    _require_bounds(max_family, family_budget)
     emb_ab, emb_ac, emb_bc = _image_spaces(a, b, c, k, eps)
     for _, family in outcome.witnesses:
         if not family or not all(0 <= i < len(emb_bc) for i in family):
@@ -414,17 +413,16 @@ def check_report(
         findings.append(Finding("witnesses-mismatch", message))
     if replay:
         close, comp = _kernel(c.dist, eps, emb_ab, emb_ac, emb_bc)
-        verdicts: dict = {}
+        memo = _Memo(comp)
+        need = {len(family): _need(eps, len(family)) for _, family in outcome.witnesses}
         for vector, family in outcome.witnesses:
-            # a stored vector may have any length and colors; as under zip,
-            # the elements of emb(a, c) past its end have no color
+            # a stored vector may have any length and colors (a witnesses-
+            # mismatch already): past its end no color, and Hall's defect,
+            # which walks 2^colors sets, only on k + 1 colors at most
             head = vector[: len(emb_ac)]
-            bits = _color_bits(head) + [0] * (len(emb_ac) - len(head))
-            # more than k + 1 colors is already a witnesses-mismatch; Hall's
-            # defect would walk 2^colors sets for it
             mu = _hall_mu if len(set(head)) <= k + 1 else _matcher_mu
-            sides = _sides(close, comp, bits)
-            if not _family_verdict(verdicts, sides, family, _need(eps, len(family)), mu):
+            memo.color(_near(close, head))
+            if not memo.verdict(family, need[len(family)], mu):
                 message = f"family {list(family)} fails for coloring {list(vector)}"
                 findings.append(Finding("witness-fails", message))
     return CheckReport("PASS" if not findings else "FAIL", tuple(findings))

@@ -23,7 +23,7 @@ from .folner import Coloring, FolnerCertificate, PairResult
 from .groups import GroupError, GroupModel, _require_int, group_from_json
 from .groups import _require_fraction as frac_parse
 from .means import ConvexCombination
-from .ramsey import FinMetric, RamseyOutcome
+from .ramsey import FinMetric, RamseyOutcome, _require_bounds
 
 FOLNER_CERT_SCHEMA = "folner-certificate/1"
 FOLNER_EXHAUSTED_SCHEMA = "folner-exhausted/1"
@@ -274,9 +274,8 @@ def finmetric_to_json(m: FinMetric) -> dict:
 
 
 def finmetric_from_json(obj: dict) -> FinMetric:
-    return FinMetric.build(
-        obj["points"], [[frac_parse(x) for x in row] for row in obj["dist"]]
-    )
+    dist = tuple(tuple(map(frac_parse, row)) for row in obj["dist"])
+    return FinMetric(tuple(obj["points"]), dist)
 
 
 # -- certificates -----------------------------------------------------------
@@ -413,11 +412,12 @@ def ramsey_outcome_from_json(obj: dict) -> tuple:
     """Decode a report into the arguments of ``ramsey.check_report``:
     (outcome, a, b, c, max_family, family_budget).
 
-    Beyond types, each witness family must be one the recorded search can
-    reach: at most max_family members, and an index below family_budget in
-    the search order, counted over as many embeddings as its largest index
-    shows (a lower bound on the true index).  The ranges of eps, k and the
-    family indices are checked by ``check_report``."""
+    Beyond types, both bounds must be at least 1, and each witness family
+    must be one the recorded search can reach: at most max_family members,
+    and an index below family_budget in the search order, counted over as
+    many embeddings as its largest index shows (a lower bound on the true
+    index).  The ranges of eps, k and the family indices are checked by
+    ``check_report``."""
     counterexample = obj["counterexample"]
     outcome = RamseyOutcome(
         holds=_flag(obj["holds"], "holds"),
@@ -435,6 +435,7 @@ def ramsey_outcome_from_json(obj: dict) -> tuple:
     )
     a, b, c = (finmetric_from_json(obj[name]) for name in "abc")
     max_family, budget = (_require_int(obj[n], n) for n in ("max_family", "family_budget"))
+    _require_bounds(max_family, budget)
     families = [sorted(f) for _, f in outcome.witnesses if f and min(f) >= 0]
     n = 1 + max((f[-1] for f in families), default=0)
     for family in families:

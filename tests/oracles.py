@@ -8,7 +8,8 @@ of the left part.  The ball oracle runs one BFS per radius on the validating
 group law, and the adversary oracle recounts every pair on every move.  The
 candidate-search and sweep oracles build every translate of every candidate
 and recount its blocks with ``mu_partition`` (``mu`` on a covering that is
-not a partition).  The ramsey oracle is the object-level loop: ``Embedding``
+not a partition).  The ramsey oracle is the object-level loop: embeddings
+found by trying every image tuple on ``Fraction`` distances, ``Embedding``
 composites, ``rho`` on each pair of embeddings, and colorings as dicts keyed
 by embedding.  The certificate-pair oracle builds the whole covering graph,
 validates the witness against its edge set and reruns Hopcroft-Karp.  The
@@ -48,7 +49,7 @@ from matchcover.folner import (
     required_pairs,
     theta_threshold,
 )
-from matchcover.ramsey import Embedding, RamseyOutcome, embeddings
+from matchcover.ramsey import Embedding, RamseyOutcome
 
 
 def _component_optimum(adj_masks: list) -> int:
@@ -545,6 +546,17 @@ def perfect_net_reference(model, u_set) -> folner.PerfectNet:
     return folner.PerfectNet(v_canon, f_canon, matchings, minimal)
 
 
+def embeddings_reference(a, c) -> tuple:
+    """Every isometric map from a into c: each image tuple in lexicographic
+    order, kept when all its ``Fraction`` distances agree with a's."""
+    n = len(a)
+    return tuple(
+        Embedding(a, c, images)
+        for images in itertools.product(range(len(c)), repeat=n)
+        if all(c.d(images[i], images[j]) == a.d(i, j) for i in range(n) for j in range(n))
+    )
+
+
 def compose(inner: Embedding, outer: Embedding) -> Embedding:
     """Composite embedding; isometry is closed under composition."""
     if inner.target != outer.source:
@@ -589,7 +601,7 @@ def ramsey_check_reference(
     ``ramsey_condition_check``; no cap, since the tests keep it small.
     """
     eps = Fraction(eps)
-    emb_ab, emb_ac, emb_bc = embeddings(a, b), embeddings(a, c), embeddings(b, c)
+    emb_ab, emb_ac, emb_bc = (embeddings_reference(x, y) for x, y in ((a, b), (a, c), (b, c)))
     if not emb_ab:
         return RamseyOutcome(True, True, eps, k, 0, (), None)
     witnesses = []

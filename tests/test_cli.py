@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from matchcover import bipartite, cli
+from matchcover import bipartite, cli, ramsey
 from matchcover.cli import build_parser, dispatch
 from matchcover import serialize as ser
 from matchcover.cover import Covering, GroundSet
@@ -57,6 +57,22 @@ class TestRoundTrips:
     def test_finmetric(self):
         m = FinMetric.build(["p", "q"], [["0", "1/2"], ["1/2", "0"]])
         assert ser.finmetric_from_json(ser.finmetric_to_json(m)) == m
+
+    def test_finmetric_parses_each_distance_once(self, monkeypatch):
+        parsed = []
+        parse = ser.frac_parse
+
+        def counting_parse(value):
+            parsed.append(value)
+            return parse(value)
+
+        monkeypatch.setattr(ser, "frac_parse", counting_parse)
+        monkeypatch.setattr(ramsey, "_require_fraction", None)  # FinMetric.build's parser
+        doc = {"points": ["p", "q", "r"], "dist": [["0", "1/2", "1"], ["1/2", "0", "1/2"],
+                                                  ["1", "1/2", "0"]]}
+        m = ser.finmetric_from_json(doc)
+        assert parsed == [x for row in doc["dist"] for x in row]
+        assert m.dist[0] == (0, Fraction(1, 2), 1)
 
     def test_coloring(self):
         z = IntegerLattice(1)
@@ -638,6 +654,29 @@ class TestFolnerCommands:
         assert captured.out == ""
         assert captured.err == f"error: local coloring plateau must be at least 0, got {plateau}\n"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--budget", "0", "--plateau", "-1"], "local coloring budget must be at least 1, got 0"),
+            (["--budget", "-3"], "local coloring budget must be at least 1, got -3"),
+            (["--plateau", "-1"], "local coloring plateau must be at least 0, got -1"),
+        ],
+    )
+    def test_exhaustive_adversary_refuses_the_same_flags(self, capsys, flags, message):
+        argv = ["folner", "adversary", "--group", "free2", "--f", "1;a;A;b;B", "--e", "a"]
+        for strategy in ("exhaustive", "local"):
+            assert dispatch(argv + ["--strategy", strategy, *flags, "--json"]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_exhaustive_adversary_runs_with_valid_flags(self, capsys):
+        argv = ["folner", "adversary", "--group", "free2", "--f", "1;a;A;b;B", "--e", "a",
+                "--strategy", "exhaustive", "--json"]
+        assert dispatch(argv + ["--budget", "1", "--plateau", "0"]) == 0
+        first = capsys.readouterr().out
+        # exhaustive reads neither flag, so in-range values change nothing
+        assert dispatch(argv) == 0
+        assert capsys.readouterr().out == first
+
     def test_adversary_plateau_zero_is_accepted(self, capsys):
         argv = ["folner", "adversary", "--group", "free2", "--f", "1;a;A;b;B", "--e", "a",
                 "--budget", "50", "--json"]
@@ -761,6 +800,43 @@ class TestRamseyCommand:
         out.write_text(json.dumps(doc))
         assert dispatch(["verify", str(out)]) == 1
 
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--budget", "-5", "family_budget"), ("--budget", "0", "family_budget"),
+         ("--max-family", "0", "max_family"), ("--max-family", "-2", "max_family")],
+    )
+    def test_family_bound_below_one_is_exit_two(self, tmp_path, capsys, flag, value, name):
+        a, b, c = self.metrics(tmp_path)
+        out = tmp_path / "ramsey.json"
+        code = dispatch(
+            ["ramsey", "check", "--a", a, "--b", b, "--c", c, "--eps", "1/2",
+             flag, value, "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {name} must be at least 1, got {value}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("0.5", "floats are not accepted for exact rationals; "
+                    "pass a Fraction, an int or a 'p/q' string"),
+            ("true", "bools are not accepted for exact rationals; "
+                     "pass a Fraction, an int or a 'p/q' string"),
+            ('"1/0"', "rational '1/0' has a zero denominator"),
+            ('"one"', "Invalid literal for Fraction: 'one'"),
+        ],
+    )
+    def test_bad_distance_is_exit_two(self, tmp_path, capsys, value, message):
+        a, b, _ = self.metrics(tmp_path)
+        c = tmp_path / "bad.json"
+        c.write_text('{"points": ["u", "v"], "dist": [["0", %s], ["1", "0"]]}' % value)
+        code = dispatch(
+            ["ramsey", "check", "--a", a, "--b", b, "--c", str(c), "--eps", "1/2"]
+        )
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestVerifyRamseyReport:
     """Hand-edited reports: malformed ones exit 2 with one line, false or
@@ -846,6 +922,17 @@ class TestVerifyRamseyReport:
         code, captured = self.verify(out, doc, capsys)
         assert (code, captured.out) == (2, "")
         assert captured.err == f"error: {field} must be an integer, not {value!r}\n"
+
+    @pytest.mark.parametrize(
+        "field, value", [("family_budget", -5), ("family_budget", 0), ("max_family", 0),
+                         ("max_family", -2)],
+    )
+    def test_family_bound_below_one_is_exit_two(self, tmp_path, capsys, field, value):
+        for out, doc in (self.report(tmp_path), self.failing_report(tmp_path)):
+            doc[field] = value
+            code, captured = self.verify(out, doc, capsys)
+            assert (code, captured.out) == (2, "")
+            assert captured.err == f"error: {field} must be at least 1, got {value}\n"
 
     def test_missing_witnesses_fail(self, tmp_path, capsys):
         out, doc = self.report(tmp_path)

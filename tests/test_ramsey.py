@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +13,9 @@ from matchcover.ramsey import (
     Embedding,
     FinMetric,
     RamseyOutcome,
+    _family_holds,
     _hall_mu,
+    _images,
     _matcher_mu,
     check_report,
     embeddings,
@@ -22,6 +26,7 @@ from matchcover.ramsey import (
 from oracles import (
     _ramsey_mu_reference,
     compose,
+    embeddings_reference,
     finmetric_error_reference,
     max_matching_bruteforce,
     ramsey_check_reference,
@@ -378,12 +383,12 @@ def cycle(n, spacing=1):
     )
 
 
-def random_metric(rng, n):
+def random_metric(rng, n, denominators=(1, 2)):
     """Shortest-path metric of a complete graph with random rational weights."""
     d = [[Fraction(0) if i == j else None for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            d[i][j] = d[j][i] = Fraction(rng.randint(1, 4), rng.choice((1, 2)))
+            d[i][j] = d[j][i] = Fraction(rng.randint(1, 4), rng.choice(denominators))
     for m in range(n):
         for i in range(n):
             for j in range(n):
@@ -599,3 +604,165 @@ class TestVerdictMemo:
         report = check_report(forged, *spaces, 4, 2000)
         assert [f.code for f in report.findings][:1] == ["witnesses-mismatch"]
         assert matrices and len(set(matrices)) == len(matrices)
+
+
+def sub_space(space, points, prefix):
+    """The sub-space of ``space`` on the given point indices."""
+    return FinMetric.build(
+        [f"{prefix}{i}" for i in range(len(points))],
+        [[space.d(x, y) for y in points] for x in points],
+    )
+
+
+def denominator(space):
+    return math.lcm(*(x.denominator for row in space.dist for x in row))
+
+
+class TestIntegerEmbeddings:
+    """The kernel finds embeddings on ints, both matrices scaled by one
+    common denominator; trying every image tuple on ``Fraction`` distances
+    is the reference."""
+
+    def spaces(self):
+        rng = random.Random(7411)
+        for _ in range(80):
+            c = random_metric(rng, rng.randint(2, 6), denominators=(1, 2, 3))
+            points = rng.sample(range(len(c)), rng.randint(1, min(3, len(c))))
+            # a sub-space embeds; an independent space in thirds mostly not
+            yield sub_space(c, points, "a"), c
+            yield random_metric(rng, rng.randint(1, 3), denominators=(3,)), c
+
+    def test_matches_the_fraction_route_on_seeded_spaces(self):
+        differing = found = 0
+        for a, c in self.spaces():
+            reference = [e.images for e in embeddings_reference(a, c)]
+            assert _images(a, c) == reference
+            assert [e.images for e in embeddings(a, c)] == reference
+            differing += denominator(a) != denominator(c)
+            found += bool(reference)
+        assert differing >= 40 and found >= 60
+
+    def test_distances_are_compared_on_one_scale(self):
+        # scaled apart, 1/2 and 1/3 would both read 1
+        half = FinMetric.build(["x", "y"], [["0", "1/2"], ["1/2", "0"]])
+        third = FinMetric.build(["u", "v"], [["0", "1/3"], ["1/3", "0"]])
+        assert _images(half, third) == [] and _images(half, half) == [(0, 1), (1, 0)]
+
+    def test_check_and_replay_build_no_embedding(self, monkeypatch):
+        spaces = (POINT, path(3, Fraction(1, 2)), path(5, Fraction(1, 4)))
+        outcome = ramsey_condition_check(*spaces, 1, Fraction(1, 2))
+
+        def refuse(self):
+            raise AssertionError("an Embedding was built")
+
+        monkeypatch.setattr(Embedding, "__post_init__", refuse)
+        assert ramsey_condition_check(*spaces, 1, Fraction(1, 2)) == outcome
+        assert check_report(outcome, *spaces, 4, 2000).status == "PASS"
+
+
+class TestFamilyHolds:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_verdict_is_the_same_under_every_permutation(self, k):
+        # columns of masks over colors 0..k, one mask per row (alpha)
+        rng = random.Random(3301 + k)
+        seen = set()
+        for _ in range(120):
+            rows, size = rng.randint(1, 3), rng.randint(1, 4)
+            columns = [
+                tuple(rng.randrange(1 << (k + 1)) for _ in range(rows)) for _ in range(size)
+            ]
+            for need in range(1, size + 1):
+                verdicts = {
+                    _family_holds(tuple(zip(*order)), need, mu)
+                    for order in itertools.permutations(columns)
+                    for mu in (_hall_mu, _matcher_mu)
+                }
+                assert len(verdicts) == 1
+                seen |= verdicts
+        assert seen == {True, False}
+
+
+def column_memo_configurations():
+    """Seeded (a, b, c, k, eps, max_family, family_budget) with at most 256
+    colorings: a is a sub-space of b and b one of c, so families get
+    searched, and the budget often ends inside a family size."""
+    rng = random.Random(1602)
+    configs = []
+    while len(configs) < 64:
+        c = random_metric(rng, rng.randint(3, 5), denominators=(1, 2, 3))
+        points = rng.sample(range(len(c)), rng.randint(2, 3))
+        b = sub_space(c, points, "b")
+        a = POINT if rng.random() < 0.7 else sub_space(c, points[:2], "a")
+        k = 1 + len(configs) % 3
+        if (k + 1) ** len(embeddings_reference(a, c)) > 256:
+            continue
+        eps = rng.choice([Fraction(1, 10), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
+                          Fraction(2, 3), Fraction(9, 10)])
+        n = len(embeddings_reference(b, c))
+        max_family = rng.randint(1, 4)
+        budget = rng.choice([rng.randint(1, n), rng.randint(n + 1, n * (n + 3) // 2), 2000])
+        configs.append((a, b, c, k, eps, max_family, budget))
+    return configs
+
+
+MEMO_CONFIGS = column_memo_configurations()
+
+
+@pytest.mark.parametrize("config", MEMO_CONFIGS, ids=[f"config-{i}" for i in range(64)])
+def test_column_memo_matches_reference(config):
+    outcome = ramsey_condition_check(*config)
+    assert outcome == ramsey_check_reference(*config)
+    assert check_report(outcome, *config[:3], *config[5:]).status == "PASS"
+
+
+def test_column_memo_configurations_cover_the_search():
+    outcomes = [ramsey_condition_check(*config) for config in MEMO_CONFIGS]
+    assert {config[3] for config in MEMO_CONFIGS} == {1, 2, 3}
+    assert {config[5] for config in MEMO_CONFIGS} == {1, 2, 3, 4}
+    assert len({config[4] for config in MEMO_CONFIGS}) >= 5
+    holds = [outcome.holds for outcome in outcomes]
+    assert holds.count(True) >= 10 and holds.count(False) >= 10
+    # a witness past the first family size, or a failure cut by the budget
+    assert any(len(family) > 1 for o in outcomes for _, family in o.witnesses)
+    assert any(
+        not o.holds and config[6] < 2000 for o, config in zip(outcomes, MEMO_CONFIGS)
+    )
+
+
+def family_fails_reference(spaces, eps, vector, family) -> bool:
+    """Whether a family fails for a coloring, on the object-level oracle."""
+    a, b, c = spaces
+    emb_ab, emb_ac, emb_bc = (embeddings_reference(x, y) for x, y in ((a, b), (a, c), (b, c)))
+    phi = dict(zip(emb_ac, vector))
+    psi = [emb_bc[i] for i in family]
+    return any(
+        _ramsey_mu_reference(psi, x, y, phi, eps) < (1 - eps) * len(psi)
+        for x in emb_ab
+        for y in emb_ab
+    )
+
+
+def test_replay_keys_families_on_the_multiset():
+    # stored families with repeated members, whose verdict may differ from
+    # that of the set of their members
+    spaces = (POINT, PATH3, path(5))
+    rng = random.Random(4401)
+    n_ac, n_bc = len(embeddings_reference(POINT, path(5))), len(embeddings_reference(PATH3, path(5)))
+    vectors = list(itertools.product(range(2), repeat=n_ac))
+    differs = False
+    for eps in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
+        witnesses = tuple(
+            (vector, tuple(sorted(rng.choices(range(n_bc), k=rng.randint(2, 4)))))
+            for vector in vectors
+        )
+        forged = RamseyOutcome(True, False, eps, 1, len(vectors), witnesses, None)
+        findings = check_report(forged, *spaces, 4, 2000).findings
+        fails = [family_fails_reference(spaces, eps, v, f) for v, f in witnesses]
+        assert [finding.message for finding in findings] == [
+            f"family {list(f)} fails for coloring {list(v)}"
+            for (v, f), failing in zip(witnesses, fails)
+            if failing
+        ]
+        as_sets = [family_fails_reference(spaces, eps, v, sorted(set(f))) for v, f in witnesses]
+        differs |= fails != as_sets
+    assert differs
