@@ -174,7 +174,37 @@ def _translates(model: GroupModel, f_canon: tuple, pairs, ground: GroundSet) -> 
     return [(built[g], built[h]) for g, h in pairs]
 
 
-class _PartitionCounts:
+class _PairIndex:
+    """The translators and pair slots of a candidate search, and ``_at(y)``:
+    where each g*y lies, read from ``where`` (atom -> block on a partition,
+    atom -> ground position otherwise), or None when y or some g*y leaves
+    the window.  Kept per y: a local search scores the same elements again
+    and again."""
+
+    def __init__(self, model: GroupModel, pairs, where: dict) -> None:
+        self._mul = model.unchecked_multiply
+        self._where = where
+        self._translators = tuple(dict.fromkeys(g for pair in pairs for g in pair))
+        slot = {g: t for t, g in enumerate(self._translators)}
+        self._pairs = tuple((slot[g], slot[h]) for g, h in pairs)
+        self._known: dict = {}
+        self.reset()
+
+    def _at(self, y) -> list | None:
+        found = self._known.get(y, False)
+        if found is False:
+            where = self._where
+            found = None
+            if y in where:
+                mul = self._mul
+                found = [where.get(mul(g, y)) for g in self._translators]
+                if None in found:
+                    found = None
+            self._known[y] = found
+        return found
+
+
+class _PartitionCounts(_PairIndex):
     """Incremental pair values of a candidate set F under a partition.
 
     For each distinct translator g of the pairs it keeps the block counts
@@ -188,14 +218,9 @@ class _PartitionCounts:
     """
 
     def __init__(self, model: GroupModel, pairs, cover: Covering) -> None:
-        self._mul = model.unchecked_multiply
-        self._block = {a: b for b, block in enumerate(cover.blocks) for a in block}
         self._nblocks = len(cover.blocks)
-        self._translators = tuple(dict.fromkeys(g for pair in pairs for g in pair))
-        slot = {g: t for t, g in enumerate(self._translators)}
-        self._pairs = tuple((slot[g], slot[h]) for g, h in pairs)
-        self._known: dict = {}
-        self.reset()
+        block = {a: b for b, members in enumerate(cover.blocks) for a in members}
+        super().__init__(model, pairs, block)
 
     def reset(self) -> None:
         """Make F empty."""
@@ -207,26 +232,9 @@ class _PartitionCounts:
         """The smallest pair value; |F| when there are no pairs."""
         return min(self.values, default=self.size)
 
-    def _blocks(self, y) -> list | None:
-        """The block of g*y for each translator g; None if y or one leaves
-        the window.  Kept per y: a local search scores the same elements
-        again and again."""
-        found = self._known.get(y, False)
-        if found is False:
-            block = self._block
-            if y in block:
-                mul = self._mul
-                found = [block.get(mul(g, y)) for g in self._translators]
-                if None in found:
-                    found = None
-            else:
-                found = None
-            self._known[y] = found
-        return found
-
     def add(self, y) -> bool:
         """Insert y, which is not in F; False, changing nothing, on an escape."""
-        found = self._blocks(y)
+        found = self._at(y)
         if found is None:
             return False
         counts, values = self.counts, self.values
@@ -244,7 +252,7 @@ class _PartitionCounts:
 
     def drop(self, y) -> None:
         """Remove y, which is in F."""
-        found = self._blocks(y)
+        found = self._at(y)
         counts, values = self.counts, self.values
         for p, (s, t) in enumerate(self._pairs):
             b, b2 = found[s], found[t]
@@ -258,7 +266,7 @@ class _PartitionCounts:
         self.size -= 1
 
 
-class _CoveringRecount:
+class _CoveringRecount(_PairIndex):
     """``_PartitionCounts``'s moves on a covering that is not a partition.
 
     Each pair (g, h) keeps the atoms of gF and hF, by their positions in
@@ -273,17 +281,12 @@ class _CoveringRecount:
     """
 
     def __init__(self, model: GroupModel, pairs, cover: Covering) -> None:
-        self._mul = model.unchecked_multiply
         atoms = cover.ground.atoms
-        self._pos = {a: p for p, a in enumerate(atoms)}
-        self._blocks = [tuple(map(self._pos.__getitem__, block)) for block in cover.blocks]
+        pos = {a: p for p, a in enumerate(atoms)}
+        self._members = [tuple(map(pos.__getitem__, block)) for block in cover.blocks]
         self._blocks_at = list(map(cover.blocks_of.__getitem__, atoms))
         self._near: list = [None] * len(atoms)  # position -> the positions sharing a block
-        self._translators = tuple(dict.fromkeys(g for pair in pairs for g in pair))
-        slot = {g: t for t, g in enumerate(self._translators)}
-        self._pairs = tuple((slot[g], slot[h]) for g, h in pairs)
-        self._known: dict = {}
-        self.reset()
+        super().__init__(model, pairs, pos)
 
     def reset(self) -> None:
         """Make F empty."""
@@ -316,8 +319,8 @@ class _CoveringRecount:
         """The atoms that share a block with a, kept per atom."""
         near = self._near[a]
         if near is None:
-            blocks = self._blocks
-            near = frozenset(itertools.chain.from_iterable(blocks[b] for b in self._blocks_at[a]))
+            members = self._members
+            near = frozenset(itertools.chain.from_iterable(members[b] for b in self._blocks_at[a]))
             self._near[a] = near
         return near
 
@@ -326,7 +329,7 @@ class _CoveringRecount:
         pair's matching is maximum: the alternating search of the checker's
         ``_augment``, on positions, returning (left, right) pairs from the
         free right atom back to the free left atom it started from."""
-        blocks_at, blocks = self._blocks_at, self._blocks
+        blocks_at, members = self._blocks_at, self._members
         queue = list(free)
         via = dict.fromkeys(queue)  # left atom reached -> the left atom it came from
         expanded: set = set()
@@ -335,7 +338,7 @@ class _CoveringRecount:
                 if b in expanded:
                     continue
                 expanded.add(b)
-                for c in blocks[b]:
+                for c in members[b]:
                     if c not in right:
                         continue
                     k = mate_r.get(c)
@@ -350,25 +353,9 @@ class _CoveringRecount:
                         queue.append(k)
         return None
 
-    def _images(self, y) -> list | None:
-        """The position of g*y for each translator g; None if y or one
-        leaves the window.  Kept per y, as ``_PartitionCounts._blocks``
-        keeps its blocks."""
-        found = self._known.get(y, False)
-        if found is False:
-            pos = self._pos
-            found = None
-            if y in pos:
-                mul = self._mul
-                found = [pos.get(mul(g, y)) for g in self._translators]
-                if None in found:
-                    found = None
-            self._known[y] = found
-        return found
-
     def add(self, y) -> bool:
         """Insert y, which is not in F; False, changing nothing, on an escape."""
-        found = self._images(y)
+        found = self._at(y)
         if found is None:
             return False
         for (s, t), (free, right, _, _) in zip(self._pairs, self._sides):
@@ -379,7 +366,7 @@ class _CoveringRecount:
 
     def drop(self, y) -> None:
         """Remove y, which is in F."""
-        found = self._images(y)
+        found = self._at(y)
         for (s, t), (free, right, mate_l, mate_r) in zip(self._pairs, self._sides):
             a, c = found[s], found[t]
             if a in mate_l:

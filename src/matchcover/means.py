@@ -81,7 +81,7 @@ def convolve(a: ConvexCombination, b: ConvexCombination) -> ConvexCombination:
     out: dict = {}
     for x, wx in a.items():
         for y, wy in b.items():
-            z = group.multiply(x, y)
+            z = group.unchecked_multiply(x, y)
             out[z] = out.get(z, Fraction(0)) + wx * wy
     return ConvexCombination(group, out)
 

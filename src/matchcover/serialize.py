@@ -15,7 +15,6 @@ import json
 import math
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable
 
 from .bipartite import BipartiteGraph, MatchingWitness
 from .cover import Covering, GroundSet
@@ -119,14 +118,11 @@ def _require_atom(atom) -> str:
     return atom
 
 
-def atom_parse(s, model: GroupModel | None):
-    return model.parse_elem(s) if model is not None else _require_atom(s)
-
-
 def _atom_parser(model: GroupModel | None):
-    """``atom_parse`` for one document: each distinct element string is
-    parsed once.  Anything but a string goes to the model every time, so it
-    fails as ``atom_parse`` would, unhashable JSON values included."""
+    """The element codec for one document read: ``model.parse_elem``, with
+    each distinct element string parsed once.  Anything but a string goes to
+    the model every time, so it fails there, unhashable JSON values
+    included; without a group context an atom is its own string."""
     if model is None:
         return _require_atom
     parsed: dict = {}
@@ -161,8 +157,11 @@ def _atom_writer(model: GroupModel | None):
     return write
 
 
-def elems_from_json(model: GroupModel | None, arr: Iterable) -> list:
-    return [atom_parse(s, model) for s in arr]
+def elems_from_json(model: GroupModel | None, arr) -> list:
+    """A JSON list of elements; any other value, a string included, is
+    invalid input rather than a sequence of one-character elements."""
+    parse = _atom_parser(model)
+    return [parse(s) for s in _list(arr, "element list")]
 
 
 # -- coverings and colorings ------------------------------------------------
@@ -186,8 +185,9 @@ def covering_from_json(obj: dict, model: GroupModel | None = None) -> Covering:
 
 def _read_covering(obj: dict, parse) -> Covering:
     """A covering whose atoms go through ``parse``, one ``_atom_parser``."""
-    ground = GroundSet([parse(s) for s in obj["ground"]])
-    return Covering(ground, [[parse(s) for s in block] for block in obj["blocks"]])
+    ground = GroundSet([parse(s) for s in _list(obj["ground"], "covering ground")])
+    blocks = [[parse(s) for s in _list(block, "covering block")] for block in obj["blocks"]]
+    return Covering(ground, blocks)
 
 
 def coloring_to_json(col: Coloring, model: GroupModel | None = None) -> dict:
@@ -199,7 +199,7 @@ def coloring_to_json(col: Coloring, model: GroupModel | None = None) -> dict:
 
 
 def coloring_from_json(obj: dict, model: GroupModel | None = None) -> Coloring:
-    ground = GroundSet(elems_from_json(model, obj["ground"]))
+    ground = GroundSet(elems_from_json(model, _list(obj["ground"], "coloring ground")))
     colors = _ints(obj["colors"], "coloring color")
     return Coloring(ground, colors, _require_int(obj["k"], "coloring k"))
 
@@ -274,8 +274,8 @@ def finmetric_to_json(m: FinMetric) -> dict:
 
 
 def finmetric_from_json(obj: dict) -> FinMetric:
-    dist = tuple(tuple(map(frac_parse, row)) for row in obj["dist"])
-    return FinMetric(tuple(obj["points"]), dist)
+    dist = tuple(tuple(map(frac_parse, _list(row, "metric dist row"))) for row in obj["dist"])
+    return FinMetric(tuple(_list(obj["points"], "metric points")), dist)
 
 
 # -- certificates -----------------------------------------------------------
@@ -313,7 +313,7 @@ def certificate_from_json(obj: dict) -> FolnerCertificate:
     """
     model = group_from_json(obj["group"])
     parse = _atom_parser(model)  # the window repeats F, each g and h, and itself
-    f_set = tuple(parse(s) for s in obj["f"])
+    f_set = tuple(parse(s) for s in _list(obj["f"], "certificate f"))
     if not f_set:
         raise ValueError("certificate has an empty candidate set F")
     if len(set(f_set)) != len(f_set):
@@ -334,7 +334,7 @@ def certificate_from_json(obj: dict) -> FolnerCertificate:
     return FolnerCertificate(
         group=model,
         f_set=f_set,
-        e_set=tuple(parse(s) for s in obj["e"]),
+        e_set=tuple(parse(s) for s in _list(obj["e"], "certificate e")),
         theta=theta,
         mode=obj["mode"],
         cover=cover,

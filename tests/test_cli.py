@@ -978,6 +978,72 @@ class TestVerifyRamseyReport:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestListsAtDecode:
+    """Where a document holds a list, a JSON string is invalid input, not the
+    list of its characters: each document runs with exit 0 until one of its
+    lists is joined into one string, and then exits 2 with one line."""
+
+    @staticmethod
+    def certificate(tmp_path):
+        out = tmp_path / "cert.json"
+        dispatch(["folner", "search", "--group", "zd1", "--coloring", "trivial", "--e", "1",
+                  "--theta", "1/2", "--max-radius", "1", "--out", str(out)])
+        return out, ["verify", str(out)]
+
+    @staticmethod
+    def report(tmp_path):
+        out, _ = TestVerifyRamseyReport().report(tmp_path)
+        return out, ["verify", str(out)]
+
+    @staticmethod
+    def coloring(tmp_path):
+        col = tmp_path / "col.json"
+        write(col, {"ground": ["0", "1"], "colors": [0, 0], "k": 1})
+        return col, ["folner", "search", "--group", "zd1", "--coloring", str(col), "--e", "1",
+                     "--theta", "1/2", "--max-radius", "0"]
+
+    @staticmethod
+    def elements(tmp_path):
+        cover = write(tmp_path / "cover.json", {"ground": ["a", "b"], "blocks": [["a", "b"]]})
+        left = tmp_path / "left.json"
+        write(left, ["a", "b"])
+        return left, ["mu", "--cover", cover, "--left", str(left), "--right", str(left)]
+
+    @pytest.mark.parametrize(
+        "source, path, what",
+        [
+            pytest.param("certificate", ("f",), "certificate f", id="certificate-f"),
+            pytest.param("certificate", ("e",), "certificate e", id="certificate-e"),
+            pytest.param(
+                "certificate", ("cover", "ground"), "covering ground", id="certificate-ground"
+            ),
+            pytest.param(
+                "certificate", ("cover", "blocks", 0), "covering block", id="certificate-block"
+            ),
+            pytest.param("report", ("b", "points"), "metric points", id="report-points"),
+            pytest.param("report", ("a", "dist", 0), "metric dist row", id="report-dist-row"),
+            pytest.param("coloring", ("ground",), "coloring ground", id="coloring-ground"),
+            pytest.param("elements", (), "element list", id="element-list"),
+        ],
+    )
+    def test_string_for_a_list_is_exit_two(self, tmp_path, capsys, source, path, what):
+        out, argv = getattr(self, source)(tmp_path)
+        assert dispatch(argv) == 0
+        doc = json.loads(out.read_text())
+        if path:
+            *outer, last = path
+            holder = doc
+            for key in outer:
+                holder = holder[key]
+            holder[last] = "".join(holder[last])
+        else:
+            doc = "".join(doc)
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert dispatch(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {what} must be a list\n")
+
+
 class TestSweep:
     def test_csv_written(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -606,6 +606,42 @@ class TestPartitionCounts:
             assert counts.least() == min(want, default=len(f))
         assert same_block and refused and drops
 
+    @pytest.mark.parametrize("mode", ["asym", "sym"])
+    @pytest.mark.parametrize(
+        "name, model, radius, coloring, e_set", COUNT_CASES, ids=[c[0] for c in COUNT_CASES]
+    )
+    def test_covering_recount_agrees_on_a_partition(
+        self, name, model, radius, coloring, e_set, mode
+    ):
+        # a partition is also a covering: both counters read their pairs from
+        # one index, and must refuse the same adds and give the same least value
+        window = model.ball(radius)
+        cover = builtin_partition(model, coloring, window)
+        pairs = required_pairs(model, e_set, mode)
+        kinds = (folner._PartitionCounts, folner._CoveringRecount)
+        both = [kind(model, pairs, cover) for kind in kinds]
+        rng = random.Random(f"{name}/{mode}/both")
+        members: set = set()
+        refused = drops = 0
+        for _ in range(150):
+            if members and rng.random() < 0.4:
+                y = rng.choice(sorted(members, key=model.sort_key))
+                for counts in both:
+                    counts.drop(y)
+                members.remove(y)
+                drops += 1
+            else:
+                y = rng.choice([x for x in window if x not in members])
+                added = [counts.add(y) for counts in both]
+                assert added[0] == added[1]
+                if added[0]:
+                    members.add(y)
+                else:
+                    refused += 1
+            assert both[0].least() == both[1].least()
+            assert both[0].size == both[1].size == len(members)
+        assert refused and drops
+
     @pytest.mark.parametrize("partition", [True, False], ids=["partition", "covering"])
     @pytest.mark.parametrize(
         "e_set, mode, radius",
