@@ -3,8 +3,9 @@
 In the rank-2 free group the ball of radius 2 has 17 elements, but its
 translate by the generator a shares only 8 of them.  Coloring words by
 their leading letter pins the matching number between the ball and its
-translate to that overlap, and an adversarial single-bit coloring search
-rediscovers the same obstruction from a random start.
+translate to that overlap.  No coloring goes lower, since each common word
+matches itself, so the adversary's best two-coloring states the overlap:
+the words of the ball that the translate misses get color 1, the rest 0.
 
 Run:  python3 demos/04_free_group_obstruction.py
 """
@@ -15,7 +16,6 @@ from matchcover import (
     BallsStrategy,
     Coloring,
     FreeGroup,
-    LocalColorings,
     adversary_coloring,
     folner_search,
     mu,
@@ -39,10 +39,8 @@ first_letter = Covering(ground, by_letter.values())
 value = mu(ball, shifted, first_letter)
 print("mu(ball, a*ball, first-letter partition) =", value, "=", Fraction(value, 17))
 
-# an adversary with two colors finds the same optimum from seed 0
-coloring, ratio = adversary_coloring(
-    F2, ball, [a], k=1, strategy=LocalColorings(seed=0, budget=2000)
-)
+# the adversary's optimum is the overlap: |ball & a*ball| / |ball|
+coloring, ratio = adversary_coloring(F2, ball, [a], k=1)
 print("adversarial 2-coloring ratio:", ratio)
 
 # no ball reaches ratio 9/10 against the first-letter coloring

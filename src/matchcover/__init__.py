@@ -53,9 +53,7 @@ from .means import (
 from .folner import (
     BallsStrategy,
     Coloring,
-    ExhaustiveColorings,
     FolnerCertificate,
-    LocalColorings,
     LocalSetStrategy,
     adversary_coloring,
     build_certificate,

@@ -30,8 +30,6 @@ from .cover import Covering, GroundSet, join, refines, star_iterate, star_refine
 from .folner import (
     BallsStrategy,
     Coloring,
-    ExhaustiveColorings,
-    LocalColorings,
     LocalSetStrategy,
     build_certificate,
     check_certificate,
@@ -367,13 +365,7 @@ def _cmd_folner_adversary(args, argv) -> int:
     model = _load_group(args.group)
     f_set = _parse_elems(model, args.f, args.f_file)
     e_set = _parse_elems(model, args.e, args.e_file)
-    # built under either strategy, so that out-of-range flags never pass
-    strategy = LocalColorings(seed=args.seed, budget=args.budget, plateau=args.plateau)
-    if args.strategy == "exhaustive":
-        strategy = ExhaustiveColorings()
-    coloring, ratio = adversary_coloring(
-        model, f_set, e_set, args.colors, mode=args.mode, strategy=strategy
-    )
+    coloring, ratio = adversary_coloring(model, f_set, e_set, args.colors, mode=args.mode)
     doc = {
         "coloring": ser.coloring_to_json(coloring, model),
         "min_ratio": ser.frac_str(ratio),
@@ -432,8 +424,7 @@ def _cmd_means(args, argv) -> int:
         return 0
     if args.action == "rationalize":
         _require_flags(args, "alpha", "theta")
-        obj = _load_json(args.alpha)
-        alpha = {k: ser.frac_parse(v) for k, v in obj["weights"].items()}
+        alpha = ser.weights_from_json(_load_json(args.alpha))
         beta, n, gamma = rationalize(alpha, ser.frac_parse(args.theta))
         doc = {
             "n": n,
@@ -591,11 +582,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--e-file")
     q.add_argument("--colors", type=int, default=1, help="colors are 0..k")
     q.add_argument("--mode", choices=["asym", "sym"], default="asym")
-    q.add_argument("--strategy", choices=["exhaustive", "local"], default="local")
-    q.add_argument("--budget", type=int, default=2000)
-    q.add_argument("--plateau", type=int, default=20)
+    q.add_argument("--budget", type=int, default=2000, help="accepted; has no effect")
     _add_output(q)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=int, default=0, help="accepted; has no effect")
     q.set_defaults(handler="_cmd_folner_adversary")
 
     q = fol.add_parser("net")

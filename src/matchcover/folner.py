@@ -15,21 +15,20 @@ translate gF, while ``sym`` compares all pairs of translates gF, hF.  The
 distinction is preserved deliberately; the two conditions are recorded
 next to each other and no equivalence between them is assumed.
 
-Searches (over candidate sets, and adversarially over colorings) are
-deterministic given their seed.  The search procedures themselves are
-artifact machinery: balls by radius plus a boundary-move hill climb for
-candidate sets, and single-atom recoloring descent for adversarial
-colorings.  Both keep counts rather than recount: on a partition the
-candidate search keeps the block counts of every translate gF and each
-pair's value, so a ball is scored from its new sphere and a local move from
-the one element it inserts or drops; on any other covering it keeps one
-maximum matching per pair and re-augments it after each change; the
-coloring search keeps, per pair and color, the sign of the count difference
-between the two translates, and scores a recoloring with one lookup for
-each pair that holds the atom on one side only (a pair that holds it on
-both sides keeps its value).  Each step of the hill climb is one pass over
-its moves: every boundary element is scored once, and the best improving
-move is kept as the pass goes.
+The candidate search is deterministic given its seed, and is artifact
+machinery: balls by radius plus a boundary-move hill climb.  It keeps counts
+rather than recount: on a partition it keeps the block counts of every
+translate gF and each pair's value, so a ball is scored from its new sphere
+and a local move from the one element it inserts or drops; on any other
+covering it keeps one maximum matching per pair and re-augments it after
+each change.  Each step of the hill climb is one pass over its moves: every
+boundary element is scored once, and the best improving move is kept as the
+pass goes.
+
+The adversary needs no search.  Against a fixed F, the least min ratio over
+colorings of the window is min over pairs of |gF & hF| / |F|: no covering
+goes below the overlap, and the two-coloring of gF - hF against the rest
+meets it.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from .groups import FiniteTableGroup, GroupModel, _require_fraction
 MODES = ("asym", "sym")
 
 DEFAULT_NET_CAP = 60
-DEFAULT_COLORING_CAP = 2_000_000
 
 
 class WindowEscape(ValueError):
@@ -807,26 +805,7 @@ def folner_search(
 
 
 # ---------------------------------------------------------------------------
-# adversarial coloring search
-
-
-@dataclass(frozen=True)
-class ExhaustiveColorings:
-    """Every coloring of the window, up to DEFAULT_COLORING_CAP of them."""
-
-
-@dataclass(frozen=True)
-class LocalColorings:
-    seed: int = 0
-    budget: int = 2000
-    plateau: int = 20
-
-    def __post_init__(self):
-        # with no evaluation there is no coloring to report
-        if self.budget < 1:
-            raise ValueError(f"local coloring budget must be at least 1, got {self.budget}")
-        if self.plateau < 0:
-            raise ValueError(f"local coloring plateau must be at least 0, got {self.plateau}")
+# adversarial coloring
 
 
 def adversary_coloring(
@@ -835,28 +814,21 @@ def adversary_coloring(
     e_set: Iterable,
     k: int,
     mode: str = "asym",
-    strategy=None,
 ) -> tuple[Coloring, Fraction]:
     """Coloring of the window minimizing the min matching ratio for F.
 
     The coloring plays against a fixed candidate set: among colorings with
-    colors 0..k of the window spanned by F and its required translates, we
-    minimize min over required pairs of mu(gF, hF, partition)/|F|.  The
-    reported ratio is recomputed exactly through the general matcher, not
-    the partition shortcut used during the search.
-
-    |F| is fixed, so the search compares the integer min over pairs of
-    v = sum over colors of min(#c in gF, #c in hF).  The local strategy
-    keeps, per pair, D[c] = #c in gF - #c in hF as two 0/1 vectors (gF has
-    more of c, hF has more of c), and scores a single-atom recoloring from
-    o to c by the one-sided rule: on a pair that holds the atom in gF only
-    the value becomes v - [D[o] <= 0] + [D[c] < 0], in hF only
-    v - [D[o] >= 0] + [D[c] > 0], and in both (or neither) it stays v.
-    An applied move refreshes the vectors of the pairs that hold the atom.
+    colors 0..k of the window spanned by F and its required translates, it
+    minimizes min over required pairs of mu(gF, hF, partition)/|F|.  That
+    optimum has a closed form.  Every covering gives mu(gF, hF) >= |gF & hF|,
+    since each common atom matches itself; coloring gF - hF with 1 and every
+    other atom with 0 meets the bound, since no atom of hF has color 1.  So
+    the worst pair is the first one, in ``required_pairs`` order, with the
+    least overlap, and its two-coloring is returned for every k.  The
+    reported ratio is recomputed exactly through the general matcher.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    strategy = strategy if strategy is not None else LocalColorings()
     f_canon = model.canon_set(f_set)
     if not f_canon:
         raise ValueError("candidate set F must be non-empty")
@@ -865,152 +837,13 @@ def adversary_coloring(
     ground = GroundSet(
         sorted(set(f_canon).union(*translates.values()), key=model.sort_key)
     )
-    n = len(ground)
-    f_size = len(f_canon)
-    colors = range(k + 1)
-    pair_indices = [
-        (
-            tuple(map(ground.position, translates[g])),
-            tuple(map(ground.position, translates[h])),
-        )
-        for g, h in pairs
-    ]
-
-    def recount(vec) -> list:
-        """Per pair, the color counts (of gF, of hF) under ``vec``."""
-        counts = []
-        for left_idx, right_idx in pair_indices:
-            counts_l = [0] * (k + 1)
-            counts_r = [0] * (k + 1)
-            for i in left_idx:
-                counts_l[vec[i]] += 1
-            for j in right_idx:
-                counts_r[vec[j]] += 1
-            counts.append((counts_l, counts_r))
-        return counts
-
-    def pair_values(counts) -> list:
-        return [sum(map(min, counts_l, counts_r)) for counts_l, counts_r in counts]
-
-    best_vec: list | None = None
-    best_obj: int | None = None
-
-    if isinstance(strategy, ExhaustiveColorings):
-        total = (k + 1) ** n
-        if total > DEFAULT_COLORING_CAP:
-            raise ValueError(
-                f"exhaustive coloring space {total} exceeds cap {DEFAULT_COLORING_CAP}"
-            )
-        # product order is increasing, so the first least objective is
-        # also the least vector among its ties
-        for vec in itertools.product(colors, repeat=n):
-            obj = min(pair_values(recount(vec)), default=f_size)
-            if best_obj is None or obj < best_obj:
-                best_vec, best_obj = list(vec), obj
-    elif isinstance(strategy, LocalColorings):
-        # per atom: (pair, in gF) for the pairs that hold it on one side
-        # only, and the pairs whose value its recoloring leaves fixed (those
-        # without it, and those with it on both sides, where the -1 and the
-        # +1 cancel)
-        one_sided: list = [[] for _ in range(n)]
-        fixed: list = [[] for _ in range(n)]
-        for p, (left_idx, right_idx) in enumerate(pair_indices):
-            left, right = set(left_idx), set(right_idx)
-            for i in range(n):
-                if (i in left) != (i in right):
-                    one_sided[i].append((p, i in left))
-                else:
-                    fixed[i].append(p)
-        budget = strategy.budget
-        rng = random.Random(strategy.seed)
-        evaluations = 0
-        while evaluations < budget:
-            current = [rng.randint(0, k) for _ in range(n)]
-            counts = recount(current)
-            values = pair_values(counts)
-            # per pair, D and its signs: gF has more of c, hF has more of c
-            diffs = [[a - b for a, b in zip(*pair_counts)] for pair_counts in counts]
-            left_more = [[int(d > 0) for d in diff] for diff in diffs]
-            right_more = [[int(d < 0) for d in diff] for diff in diffs]
-            current_obj = min(values, default=f_size)
-            evaluations += 1
-            if best_obj is None or current_obj < best_obj or (
-                current_obj == best_obj and current < best_vec
-            ):
-                best_vec, best_obj = current[:], current_obj
-            plateau_left = strategy.plateau
-            while evaluations < budget:
-                # the scan visits (i, c) in increasing order, so the first
-                # least objective is the least (obj, i, c)
-                move_obj = move_i = move_c = None
-                for i in range(n):
-                    old = current[i]
-                    rest = f_size
-                    for p in fixed[i]:
-                        if values[p] < rest:
-                            rest = values[p]
-                    # (value with no gain at c, gain at c) for the one-sided
-                    # pairs that can go below rest
-                    sided = []
-                    for p, on_left in one_sided[i]:
-                        if on_left:
-                            base = values[p] - 1 + left_more[p][old]
-                            gain = right_more[p]
-                        else:
-                            base = values[p] - 1 + right_more[p][old]
-                            gain = left_more[p]
-                        if base < rest:
-                            sided.append((base, gain))
-                    for c in colors:
-                        if c == old:
-                            continue
-                        obj = rest
-                        for base, gain in sided:
-                            value = base + gain[c]
-                            if value < obj:
-                                obj = value
-                        evaluations += 1
-                        if obj <= best_obj:
-                            current[i] = c
-                            if obj < best_obj or current < best_vec:
-                                best_vec, best_obj = current[:], obj
-                            current[i] = old
-                        if move_obj is None or obj < move_obj:
-                            move_obj, move_i, move_c = obj, i, c
-                        if evaluations >= budget:
-                            break
-                    if evaluations >= budget:
-                        break
-                if move_obj is None:
-                    break
-                if move_obj < current_obj:
-                    plateau_left = strategy.plateau
-                elif move_obj == current_obj and plateau_left > 0:
-                    plateau_left -= 1
-                else:
-                    break
-                i, c = move_i, move_c
-                old = current[i]
-                current[i] = c
-                current_obj = move_obj
-                for p, on_left in one_sided[i]:
-                    diff, more_l, more_r = diffs[p], left_more[p], right_more[p]
-                    if on_left:
-                        values[p] += more_l[old] - 1 + more_r[c]
-                        diff[old] -= 1
-                        diff[c] += 1
-                    else:
-                        values[p] += more_r[old] - 1 + more_l[c]
-                        diff[old] += 1
-                        diff[c] -= 1
-                    for x in (old, c):
-                        more_l[x] = int(diff[x] > 0)
-                        more_r[x] = int(diff[x] < 0)
-    else:
-        raise TypeError(f"unknown strategy: {strategy!r}")
-
-    coloring = Coloring(ground, tuple(best_vec), k)
+    one_side: set = set()
+    if pairs:
+        g, h = min(pairs, key=lambda p: len(set(translates[p[0]]).intersection(translates[p[1]])))
+        one_side = set(translates[g]).difference(translates[h])
+    coloring = Coloring(ground, tuple(int(x in one_side) for x in ground.atoms), k)
     partition = coloring.partition()
+    f_size = len(f_canon)
     exact = min(
         (mu(translates[g], translates[h], partition) for g, h in pairs),
         default=f_size,

@@ -256,10 +256,16 @@ def mean_to_json(nu: ConvexCombination) -> dict:
     }
 
 
+def weights_from_json(obj: dict) -> dict:
+    """The ``weights`` object of a mean document: element string -> Fraction."""
+    weights = obj["weights"]
+    if not isinstance(weights, dict):
+        raise ValueError("mean weights must be an object")
+    return {s: frac_parse(w) for s, w in weights.items()}
+
+
 def mean_from_json(obj: dict, model: GroupModel) -> ConvexCombination:
-    weights = {
-        model.parse_elem(s): frac_parse(w) for s, w in obj["weights"].items()
-    }
+    weights = {model.parse_elem(s): w for s, w in weights_from_json(obj).items()}
     return ConvexCombination(model, weights)
 
 

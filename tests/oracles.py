@@ -5,7 +5,7 @@ as injections directly (memoized over right-vertex subsets), after splitting
 the graph into connected components to keep the subset space small.  The
 Hall-deficiency oracle never touches a matching: it enumerates every subset
 of the left part.  The ball oracle runs one BFS per radius on the validating
-group law, and the adversary oracle recounts every pair on every move.  The
+group law, and the adversary oracle tries every coloring up to a cap.  The
 candidate-search and sweep oracles build every translate of every candidate
 and recount its blocks with ``mu_partition`` (``mu`` on a covering that is
 not a partition).  The ramsey oracle is the object-level loop: embeddings
@@ -40,7 +40,6 @@ from matchcover import folner
 from matchcover.cover import Covering, GroundSet
 from matchcover.folner import (
     BallsStrategy,
-    Coloring,
     Finding,
     LocalSetStrategy,
     SearchResult,
@@ -250,14 +249,13 @@ def finmetric_error_reference(points, dist) -> str | None:
     return None
 
 
-def adversary_local_reference(
-    model, f_set, e_set, k: int, mode: str, seed: int, budget: int, plateau: int
-) -> tuple:
-    """Local recoloring descent that recounts every pair on every move.
+def adversary_exhaustive_reference(
+    model, f_set, e_set, k: int, mode: str, cap: int = 4096
+) -> Fraction:
+    """Least min matching ratio over every coloring of the window with colors
+    0..k, each pair recounted per color on the validating group law.
 
-    Same moves, order, tie-breaks and evaluation count as
-    ``adversary_coloring`` with ``LocalColorings``; the objective is the
-    exact ratio, recomputed from scratch for each coloring it scores.
+    Refuses a window with more than ``cap`` colorings.
     """
     f_canon = model.canon_set(f_set)
     pairs = required_pairs(model, model.canon_set(e_set), mode)
@@ -265,84 +263,23 @@ def adversary_local_reference(
     for g, h in pairs:
         window.update(model.translate(g, f_canon))
         window.update(model.translate(h, f_canon))
-    ground = GroundSet(sorted(window, key=model.sort_key))
-    n = len(ground)
-    f_size = len(f_canon)
+    atoms = sorted(window, key=model.sort_key)
+    if (k + 1) ** len(atoms) > cap:
+        raise ValueError(f"{(k + 1) ** len(atoms)} colorings exceed the cap {cap}")
     pair_indices = [
         (
-            [ground.position(x) for x in model.translate(g, f_canon)],
-            [ground.position(x) for x in model.translate(h, f_canon)],
+            [atoms.index(x) for x in model.translate(g, f_canon)],
+            [atoms.index(x) for x in model.translate(h, f_canon)],
         )
         for g, h in pairs
     ]
-
-    def objective(colors) -> Fraction:
-        worst = f_size
+    best = len(f_canon)
+    for colors in itertools.product(range(k + 1), repeat=len(atoms)):
         for left_idx, right_idx in pair_indices:
-            counts_l = [0] * (k + 1)
-            counts_r = [0] * (k + 1)
-            for i in left_idx:
-                counts_l[colors[i]] += 1
-            for j in right_idx:
-                counts_r[colors[j]] += 1
-            worst = min(worst, sum(min(a, b) for a, b in zip(counts_l, counts_r)))
-        return Fraction(worst, f_size)
-
-    best = None
-
-    def track(vec, obj) -> None:
-        nonlocal best
-        if best is None or (obj, tuple(vec)) < best:
-            best = (obj, tuple(vec))
-
-    rng = random.Random(seed)
-    evaluations = 0
-    while evaluations < budget:
-        current = [rng.randint(0, k) for _ in range(n)]
-        current_obj = objective(current)
-        evaluations += 1
-        track(current, current_obj)
-        plateau_left = plateau
-        while evaluations < budget:
-            move_best = None
-            for i in range(n):
-                old = current[i]
-                for c in range(k + 1):
-                    if c == old:
-                        continue
-                    current[i] = c
-                    obj = objective(current)
-                    evaluations += 1
-                    track(current, obj)
-                    if move_best is None or (obj, i, c) < move_best:
-                        move_best = (obj, i, c)
-                    if evaluations >= budget:
-                        break
-                current[i] = old
-                if evaluations >= budget:
-                    break
-            if move_best is None:
-                break
-            obj, i, c = move_best
-            if obj < current_obj:
-                current[i] = c
-                current_obj = obj
-                plateau_left = plateau
-            elif obj == current_obj and plateau_left > 0:
-                current[i] = c
-                plateau_left -= 1
-            else:
-                break
-    coloring = Coloring(ground, best[1], k)
-    partition = coloring.partition()
-    exact = min(
-        (
-            mu(model.translate(g, f_canon), model.translate(h, f_canon), partition)
-            for g, h in pairs
-        ),
-        default=f_size,
-    )
-    return coloring, Fraction(exact, f_size)
+            left = [colors[i] for i in left_idx]
+            right = [colors[j] for j in right_idx]
+            best = min(best, sum(min(left.count(c), right.count(c)) for c in range(k + 1)))
+    return Fraction(best, len(f_canon))
 
 
 def min_pair_mu_reference(model, f_canon: tuple, pairs, cover: Covering) -> int:

@@ -23,7 +23,6 @@ from matchcover.cover import Covering, GroundSet, star_iterate
 from matchcover.folner import (
     BallsStrategy,
     Coloring,
-    LocalColorings,
     adversary_coloring,
     check_certificate,
     folner_search,
@@ -179,14 +178,12 @@ def test_c06_f2_adversarial_demonstration():
     assert mu(f, af, cover) == oracle_value == 8
     ratio = Fraction(oracle_value, len(f))
     assert ratio == Fraction(8, 17)
-    coloring, found = adversary_coloring(
-        F2, f, [(1,)], 1, strategy=LocalColorings(seed=0, budget=2000)
-    )
-    assert found <= ratio
+    coloring, found = adversary_coloring(F2, f, [(1,)], 1)
+    assert found == ratio
     gf = F2.translate((1,), f)
     assert found == Fraction(mu(f, gf, coloring.partition()), 17)
     budget.check()
-    report(6, "first-letter 2-coloring gives oracle value 8/17; adversary(seed 0) matches it")
+    report(6, "first-letter 2-coloring gives oracle value 8/17; the adversary's overlap coloring matches it")
 
 
 def test_c07_perfect_nets():

@@ -629,59 +629,23 @@ class TestFolnerCommands:
                 "--f", "1;a;A;b;B",
                 "--e", "a",
                 "--colors", "1",
-                "--strategy", "local",
                 "--budget", "400",
                 "--json",
             ]
         )
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert Fraction(doc["min_ratio"]) <= 1
+        # |{1, a, A, b, B} & a{1, a, A, b, B}| = |{1, a}|
+        assert doc["min_ratio"] == "2/5"
 
-    @pytest.mark.parametrize("budget", ["0", "-3"])
-    def test_adversary_budget_below_one_is_exit_two(self, capsys, budget):
-        argv = ["folner", "adversary", "--group", "free2", "--f", "1;a;A;b;B", "--e", "a"]
-        assert dispatch(argv + ["--budget", budget]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: local coloring budget must be at least 1, got {budget}\n"
-
-    @pytest.mark.parametrize("plateau", ["-1", "-7"])
-    def test_adversary_plateau_below_zero_is_exit_two(self, capsys, plateau):
-        argv = ["folner", "adversary", "--group", "free2", "--f", "1;a;A;b;B", "--e", "a"]
-        assert dispatch(argv + ["--plateau", plateau]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: local coloring plateau must be at least 0, got {plateau}\n"
-
-    @pytest.mark.parametrize(
-        "flags, message",
-        [
-            (["--budget", "0", "--plateau", "-1"], "local coloring budget must be at least 1, got 0"),
-            (["--budget", "-3"], "local coloring budget must be at least 1, got -3"),
-            (["--plateau", "-1"], "local coloring plateau must be at least 0, got -1"),
-        ],
-    )
-    def test_exhaustive_adversary_refuses_the_same_flags(self, capsys, flags, message):
-        argv = ["folner", "adversary", "--group", "free2", "--f", "1;a;A;b;B", "--e", "a"]
-        for strategy in ("exhaustive", "local"):
-            assert dispatch(argv + ["--strategy", strategy, *flags, "--json"]) == 2
-            assert capsys.readouterr() == ("", f"error: {message}\n")
-
-    def test_exhaustive_adversary_runs_with_valid_flags(self, capsys):
-        argv = ["folner", "adversary", "--group", "free2", "--f", "1;a;A;b;B", "--e", "a",
-                "--strategy", "exhaustive", "--json"]
-        assert dispatch(argv + ["--budget", "1", "--plateau", "0"]) == 0
-        first = capsys.readouterr().out
-        # exhaustive reads neither flag, so in-range values change nothing
-        assert dispatch(argv) == 0
-        assert capsys.readouterr().out == first
-
-    def test_adversary_plateau_zero_is_accepted(self, capsys):
-        argv = ["folner", "adversary", "--group", "free2", "--f", "1;a;A;b;B", "--e", "a",
-                "--budget", "50", "--json"]
-        assert dispatch(argv + ["--plateau", "0"]) == 0
-        assert Fraction(json.loads(capsys.readouterr().out)["min_ratio"]) <= 1
+    @pytest.mark.parametrize("budget", ["0", "-3", "24000"])
+    def test_adversary_budget_and_seed_have_no_effect(self, tmp_path, budget):
+        argv = ["folner", "adversary", "--group", "free2", "--f", "1;a;A;b;B", "--e", "a;b",
+                "--colors", "2"]
+        assert dispatch(argv + ["--out", str(tmp_path / "plain.json")]) == 0
+        flagged = ["--budget", budget, "--seed", "7", "--out", str(tmp_path / "flagged.json")]
+        assert dispatch(argv + flagged) == 0
+        assert (tmp_path / "flagged.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_local_search_budget_below_one_is_exit_two(self, capsys, budget):
@@ -749,6 +713,17 @@ class TestMeansCommands:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert sum(doc["gamma"].values()) == doc["n"]
+
+    @pytest.mark.parametrize("weights", [["0"], "0", 3], ids=["list", "string", "number"])
+    @pytest.mark.parametrize("action", ["convolve", "rationalize"])
+    def test_weights_not_an_object_is_exit_two(self, tmp_path, capsys, action, weights):
+        doc = write(tmp_path / "w.json", {"weights": weights})
+        argv = {
+            "convolve": ["means", "convolve", "--group", "zd1", "--a", doc, "--b", doc],
+            "rationalize": ["means", "rationalize", "--alpha", doc, "--theta", "1/2"],
+        }[action]
+        assert dispatch(argv) == 2
+        assert capsys.readouterr() == ("", "error: mean weights must be an object\n")
 
 
 class TestRamseyCommand:
@@ -1363,6 +1338,8 @@ class TestOutputRule:
             (("folner", "check"), "--json"),
             (("folner", "check"), "--out"),
             (("folner", "search"), "--json"),
+            (("folner", "adversary"), "--strategy"),
+            (("folner", "adversary"), "--plateau"),
             (("ramsey", "check"), "--json"),
             (("means",), "--json"),
             (("sweep",), "--json"),

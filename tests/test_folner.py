@@ -12,8 +12,6 @@ from matchcover import bipartite, folner
 from matchcover.folner import (
     BallsStrategy,
     Coloring,
-    ExhaustiveColorings,
-    LocalColorings,
     LocalSetStrategy,
     WindowEscape,
     adversary_coloring,
@@ -42,7 +40,7 @@ from lemmas import (
     theta_boost_check,
 )
 from oracles import (
-    adversary_local_reference,
+    adversary_exhaustive_reference,
     check_pair_reference,
     folner_search_reference,
     max_matching_bruteforce,
@@ -911,79 +909,70 @@ class TestBallWalk:
 class TestAdversary:
     def test_single_point_identity(self):
         g2 = cyclic_group(2)
-        coloring, ratio = adversary_coloring(
-            g2, [0], [0], 1, strategy=ExhaustiveColorings()
-        )
+        coloring, ratio = adversary_coloring(g2, [0], [0], 1)
         assert ratio == 1
 
     def test_whole_finite_group_immune(self):
         g4 = cyclic_group(4)
-        coloring, ratio = adversary_coloring(
-            g4, list(range(4)), [1, 2], 1, strategy=ExhaustiveColorings()
-        )
+        coloring, ratio = adversary_coloring(g4, list(range(4)), [1, 2], 1)
         assert ratio == 1  # gF = F, identity matching survives any coloring
-
-    def test_exhaustive_at_least_as_good_as_local(self):
-        g6 = cyclic_group(6)
-        _, exhaustive = adversary_coloring(
-            g6, [0, 1, 2], [1], 1, strategy=ExhaustiveColorings()
-        )
-        _, local = adversary_coloring(
-            g6, [0, 1, 2], [1], 1, strategy=LocalColorings(seed=3, budget=500)
-        )
-        assert exhaustive <= local
-
-    @pytest.mark.parametrize("budget", [0, -1])
-    def test_local_budget_below_one_is_refused(self, budget):
-        # no evaluation leaves no coloring to report
-        with pytest.raises(ValueError, match=f"budget must be at least 1, got {budget}"):
-            LocalColorings(budget=budget)
 
     def test_f2_ball_two_optimum(self):
         f = F2.ball(2)
-        coloring, ratio = adversary_coloring(
-            F2, f, [(1,)], 1, strategy=LocalColorings(seed=0, budget=2000)
-        )
-        # the one-sided boundary coloring realizes the optimum 8/17; local
-        # descent has no worse local minima on this landscape
+        coloring, ratio = adversary_coloring(F2, f, [(1,)], 1)
+        # |B_2 & aB_2| = 8: the one-sided coloring realizes the optimum 8/17
         assert ratio == Fraction(8, 17)
 
     def test_ratio_recomputed_exactly(self):
         g6 = cyclic_group(6)
-        coloring, ratio = adversary_coloring(
-            g6, [0, 1], [2], 2, strategy=ExhaustiveColorings()
-        )
+        coloring, ratio = adversary_coloring(g6, [0, 1], [2], 2)
         gf = g6.translate(2, (0, 1))
         assert ratio == Fraction(mu((0, 1), gf, coloring.partition()), 2)
 
-    @pytest.mark.parametrize(
-        "model, f, e_set",
-        [
-            (IntegerLattice(2), IntegerLattice(2).ball(3), [(1, 0), (0, 1)]),
-            (IntegerLattice(2), IntegerLattice(2).ball(2), [(0, 0), (1, 1), (2, 0)]),
-            (F2, F2.ball(2), [(1,), (2,)]),
-            (F2, F2.ball(2), [(), (1, 2), (-2,)]),
-        ],
-    )
-    def test_local_matches_full_recount_reference(self, model, f, e_set):
-        for k in (1, 2):
-            for mode in ("asym", "sym"):
-                for seed, budget, plateau in ((0, 40, 3), (1, 600, 20), (2, 2500, 5)):
-                    got = adversary_coloring(
-                        model, f, e_set, k, mode,
-                        strategy=LocalColorings(seed=seed, budget=budget, plateau=plateau),
-                    )
-                    want = adversary_local_reference(
-                        model, f, e_set, k, mode, seed, budget, plateau
-                    )
-                    assert got == want, (k, mode, seed, budget)
+    def test_a_tie_goes_to_the_first_pair(self):
+        # pairs (0, -1) then (0, 1), each with overlap 1: F - (F - 1) = {1}
+        coloring, ratio = adversary_coloring(Z, [(0,), (1,)], [(1,), (-1,)], 1)
+        assert dict(zip(coloring.ground.atoms, coloring.colors)) == {
+            (-1,): 0, (0,): 0, (1,): 1, (2,): 0,
+        }
+        assert ratio == Fraction(1, 2)
 
-    @pytest.mark.parametrize("plateau", [-1, -20])
-    def test_local_plateau_below_zero_is_refused(self, plateau):
-        with pytest.raises(
-            ValueError, match=f"local coloring plateau must be at least 0, got {plateau}"
-        ):
-            LocalColorings(plateau=plateau)
+    def test_no_pairs_colors_everything_zero(self):
+        coloring, ratio = adversary_coloring(Z, [(0,), (1,)], [(1,)], 2, "sym")
+        assert (coloring.colors, ratio) == ((0, 0), 1)
+
+    @pytest.mark.parametrize("k, f, message", [
+        (0, [(0,)], "k must be at least 1"),
+        (-1, [(0,)], "k must be at least 1"),
+        (1, [], "candidate set F must be non-empty"),
+    ])
+    def test_fewer_than_two_colors_or_empty_f_is_refused(self, k, f, message):
+        with pytest.raises(ValueError, match=message):
+            adversary_coloring(Z, f, [(1,)], k)
+
+    @pytest.mark.parametrize("model", [Z, Z2, F2], ids=["z1", "z2", "f2"])
+    def test_every_covering_matches_at_least_the_overlap(self, model):
+        # the closed form rests on this bound: each common atom of gF and hF
+        # matches itself, whatever the covering, partition or not
+        rng = random.Random(27)
+        overlapping = 0
+        for _ in range(60):
+            pool = list(model.ball(2))
+            f = model.canon_set(rng.sample(pool, rng.randint(1, min(6, len(pool)))))
+            e_set = rng.sample(list(model.ball(1)), rng.randint(1, 3))
+            pairs = required_pairs(model, e_set, rng.choice(["asym", "sym"]))
+            window = set(f)
+            for pair in pairs:
+                for g in pair:
+                    window.update(model.translate(g, f))
+            atoms = sorted(window, key=model.sort_key)
+            drawn = random_covering(rng, len(atoms), max_blocks=6)
+            cover = Covering(GroundSet(atoms), [[atoms[i] for i in b] for b in drawn])
+            overlapping += not cover.is_partition()
+            for g, h in pairs:
+                gf, hf = model.translate(g, f), model.translate(h, f)
+                assert mu(gf, hf, cover) >= len(set(gf) & set(hf)), (f, g, h)
+        assert overlapping > 30
 
 
 def _sides(model, f, e_set, mode) -> set:
@@ -996,15 +985,6 @@ def _sides(model, f, e_set, mode) -> set:
         found.update("both" if x in right else "left" for x in left)
         found.update("right" for x in right - left)
     return found
-
-
-def _window_size(model, f, e_set, mode) -> int:
-    f_canon = model.canon_set(f)
-    window = set(f_canon)
-    for pair in required_pairs(model, e_set, mode):
-        for g in pair:
-            window.update(model.translate(g, f_canon))
-    return len(window)
 
 
 # (model, F, E, mode); each puts atoms on the left alone, the right alone and both
@@ -1021,11 +1001,26 @@ ONE_SIDED_CASES = {
 }
 
 
+def _check_closed_form(model, f, e_set, k, mode) -> Fraction:
+    """The adversary's coloring uses colors 0 and 1 only, and mu on it,
+    over every pair built on the validating group law, gives its ratio."""
+    coloring, ratio = adversary_coloring(model, f, e_set, k, mode)
+    assert set(coloring.colors) <= {0, 1}
+    f_canon = model.canon_set(f)
+    partition = coloring.partition()
+    values = [
+        mu(model.translate(g, f_canon), model.translate(h, f_canon), partition)
+        for g, h in required_pairs(model, e_set, mode)
+    ]
+    assert ratio == Fraction(min(values, default=len(f_canon)), len(f_canon))
+    return ratio
+
+
 class TestOneSidedRule:
-    """The local coloring search against the full-recount reference, on the
-    branches of its one-sided update: atoms on the left side alone, the
-    right side alone and both sides of a pair, three and four colors,
-    budgets that end before, at and inside a scan, and no plateau moves."""
+    """The adversary's closed form: on the first pair with the least overlap,
+    color the atoms of gF alone with 1 and the rest of the window with 0.
+    The cases put atoms on the left side alone, the right side alone and
+    both sides of a pair, and run with two, three and four colors."""
 
     @pytest.mark.parametrize("name", ONE_SIDED_CASES)
     def test_cases_reach_every_side(self, name):
@@ -1034,52 +1029,41 @@ class TestOneSidedRule:
     @pytest.mark.parametrize("name", ONE_SIDED_CASES)
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_reference(self, name, k):
+        # the least overlap, which no covering goes below
         model, f, e_set, mode = ONE_SIDED_CASES[name]
-        for seed, budget, plateau in ((0, 300, 0), (1, 900, 4), (5, 120, 20)):
-            got = adversary_coloring(
-                model, f, e_set, k, mode,
-                strategy=LocalColorings(seed=seed, budget=budget, plateau=plateau),
-            )
-            want = adversary_local_reference(model, f, e_set, k, mode, seed, budget, plateau)
-            assert got == want, (seed, budget, plateau)
+        f_canon = model.canon_set(f)
+        least = min(
+            len(set(model.translate(g, f_canon)) & set(model.translate(h, f_canon)))
+            for g, h in required_pairs(model, e_set, mode)
+        )
+        assert _check_closed_form(model, f, e_set, k, mode) == Fraction(least, len(f_canon))
 
-    @pytest.mark.parametrize("name", ["asym-identity-f2", "sym-overlap-z1", "sym-table-c7"])
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_every_budget_cut_matches_reference(self, name, k):
-        # budget 1 is the random start alone, budget 2 adds one recoloring;
-        # the rest end inside the first and second scans and at their ends
+    # the cases whose 6-atom window has at most 4^6 colorings, the oracle's cap
+    @pytest.mark.parametrize("name", ["asym-table-s3", "sym-table-c7"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_exhaustive_reference(self, name, k):
         model, f, e_set, mode = ONE_SIDED_CASES[name]
-        scan = _window_size(model, f, e_set, mode) * k
-        budgets = sorted({1, 2, 3, scan // 2, scan, scan + 1, scan + 2, 2 * scan - 1,
-                          2 * scan + 1, 2 * scan + 2, 3 * scan})
-        for budget in budgets:
-            for plateau in (0, 2):
-                got = adversary_coloring(
-                    model, f, e_set, k, mode,
-                    strategy=LocalColorings(seed=budget, budget=budget, plateau=plateau),
-                )
-                want = adversary_local_reference(
-                    model, f, e_set, k, mode, budget, budget, plateau
-                )
-                assert got == want, (budget, plateau)
+        want = adversary_exhaustive_reference(model, f, e_set, k, mode)
+        assert _check_closed_form(model, f, e_set, k, mode) == want
 
     def test_seeded_random_configurations_match_reference(self):
         rng = random.Random(23)
-        models = [Z2, F2, cyclic_group(6), symmetric_group(3)]
-        for _ in range(60):
+        models = [Z, Z2, F2, cyclic_group(7), symmetric_group(3)]
+        checked = 0
+        for _ in range(120):
             model = rng.choice(models)
-            pool = list(model.ball(2))
-            f = rng.sample(pool, rng.randint(1, min(8, len(pool))))
+            f = rng.sample(list(model.ball(2)), rng.randint(1, 4))
             e_set = rng.sample(list(model.ball(1)), rng.randint(1, 3))
             mode = rng.choice(["asym", "sym"])
             k = rng.randint(1, 3)
-            seed, budget, plateau = rng.randrange(100), rng.randint(1, 400), rng.randint(0, 6)
-            got = adversary_coloring(
-                model, f, e_set, k, mode,
-                strategy=LocalColorings(seed=seed, budget=budget, plateau=plateau),
-            )
-            want = adversary_local_reference(model, f, e_set, k, mode, seed, budget, plateau)
-            assert got == want, (model.describe(), f, e_set, mode, k, seed, budget, plateau)
+            try:
+                want = adversary_exhaustive_reference(model, f, e_set, k, mode)
+            except ValueError:
+                continue  # over the oracle's cap
+            got = _check_closed_form(model, f, e_set, k, mode)
+            assert got == want, (model.describe(), f, e_set, mode, k)
+            checked += 1
+        assert checked >= 100
 
 
 class TestThetaBoost:

@@ -98,7 +98,7 @@ DIGESTS = {
     "local-f2.json": "e7b986f856e02bee4714ec146aa9a9a0a0f8caf1a5a98f9f1086f3288febac3a",
     "sweep.csv": "cc9d26c3aa71767e46f6a7a1d956555129a1d53f01388584d02dc0af387df3a1",
     "sweep-sym-overlap.csv": "53f1ce0bc87556eea39bda5b5438b96f2f54303cf7115db32f8c7f4a9c2b6acb",
-    "adversary-f2.json": "b175097efda74572b7e9defeedc7e10c00e81fcc09675e1427329abe98aac52a",
+    "adversary-f2.json": "a413999e07dea110e76dbf029a63a344ae04e7f3d35df11a6633b4303fcd720c",
     "sweep-zd3.csv": "38bea0e0c432819e2fe6f00995cd0a0336fe83c7c925b5c0097193b46938a6c5",
     "balls-free2-exhausted.json": "759e982e59225d71df480819b1829afbb18a7f66669b59a6052a8640d1076f14",
     "match.json": "2f881cd7c14f59e32db11dc61104b25852761875f645a6c45a28f359460a6fd7",
