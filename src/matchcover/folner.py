@@ -19,11 +19,11 @@ The candidate search is deterministic given its seed, and is artifact
 machinery: balls by radius plus a boundary-move hill climb.  It keeps counts
 rather than recount: on a partition it keeps the block counts of every
 translate gF and each pair's value, so a ball is scored from its new sphere
-and a local move from the one element it inserts or drops; on any other
-covering it keeps one maximum matching per pair and re-augments it after
-each change.  Each step of the hill climb is one pass over its moves: every
-boundary element is scored once, and the best improving move is kept as the
-pass goes.
+and a local move from the one element it inserts or drops, read without
+applying the move; on any other covering it keeps one maximum matching per
+pair and re-augments it after each change.  Each step of the hill climb is
+one pass over its moves: every boundary element is scored once, and the
+best improving move is kept as the pass goes.
 
 The adversary needs no search.  Against a fixed F, the least min ratio over
 colorings of the window is min over pairs of |gF & hF| / |F|: no covering
@@ -263,6 +263,46 @@ class _PartitionCounts(_PairIndex):
             count[b] -= 1
         self.size -= 1
 
+    def after_add(self, y) -> int | None:
+        """``least()`` as it would be after ``add(y)``, changing nothing;
+        None on an escape.  An add never lowers a pair's value, so a pair
+        already at or above the running minimum is not read; the minimum
+        starts at |F| + 1, which no pair can exceed."""
+        found = self._at(y)
+        if found is None:
+            return None
+        counts = self.counts
+        least = self.size + 1
+        for (s, t), value in zip(self._pairs, self.values):
+            if value >= least:
+                continue
+            b, b2 = found[s], found[t]
+            if b == b2:
+                value += 1
+            else:
+                cs, ct = counts[s], counts[t]
+                value += (cs[b] < ct[b]) + (ct[b2] < cs[b2])
+            if value < least:
+                least = value
+        return least
+
+    def after_drop(self, y) -> int:
+        """``least()`` as it would be after ``drop(y)``, changing nothing;
+        the minimum starts at |F| - 1, which no pair can exceed."""
+        found = self._at(y)
+        counts = self.counts
+        least = self.size - 1
+        for (s, t), value in zip(self._pairs, self.values):
+            b, b2 = found[s], found[t]
+            if b == b2:
+                value -= 1
+            else:
+                cs, ct = counts[s], counts[t]
+                value -= (cs[b] <= ct[b]) + (ct[b2] <= cs[b2])
+            if value < least:
+                least = value
+        return least
+
 
 class _CoveringRecount(_PairIndex):
     """``_PartitionCounts``'s moves on a covering that is not a partition.
@@ -377,6 +417,23 @@ class _CoveringRecount(_PairIndex):
                 del mate_l[k]
                 free.add(k)
         self.size -= 1
+
+    def after_add(self, y) -> int | None:
+        """``least()`` after ``add(y)``, by apply, read, undo; None on an
+        escape.  Size and ``least()`` are as before, though the matchings
+        may differ."""
+        if not self.add(y):
+            return None
+        least = self.least()
+        self.drop(y)
+        return least
+
+    def after_drop(self, y) -> int:
+        """``least()`` after ``drop(y)``, by apply, read, undo."""
+        self.drop(y)
+        least = self.least()
+        self.add(y)
+        return least
 
 
 def _pair_counts(model: GroupModel, pairs, cover: Covering):
@@ -654,9 +711,12 @@ def folner_search(
     moves by the local strategy.
 
     Both strategies keep the pair counts of the current candidate: balls
-    grow by spheres (``ball_walk``), and a local move is scored by applying
-    it, reading the least pair value and undoing it.  Only a random restart
-    counts a candidate from scratch.
+    grow by spheres (``ball_walk``), and a local move is scored by the
+    counter's ``after_add`` or ``after_drop``, which on a partition reads
+    the least pair value after the move without applying it.  A move's
+    candidate set is built only when it is read: on a tie with the best
+    ratio, when it meets theta, or when it becomes or ties the chosen move.
+    Only a random restart counts a candidate from scratch.
     """
     theta = _require_fraction(theta)
     if not (0 <= theta <= 1):
@@ -671,23 +731,24 @@ def folner_search(
     key = model.sort_key
     need: dict = {}  # |F| -> theta_threshold(theta, |F|)
 
-    def better(least, f_canon, than_least, than_f) -> bool:
-        """least/|F| exceeds than_least/|than_f|, or ties and F sorts first."""
-        lhs, rhs = least * len(than_f), than_least * len(f_canon)
-        return lhs > rhs or (
-            lhs == rhs and tuple(map(key, f_canon)) < tuple(map(key, than_f))
-        )
+    def sorts_first(f_canon, than_f) -> bool:
+        """The tie-break between candidates of one ratio."""
+        return tuple(map(key, f_canon)) < tuple(map(key, than_f))
+
+    def meets(least, size) -> bool:
+        if size not in need:
+            need[size] = theta_threshold(theta, size)
+        return least >= need[size]
 
     def consider(f_canon, least) -> bool:
         """Count and track the candidate; True when it meets theta."""
         nonlocal evaluations, best_f, best_least
         evaluations += 1
-        if better(least, f_canon, best_least, best_f):
+        # above, at or below 0 as least/|F| is above, at or below the best ratio
+        ahead = least * len(best_f) - best_least * len(f_canon)
+        if ahead > 0 or ahead == 0 and sorts_first(f_canon, best_f):
             best_f, best_least = f_canon, least
-        size = len(f_canon)
-        if size not in need:
-            need[size] = theta_threshold(theta, size)
-        return least >= need[size]
+        return meets(least, len(f_canon))
 
     def passing(f_canon, least) -> SearchResult:
         cert = build_certificate(model, f_canon, e_canon, cover, theta, mode)
@@ -718,18 +779,17 @@ def folner_search(
             return counts.least() if all(map(counts.add, f_canon)) else None
 
         def score(y, inserted: bool) -> int | None:
-            """The least pair value after the move, by apply, read, undo;
-            None when the move leaves the window."""
+            """The least pair value after the move, None when it leaves the
+            window; read without applying the move on a partition."""
+            return counts.after_add(y) if inserted else counts.after_drop(y)
+
+        def moved(y, inserted: bool) -> tuple:
+            """The candidate of a move: y goes in or out of the current one
+            at its sorted position, so it keeps canonical order."""
+            at = bisect.bisect_left(current, key(y), key=key)
             if inserted:
-                if not counts.add(y):
-                    return None
-                least = counts.least()
-                counts.drop(y)
-            else:
-                counts.drop(y)
-                least = counts.least()
-                counts.add(y)
-            return least
+                return current[:at] + (y,) + current[at:]
+            return current[:at] + current[at + 1 :]
 
         def random_start() -> tuple:
             """A valid start: a prefix of the shuffled pool, longest first,
@@ -775,18 +835,25 @@ def folner_search(
                 least = score(y, inserted)
                 if least is None:
                     continue
-                # the candidate keeps canonical order: y goes in or out at its sorted position
-                at = bisect.bisect_left(current, key(y), key=key)
-                if inserted:
-                    cand = current[:at] + (y,) + current[at:]
-                else:
-                    cand = current[:at] + current[at + 1 :]
-                if consider(cand, least):
-                    return passing(cand, least)
-                if least * len(current) > current_least * len(cand) and (
-                    choice is None or better(least, cand, choice[0], choice[1])
-                ):
-                    choice = (least, cand, y, inserted)
+                # ``consider`` on the move's new size: the candidate itself is
+                # built only to be kept as the best or ``choice``, to break a
+                # ratio tie with either, or to pass theta
+                size = len(current) + 1 if inserted else len(current) - 1
+                cand = None
+                evaluations += 1
+                ahead = least * len(best_f) - best_least * size
+                if ahead >= 0:
+                    cand = moved(y, inserted)
+                    if ahead > 0 or sorts_first(cand, best_f):
+                        best_f, best_least = cand, least
+                if meets(least, size):
+                    return passing(cand or moved(y, inserted), least)
+                if least * len(current) > current_least * size:
+                    ahead = 1 if choice is None else least * len(choice[1]) - choice[0] * size
+                    if ahead >= 0:
+                        cand = cand or moved(y, inserted)
+                        if ahead > 0 or sorts_first(cand, choice[1]):
+                            choice = (least, cand, y, inserted)
                 if evaluations >= strategy.budget:
                     break
             if choice is not None:

@@ -499,14 +499,20 @@ def symmetric_group(n: int) -> FiniteTableGroup:
     return FiniteTableGroup(names, table)
 
 
+def _group_field(obj: dict, key: str):
+    if key not in obj:
+        raise GroupError(f"group is missing the key {key!r}")
+    return obj[key]
+
+
 def group_from_json(obj: dict) -> GroupModel:
     if not isinstance(obj, dict):
         raise GroupError(f"group must be a JSON object, not {type(obj).__name__}")
-    kind = obj.get("kind")
+    kind = _group_field(obj, "kind")
     if kind == "zd":
-        return IntegerLattice(_require_int(obj["d"], "group d"))
+        return IntegerLattice(_require_int(_group_field(obj, "d"), "group d"))
     if kind == "free":
-        return FreeGroup(_require_int(obj["rank"], "group rank"))
+        return FreeGroup(_require_int(_group_field(obj, "rank"), "group rank"))
     if kind == "table":
-        return FiniteTableGroup(obj["elements"], obj["mul"])
+        return FiniteTableGroup(_group_field(obj, "elements"), _group_field(obj, "mul"))
     raise GroupError(f"unknown group kind: {kind!r}")

@@ -185,8 +185,9 @@ def covering_from_json(obj: dict, model: GroupModel | None = None) -> Covering:
 
 def _read_covering(obj: dict, parse) -> Covering:
     """A covering whose atoms go through ``parse``, one ``_atom_parser``."""
-    ground = GroundSet([parse(s) for s in _list(obj["ground"], "covering ground")])
-    blocks = [[parse(s) for s in _list(block, "covering block")] for block in obj["blocks"]]
+    ground, blocks = _fields(obj, "covering", "ground", "blocks")
+    ground = GroundSet([parse(s) for s in _list(ground, "covering ground")])
+    blocks = [[parse(s) for s in _list(block, "covering block")] for block in blocks]
     return Covering(ground, blocks)
 
 
@@ -199,18 +200,18 @@ def coloring_to_json(col: Coloring, model: GroupModel | None = None) -> dict:
 
 
 def coloring_from_json(obj: dict, model: GroupModel | None = None) -> Coloring:
-    ground = GroundSet(elems_from_json(model, _list(obj["ground"], "coloring ground")))
-    colors = _ints(obj["colors"], "coloring color")
-    return Coloring(ground, colors, _require_int(obj["k"], "coloring k"))
+    ground, colors, k = _fields(obj, "coloring", "ground", "colors", "k")
+    ground = GroundSet(elems_from_json(model, _list(ground, "coloring ground")))
+    return Coloring(ground, _ints(colors, "coloring color"), _require_int(k, "coloring k"))
 
 
 # -- graphs and witnesses ---------------------------------------------------
 
 
 def graph_from_json(obj: dict) -> BipartiteGraph:
-    left = tuple(elems_from_json(None, obj["left"]))
-    right = tuple(elems_from_json(None, obj["right"]))
-    edges = obj["edges"]
+    left, right, edges = _fields(obj, "graph", "left", "right", "edges")
+    left = tuple(elems_from_json(None, left))
+    right = tuple(elems_from_json(None, right))
     # one pass over the edge types, one over their lengths, one over the index types
     if (
         set(map(type, edges)) <= _SEQ
@@ -258,7 +259,7 @@ def mean_to_json(nu: ConvexCombination) -> dict:
 
 def weights_from_json(obj: dict) -> dict:
     """The ``weights`` object of a mean document: element string -> Fraction."""
-    weights = obj["weights"]
+    (weights,) = _fields(obj, "mean", "weights")
     if not isinstance(weights, dict):
         raise ValueError("mean weights must be an object")
     return {s: frac_parse(w) for s, w in weights.items()}
@@ -280,8 +281,9 @@ def finmetric_to_json(m: FinMetric) -> dict:
 
 
 def finmetric_from_json(obj: dict) -> FinMetric:
-    dist = tuple(tuple(map(frac_parse, _list(row, "metric dist row"))) for row in obj["dist"])
-    return FinMetric(tuple(_list(obj["points"], "metric points")), dist)
+    points, dist = _fields(obj, "metric", "points", "dist")
+    dist = tuple(tuple(map(frac_parse, _list(row, "metric dist row"))) for row in dist)
+    return FinMetric(tuple(_list(points, "metric points")), dist)
 
 
 # -- certificates -----------------------------------------------------------
@@ -386,6 +388,18 @@ def _index_tuple(arr, what: str) -> tuple:
         except GroupError:
             pass
     raise ValueError(f"{what} must be a list of integers")
+
+
+def _fields(obj, kind: str, *keys) -> tuple:
+    """The values of a JSON object at ``keys``; anything but an object, or
+    an object without one of the keys, is invalid input that names the
+    document kind and the key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{kind} must be a JSON object, not {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{kind} is missing the key {key!r}")
+    return tuple(obj[key] for key in keys)
 
 
 def _list(value, what: str) -> list:

@@ -1019,6 +1019,49 @@ class TestListsAtDecode:
         assert capsys.readouterr() == ("", f"error: {what} must be a list\n")
 
 
+class TestObjectsAtDecode:
+    """Each reader the CLI hands a whole JSON document to refuses anything
+    but an object, and an object without a key it reads, with one line that
+    names the document kind and the key."""
+
+    READERS = {
+        "covering": (["mu", "--cover", "{}", "--left", "{}", "--right", "{}"], "ground"),
+        "coloring": (
+            ["folner", "search", "--group", "zd1", "--coloring", "{}", "--e", "1",
+             "--theta", "1/2", "--max-radius", "0"],
+            "ground",
+        ),
+        "graph": (["match", "--graph", "{}"], "left"),
+        "mean": (["means", "convolve", "--group", "zd1", "--a", "{}", "--b", "{}"], "weights"),
+        "weights": (["means", "rationalize", "--alpha", "{}", "--theta", "1/2"], "weights"),
+        "metric": (
+            ["ramsey", "check", "--a", "{}", "--b", "{}", "--c", "{}", "--colors", "1",
+             "--eps", "1/2"],
+            "points",
+        ),
+        "group": (
+            ["folner", "search", "--group", "{}", "--coloring", "trivial", "--e", "1",
+             "--theta", "1/2", "--max-radius", "0"],
+            "kind",
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "doc, top", [(["0"], "list"), ("0", "str"), ({}, None)], ids=["list", "string", "empty"]
+    )
+    @pytest.mark.parametrize("reader", list(READERS))
+    def test_not_an_object_or_missing_key_is_exit_two(self, tmp_path, capsys, reader, doc, top):
+        argv, key = self.READERS[reader]
+        path = write(tmp_path / "doc.json", doc)
+        kind = "mean" if reader == "weights" else reader
+        want = (
+            f"{kind} must be a JSON object, not {top}" if top else
+            f"{kind} is missing the key {key!r}"
+        )
+        assert dispatch([path if a == "{}" else a for a in argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {want}\n")
+
+
 class TestSweep:
     def test_csv_written(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -640,6 +640,63 @@ class TestPartitionCounts:
             assert both[0].size == both[1].size == len(members)
         assert refused and drops
 
+    @staticmethod
+    def apply_read_undo(counts, y, inserted):
+        """The least value after the move, read off a deep copy that makes it;
+        the copy shares the window's block map and the memo of ``_at``."""
+        shared = (counts._where, counts._known)
+        moved = copy.deepcopy(counts, {id(d): d for d in shared})
+        if inserted:
+            if not moved.add(y):
+                return None
+        else:
+            moved.drop(y)
+        return moved.least()
+
+    @pytest.mark.parametrize("mode", ["asym", "sym"])
+    @pytest.mark.parametrize(
+        "name, model, radius, coloring, e_set", COUNT_CASES, ids=[c[0] for c in COUNT_CASES]
+    )
+    def test_after_move_equals_apply_read_undo(self, name, model, radius, coloring, e_set, mode):
+        window = model.ball(radius)
+        cover = builtin_partition(model, coloring, window)
+        pairs = required_pairs(model, e_set, mode)
+        counts = folner._PartitionCounts(model, pairs, cover)
+        rng = random.Random(f"{name}/{mode}/after")
+        members: set = set()
+        refused = drops = 0
+        for _ in range(120):
+            state = copy.deepcopy((counts.counts, counts.values, counts.size))
+            # seeded adds, refused ones included, and drops, each scored read-only
+            outside = [x for x in window if x not in members]
+            for y in rng.sample(outside, min(8, len(outside))):
+                want = self.apply_read_undo(counts, y, True)
+                assert counts.after_add(y) == want
+                refused += want is None
+            for y in rng.sample(sorted(members, key=model.sort_key), min(8, len(members))):
+                assert counts.after_drop(y) == self.apply_read_undo(counts, y, False)
+            assert (counts.counts, counts.values, counts.size) == state
+            if members and rng.random() < 0.4:
+                y = rng.choice(sorted(members, key=model.sort_key))
+                counts.drop(y)
+                members.remove(y)
+                drops += 1
+            else:
+                y = rng.choice(outside)
+                if counts.add(y):
+                    members.add(y)
+        assert refused and drops
+
+    def test_after_move_without_pairs_is_the_new_size(self):
+        # sym mode with one translate has no pair: least() is |F|
+        cover = builtin_partition(Z2, "parity", Z2.ball(3))
+        counts = folner._PartitionCounts(Z2, required_pairs(Z2, [(1, 0)], "sym"), cover)
+        for y in Z2.ball(1):
+            assert counts.add(y)
+        assert counts.after_add((2, 0)) == 6 and counts.after_drop((0, 0)) == 4
+        assert counts.after_add((4, 0)) is None  # outside the window
+        assert counts.size == counts.least() == 5
+
     @pytest.mark.parametrize("partition", [True, False], ids=["partition", "covering"])
     @pytest.mark.parametrize(
         "e_set, mode, radius",
@@ -763,6 +820,54 @@ class TestCoveringRecount:
             self.assert_warm_is_cold(counts, model, pairs, cover, members)
         assert refused and drops and both_sides
 
+    @staticmethod
+    def cold_least(model, pairs, cover, members) -> int:
+        f = model.canon_set(members)
+        values = []
+        for g, h in pairs:
+            hf = model.translate(h, f)
+            _, _, rows = bipartite._covering_rows(model.translate(g, f), hf, cover)
+            values.append(_match_rows(rows, len(hf))[0])
+        return min(values, default=len(f))
+
+    @pytest.mark.parametrize("mode", ["asym", "sym"])
+    @pytest.mark.parametrize(
+        "name, model, window, cover, e_set, radius", OVERLAPPING_CASES,
+        ids=[c[0] for c in OVERLAPPING_CASES],
+    )
+    def test_after_move_equals_cold_recount(self, name, model, window, cover, e_set, radius,
+                                            mode):
+        pairs = required_pairs(model, e_set, mode)
+        counts = folner._CoveringRecount(model, pairs, cover)
+        rng = random.Random(f"{name}/{mode}/after")
+        reach = model.ball(radius + 1)
+        members: set = set()
+        refused = drops = 0
+        for _ in range(60):
+            least = counts.least()
+            outside = [x for x in reach if x not in members]
+            for y in rng.sample(outside, min(6, len(outside))):
+                got = counts.after_add(y)
+                if got is None:
+                    refused += 1
+                    assert counts._at(y) is None
+                else:
+                    assert got == self.cold_least(model, pairs, cover, members | {y})
+                assert (counts.size, counts.least()) == (len(members), least)
+            for y in rng.sample(sorted(members, key=model.sort_key), min(6, len(members))):
+                assert counts.after_drop(y) == self.cold_least(model, pairs, cover, members - {y})
+                assert (counts.size, counts.least()) == (len(members), least)
+            if members and rng.random() < 0.3:
+                y = rng.choice(sorted(members, key=model.sort_key))
+                counts.drop(y)
+                members.remove(y)
+                drops += 1
+            else:
+                y = rng.choice(outside)
+                if counts.add(y):
+                    members.add(y)
+        assert refused and drops
+
 
 def search_cases() -> list:
     """(id, model, E, cover, theta, mode, strategy) for the reference tests.
@@ -813,6 +918,19 @@ class TestSearchReference:
         got = folner_search(model, e_set, cover, theta, mode, strategy)
         want = folner_search_reference(model, e_set, cover, theta, mode, strategy)
         assert got == want
+
+    @pytest.mark.parametrize("seed", [11, 523])
+    @pytest.mark.parametrize("e_set", [[(x,), (y,)] for x in (1, -1) for y in (2, -2)],
+                             ids=["ab", "aB", "Ab", "AB"])
+    def test_benchmark_shape_matches_full_recount(self, e_set, seed):
+        # the shape of the benchmark's local F_2 jobs: the first-letter
+        # partition of the radius-5 ball, theta 99/100, budget 2500, asym
+        cover = builtin_partition(F2, "first-letter", F2.ball(5))
+        strategy = LocalSetStrategy(seed=seed, budget=2500)
+        theta = Fraction(99, 100)
+        got = folner_search(F2, e_set, cover, theta, "asym", strategy)
+        assert got.status == "EXHAUSTED" and got.evaluations >= 2500
+        assert got == folner_search_reference(F2, e_set, cover, theta, "asym", strategy)
 
     def test_cases_leave_the_window_and_restart(self):
         stats = {}
