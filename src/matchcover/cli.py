@@ -31,7 +31,7 @@ from .folner import (
     BallsStrategy,
     Coloring,
     LocalSetStrategy,
-    build_certificate,
+    Finding,
     check_certificate,
     folner_search,
     adversary_coloring,
@@ -90,13 +90,6 @@ def _load_json(path: str):
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
-
-
-def _load_document(path: str) -> dict:
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path} does not hold a JSON object")
-    return doc
 
 
 def _status_text(word: str) -> str:
@@ -279,20 +272,16 @@ def _cmd_folner_search(args, argv) -> int:
     result = folner_search(model, e_set, cover, theta, mode=args.mode, strategy=strategy)
     inputs = [p for p in (_group_input_path(args.group), cover_path, args.e_file) if p]
     outcome = 0 if result.status == "PASS" else 1
-    if result.status == "PASS":
-        doc = ser.certificate_to_json(result.certificate)
-    else:
-        best_cert = build_certificate(model, result.best_f, e_set, cover, theta, args.mode)
-        doc = ser.certificate_to_json(best_cert)
+    doc = ser.certificate_to_json(result.certificate)
+    if outcome:
         doc["schema"] = ser.FOLNER_EXHAUSTED_SCHEMA
         doc["best_ratio"] = ser.frac_str(result.best_ratio)
         doc["evaluations"] = result.evaluations
     doc["manifest"] = _manifest(argv, inputs, args.seed, outcome)
     _emit(args, doc)
-    label = _status_text("PASS" if outcome == 0 else "EXHAUSTED")
     print(
-        f"{label}: |F| = {len(result.best_f)}, min ratio = {result.best_ratio}"
-        f" ({result.evaluations} candidates)",
+        f"{_status_text(result.status)}: |F| = {len(result.best_f)}, "
+        f"min ratio = {result.best_ratio} ({result.evaluations} candidates)",
         file=sys.stderr,
     )
     return outcome
@@ -314,25 +303,31 @@ def _vacuity(cert) -> str | None:
 def _verify_certificate_doc(doc) -> int:
     cert = ser.certificate_from_json(doc)
     report = check_certificate(cert)
-    schema = doc.get("schema")
-    vacuous = None
-    if schema == ser.FOLNER_CERT_SCHEMA:
-        ok = report.ok and cert.status == "PASS"
-        vacuous = _vacuity(cert)
-    else:
-        # exhausted reports store FAIL pair data; values and witnesses must
-        # replay exactly, only threshold misses are expected
-        ok = cert.status == "FAIL" and all(
-            f.code == "threshold-miss" for f in report.findings
-        )
-        if "best_ratio" in doc and ser.frac_parse(doc["best_ratio"]) != cert.min_ratio:
-            print(
-                f"best-ratio-mismatch: stored {doc['best_ratio']}, "
-                f"recomputed {cert.min_ratio}",
-                file=sys.stderr,
-            )
-            ok = False
-    for finding in report.findings:
+    return _verdict(report.findings, report.ok and cert.status == "PASS", _vacuity(cert))
+
+
+def _verify_exhausted_doc(doc) -> int:
+    """FAIL pair data that replays exactly, with only threshold misses, and
+    the replayed min ratio as its best ratio."""
+    cert, best_ratio = ser.exhausted_from_json(doc)
+    findings = check_certificate(cert).findings
+    ok = cert.status == "FAIL" and all(f.code == "threshold-miss" for f in findings)
+    if best_ratio != cert.min_ratio:
+        message = f"stored {best_ratio}, recomputed {cert.min_ratio}"
+        findings = [Finding("best-ratio-mismatch", message), *findings]
+        ok = False
+    return _verdict(findings, ok)
+
+
+def _verify_ramsey_doc(doc) -> int:
+    report = check_report(*ser.ramsey_outcome_from_json(doc))
+    return _verdict(report.findings, report.ok)
+
+
+def _verdict(findings, ok: bool, vacuous: str | None = None) -> int:
+    """Findings and any vacuity on stderr, then the verdict on stdout: VACUOUS
+    (exit 1) for a vacuous claim that checks, else OK (exit 0) or FAIL (1)."""
+    for finding in findings:
         print(f"{finding.code}: {finding.message}", file=sys.stderr)
     if vacuous:
         print(f"vacuous: {vacuous}", file=sys.stderr)
@@ -343,22 +338,14 @@ def _verify_certificate_doc(doc) -> int:
     return 0 if ok else 1
 
 
-def _verify_ramsey_doc(doc) -> int:
-    report = check_report(*ser.ramsey_outcome_from_json(doc))
-    for finding in report.findings:
-        print(f"{finding.code}: {finding.message}", file=sys.stderr)
-    print(_status_text("OK" if report.ok else "FAIL"))
-    return 0 if report.ok else 1
-
-
 def _cmd_verify(args, argv) -> int:
-    doc = _load_document(args.path)
-    schema = doc.get("schema")
-    if schema in (ser.FOLNER_CERT_SCHEMA, ser.FOLNER_EXHAUSTED_SCHEMA):
-        return _verify_certificate_doc(doc)
+    doc = _load_json(args.path)
+    schema = ser.schema_from_json(doc)
     if schema == ser.RAMSEY_SCHEMA:
         return _verify_ramsey_doc(doc)
-    raise ValueError(f"unknown document schema: {schema!r}")
+    if schema == ser.FOLNER_EXHAUSTED_SCHEMA:
+        return _verify_exhausted_doc(doc)
+    return _verify_certificate_doc(doc)
 
 
 def _cmd_folner_adversary(args, argv) -> int:

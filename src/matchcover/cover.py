@@ -59,18 +59,12 @@ class GroundSet:
     def __repr__(self) -> str:
         return f"GroundSet({list(self.atoms)!r})"
 
-    def position(self, atom: Atom) -> int:
-        try:
-            return self._pos[atom]
-        except KeyError:
-            raise ValueError(f"atom not in ground set: {atom!r}") from None
-
     def canon(self, atoms: Iterable[Atom]) -> tuple:
         """Sort a subset into canonical ground order, dropping duplicates."""
         pos = self._pos
         try:
             idx = sorted({pos[a] for a in atoms})
-        except KeyError as missing:  # the message of ``position``
+        except KeyError as missing:
             raise ValueError(f"atom not in ground set: {missing.args[0]!r}") from None
         return tuple(map(self.atoms.__getitem__, idx))
 

@@ -679,8 +679,11 @@ class LocalSetStrategy:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """``certificate`` is that of ``best_f`` in both outcomes (status FAIL when
+    EXHAUSTED); ``best_ratio`` and ``evaluations`` come from the search's counters."""
+
     status: str
-    certificate: FolnerCertificate | None
+    certificate: FolnerCertificate
     best_f: tuple
     best_ratio: Fraction
     evaluations: int
@@ -704,11 +707,12 @@ def folner_search(
 ) -> SearchResult:
     """Search for a candidate set meeting theta against every required pair.
 
-    Returns a PASS result with a full certificate, or EXHAUSTED carrying the
-    best candidate found and its exact min ratio.  Candidates whose
-    translates would leave the covering's ground raise WindowEscape for the
-    ball strategy (the caller sized the window) and are skipped as invalid
-    moves by the local strategy.
+    Returns a PASS result with the certificate of the first candidate that
+    meets theta, or EXHAUSTED with the certificate of the best candidate
+    found and its exact min ratio.  Candidates whose translates would leave
+    the covering's ground raise WindowEscape for the ball strategy (the
+    caller sized the window) and are skipped as invalid moves by the local
+    strategy.
 
     Both strategies keep the pair counts of the current candidate: balls
     grow by spheres (``ball_walk``), and a local move is scored by the
@@ -750,19 +754,15 @@ def folner_search(
             best_f, best_least = f_canon, least
         return meets(least, len(f_canon))
 
-    def passing(f_canon, least) -> SearchResult:
+    def finish(status, f_canon, least) -> SearchResult:
         cert = build_certificate(model, f_canon, e_canon, cover, theta, mode)
-        return SearchResult("PASS", cert, f_canon, Fraction(least, len(f_canon)), evaluations)
-
-    def exhausted() -> SearchResult:
-        best_ratio = Fraction(best_least, len(best_f))
-        return SearchResult("EXHAUSTED", None, best_f, best_ratio, evaluations)
+        return SearchResult(status, cert, f_canon, Fraction(least, len(f_canon)), evaluations)
 
     if isinstance(strategy, BallsStrategy):
         for f_canon, least in ball_walk(model, strategy.max_radius, pairs, cover):
             if consider(f_canon, least):
-                return passing(f_canon, least)
-        return exhausted()
+                return finish("PASS", f_canon, least)
+        return finish("EXHAUSTED", best_f, best_least)
 
     if isinstance(strategy, LocalSetStrategy):
         rng = random.Random(strategy.seed)
@@ -828,7 +828,7 @@ def folner_search(
         if current_least is None:
             current, current_least = random_start()
         if consider(current, current_least):
-            return passing(current, current_least)
+            return finish("PASS", current, current_least)
         while evaluations < strategy.budget:
             choice = None  # the best move that raises the ratio: (least, cand, y, inserted)
             for y, inserted in moves():
@@ -847,7 +847,7 @@ def folner_search(
                     if ahead > 0 or sorts_first(cand, best_f):
                         best_f, best_least = cand, least
                 if meets(least, size):
-                    return passing(cand or moved(y, inserted), least)
+                    return finish("PASS", cand or moved(y, inserted), least)
                 if least * len(current) > current_least * size:
                     ahead = 1 if choice is None else least * len(choice[1]) - choice[0] * size
                     if ahead >= 0:
@@ -865,8 +865,8 @@ def folner_search(
             else:
                 current, current_least = random_start()
                 if consider(current, current_least):
-                    return passing(current, current_least)
-        return exhausted()
+                    return finish("PASS", current, current_least)
+        return finish("EXHAUSTED", best_f, best_least)
 
     raise TypeError(f"unknown strategy: {strategy!r}")
 

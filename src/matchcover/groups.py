@@ -436,9 +436,6 @@ class FiniteTableGroup(GroupModel):
     def identity(self):
         return self._identity
 
-    def elements(self) -> tuple:
-        return tuple(range(self.order))
-
     def validate(self, g):
         if isinstance(g, int) and not isinstance(g, bool) and 0 <= g < self.order:
             return g

@@ -41,9 +41,6 @@ class ConvexCombination:
     def support(self) -> tuple:
         return tuple(self._weights)
 
-    def weight(self, g) -> Fraction:
-        return self._weights.get(self.group.validate(g), Fraction(0))
-
     def items(self) -> tuple:
         return tuple(self._weights.items())
 

@@ -15,11 +15,12 @@ import json
 import math
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 
 from .bipartite import BipartiteGraph, MatchingWitness
 from .cover import Covering, GroundSet
 from .folner import Coloring, FolnerCertificate, PairResult
-from .groups import GroupError, GroupModel, _require_int, group_from_json
+from .groups import GroupModel, _require_int, group_from_json
 from .groups import _require_fraction as frac_parse
 from .means import ConvexCombination
 from .ramsey import FinMetric, RamseyOutcome, _require_bounds
@@ -229,11 +230,10 @@ def witness_to_json(w: MatchingWitness) -> dict:
 
 
 def witness_from_json(obj: dict) -> MatchingWitness:
-    pairs = obj.get("pairs") if isinstance(obj, dict) else None
-    if not isinstance(pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 for p in pairs
-    ):
-        raise ValueError("witness must be an object whose pairs are [i, j] lists")
+    (pairs,) = _fields(obj, "witness", "pairs")
+    kinds = set(map(type, _list(pairs, "witness pairs")))
+    if not (kinds <= {list} and set(map(len, pairs)) <= _TWO):
+        raise ValueError("witness pairs must be [i, j] lists")
     _ints(chain.from_iterable(pairs), "witness index")
     return MatchingWitness(tuple(sorted(map(tuple, pairs))))
 
@@ -313,41 +313,57 @@ def certificate_to_json(cert: FolnerCertificate) -> dict:
     }
 
 
-def certificate_from_json(obj: dict) -> FolnerCertificate:
-    """Decode a certificate; a vacuous or out-of-range claim is invalid input.
+def schema_from_json(obj: dict) -> str:
+    """The schema of a document ``verify`` replays; any other is invalid input."""
+    (schema,) = _fields(obj, "document", "schema")
+    if schema not in (FOLNER_CERT_SCHEMA, FOLNER_EXHAUSTED_SCHEMA, RAMSEY_SCHEMA):
+        raise ValueError(f"unknown document schema: {schema!r}")
+    return schema
 
-    F must be non-empty (an empty F passes every threshold) with no
-    duplicate entries, and theta must lie in [0, 1].
-    """
-    model = group_from_json(obj["group"])
+
+def exhausted_from_json(obj: dict) -> tuple:
+    """(certificate of the best F, stored best ratio).  ``evaluations`` is
+    the search's own count, which no replay recomputes, so only its range is
+    checked: every search evaluates its start."""
+    cert = certificate_from_json(obj, "exhausted report")
+    best_ratio, evaluations = _fields(obj, "exhausted report", "best_ratio", "evaluations")
+    if _require_int(evaluations, "evaluations") < 1:
+        raise ValueError(f"evaluations must be at least 1, got {evaluations}")
+    return cert, frac_parse(best_ratio)
+
+
+def certificate_from_json(obj: dict, kind: str = "certificate") -> FolnerCertificate:
+    """Decode a certificate, named ``kind`` in errors.  F must be non-empty (an
+    empty F passes every threshold) with no duplicate entries, and theta
+    must lie in [0, 1]: a vacuous or out-of-range claim is invalid input."""
+    group, f, e, theta, mode, status, cover, pairs = _fields(
+        obj, kind, "group", "f", "e", "theta", "mode", "status", "cover", "pairs"
+    )
+    model = group_from_json(group)
     parse = _atom_parser(model)  # the window repeats F, each g and h, and itself
-    f_set = tuple(parse(s) for s in _list(obj["f"], "certificate f"))
+    f_set = tuple(parse(s) for s in _list(f, "certificate f"))
     if not f_set:
         raise ValueError("certificate has an empty candidate set F")
     if len(set(f_set)) != len(f_set):
         raise ValueError("certificate candidate set F has duplicate entries")
-    theta = frac_parse(obj["theta"])
+    theta = frac_parse(theta)
     if not (0 <= theta <= 1):
         raise ValueError(f"certificate theta {theta} is outside [0, 1]")
-    cover = _read_covering(obj["cover"], parse)
+    cover = _read_covering(cover, parse)
+    rows = _each(_list(pairs, "certificate pairs"), "certificate pair", "g", "h", "mu", "witness")
     pairs = tuple(
-        PairResult(
-            parse(p["g"]),
-            parse(p["h"]),
-            _require_int(p["mu"], "pair mu"),
-            witness_from_json(p["witness"]),
-        )
-        for p in obj["pairs"]
+        PairResult(parse(g), parse(h), _require_int(mu, "pair mu"), witness_from_json(w))
+        for g, h, mu, w in rows
     )
     return FolnerCertificate(
         group=model,
         f_set=f_set,
-        e_set=tuple(parse(s) for s in _list(obj["e"], "certificate e")),
+        e_set=tuple(parse(s) for s in _list(e, "certificate e")),
         theta=theta,
-        mode=obj["mode"],
+        mode=mode,
         cover=cover,
         pairs=pairs,
-        status=obj["status"],
+        status=status,
     )
 
 
@@ -381,15 +397,6 @@ def ramsey_outcome_to_json(
     }
 
 
-def _index_tuple(arr, what: str) -> tuple:
-    if isinstance(arr, list):
-        try:
-            return _ints(arr, what)
-        except GroupError:
-            pass
-    raise ValueError(f"{what} must be a list of integers")
-
-
 def _fields(obj, kind: str, *keys) -> tuple:
     """The values of a JSON object at ``keys``; anything but an object, or
     an object without one of the keys, is invalid input that names the
@@ -400,6 +407,17 @@ def _fields(obj, kind: str, *keys) -> tuple:
         if key not in obj:
             raise ValueError(f"{kind} is missing the key {key!r}")
     return tuple(obj[key] for key in keys)
+
+
+def _each(items: list, kind: str, *keys) -> list:
+    """``_fields`` of each object in ``items`` by one ``itemgetter`` pass;
+    ``_fields`` runs item by item only to name the first bad item."""
+    try:
+        return list(map(itemgetter(*keys), items))
+    except (KeyError, TypeError):
+        for item in items:
+            _fields(item, kind, *keys)
+        raise
 
 
 def _list(value, what: str) -> list:
@@ -438,23 +456,29 @@ def ramsey_outcome_from_json(obj: dict) -> tuple:
     many embeddings as its largest index shows (a lower bound on the true
     index).  The ranges of eps, k and the family indices are checked by
     ``check_report``."""
-    counterexample = obj["counterexample"]
+    holds, vacuous, eps, k, checked, witnesses, counterexample, a, b, c, max_family, budget = (
+        _fields(obj, "ramsey report", "holds", "vacuous", "eps", "k", "colorings_checked",
+                "witnesses", "counterexample", "a", "b", "c", "max_family", "family_budget")
+    )
+    witnesses = _each(_list(witnesses, "witnesses"), "ramsey witness", "coloring", "family")
     outcome = RamseyOutcome(
-        holds=_flag(obj["holds"], "holds"),
-        vacuous=_flag(obj["vacuous"], "vacuous"),
-        eps=frac_parse(obj["eps"]),
-        k=_require_int(obj["k"], "k"),
-        colorings_checked=_require_int(obj["colorings_checked"], "colorings_checked"),
+        holds=_flag(holds, "holds"),
+        vacuous=_flag(vacuous, "vacuous"),
+        eps=frac_parse(eps),
+        k=_require_int(k, "k"),
+        colorings_checked=_require_int(checked, "colorings_checked"),
         witnesses=tuple(
-            (_index_tuple(w["coloring"], "coloring"), _index_tuple(w["family"], "family"))
-            for w in _list(obj["witnesses"], "witnesses")
+            (_ints(_list(col, "witness coloring"), "coloring entry"),
+             _ints(_list(fam, "witness family"), "family index"))
+            for col, fam in witnesses
         ),
-        counterexample=(
-            None if counterexample is None else _index_tuple(counterexample, "counterexample")
+        counterexample=None if counterexample is None else _ints(
+            _list(counterexample, "counterexample"), "counterexample entry"
         ),
     )
-    a, b, c = (finmetric_from_json(obj[name]) for name in "abc")
-    max_family, budget = (_require_int(obj[n], n) for n in ("max_family", "family_budget"))
+    a, b, c = map(finmetric_from_json, (a, b, c))
+    max_family = _require_int(max_family, "max_family")
+    budget = _require_int(budget, "family_budget")
     _require_bounds(max_family, budget)
     families = [sorted(f) for _, f in outcome.witnesses if f and min(f) >= 0]
     n = 1 + max((f[-1] for f in families), default=0)

@@ -338,12 +338,16 @@ def folner_search_reference(
         cert = build_certificate(model, f_canon, e_canon, cover, theta, mode)
         return SearchResult("PASS", cert, f_canon, ratio, evaluations)
 
+    def exhausted() -> SearchResult:
+        cert = build_certificate(model, best_f, e_canon, cover, theta, mode)
+        return SearchResult("EXHAUSTED", cert, best_f, best_ratio, evaluations)
+
     if isinstance(strategy, BallsStrategy):
         for f_canon in (ball_reference(model, r) for r in range(strategy.max_radius + 1)):
             ratio = consider(f_canon)
             if passed(f_canon, ratio):
                 return passing(f_canon, ratio)
-        return SearchResult("EXHAUSTED", None, best_f, best_ratio, evaluations)
+        return exhausted()
 
     assert isinstance(strategy, LocalSetStrategy)
     rng = random.Random(strategy.seed)
@@ -407,7 +411,7 @@ def folner_search_reference(
             current, current_ratio = random_start()
             if passed(current, current_ratio):
                 return passing(current, current_ratio)
-    return SearchResult("EXHAUSTED", None, best_f, best_ratio, evaluations)
+    return exhausted()
 
 
 def check_pair_reference(model, f_set: tuple, cover: Covering, pair, need: int) -> list:

@@ -208,8 +208,8 @@ def test_c07_perfect_nets():
         # when b*a^-1 lies in W*W, with W = U^-1 U
         w_set = {model.multiply(model.inverse(x), y) for x in u for y in u}
         ww = {model.multiply(w, v) for w in w_set for v in w_set}
-        for a in model.elements():
-            for b in model.elements():
+        for a in range(model.order):
+            for b in range(model.order):
                 share = not cover.blocks_of[a].isdisjoint(cover.blocks_of[b])
                 assert share == (model.multiply(b, model.inverse(a)) in ww)
         assert len(result.matchings) == model.order

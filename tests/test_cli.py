@@ -1,4 +1,5 @@
 import argparse
+import copy
 import json
 import os
 from fractions import Fraction
@@ -542,6 +543,36 @@ class TestFolnerCommands:
         assert captured.out == ""
         assert captured.err == "error: rational '1/0' has a zero denominator\n"
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [(-5, "evaluations must be at least 1, got -5"),
+         (0, "evaluations must be at least 1, got 0"),
+         ("3", "evaluations must be an integer, not '3'"),
+         (1.0, "evaluations must be an integer, not 1.0"),
+         (True, "evaluations must be an integer, not True"),
+         (None, "evaluations must be an integer, not None")],
+    )
+    def test_evaluations_below_one_or_not_an_integer_is_exit_two(self, tmp_path, capsys,
+                                                                  value, message):
+        out = self.run_exhausted(tmp_path)
+        doc = json.loads(out.read_text())
+        doc["evaluations"] = value
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert dispatch(["verify", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_any_evaluations_of_at_least_one_verify(self, tmp_path, capsys):
+        # the count is the search's own; verify can check only its range
+        out = self.run_exhausted(tmp_path)
+        doc = json.loads(out.read_text())
+        for value in (1, doc["evaluations"] + 1000):
+            doc["evaluations"] = value
+            out.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert dispatch(["verify", str(out)]) == 0
+            assert capsys.readouterr().out == "OK\n"
+
     def run_exhausted(self, tmp_path):
         out = tmp_path / "report.json"
         code = dispatch(
@@ -1060,6 +1091,72 @@ class TestObjectsAtDecode:
         )
         assert dispatch([path if a == "{}" else a for a in argv]) == 2
         assert capsys.readouterr() == ("", f"error: {want}\n")
+
+
+CERTIFICATE_KEYS = ["cover", "e", "f", "group", "mode", "pairs", "status", "theta"]
+REPORT_KEYS = ["a", "b", "c", "colorings_checked", "counterexample", "eps", "family_budget",
+               "holds", "k", "max_family", "vacuous", "witnesses"]
+PAIR_KEYS = ["g", "h", "mu", "witness"]
+
+
+def _missing_key_cases():
+    """(document, path to the edited object, key or None, kind): the key is
+    deleted, or with None the object is replaced by the list of its values."""
+    top = {"certificate": ("certificate", CERTIFICATE_KEYS),
+           "exhausted": ("exhausted report", CERTIFICATE_KEYS + ["best_ratio", "evaluations"]),
+           "report": ("ramsey report", REPORT_KEYS)}
+    for source, (kind, keys) in top.items():
+        for key in ["schema", *keys]:
+            yield source, (), key, "document" if key == "schema" else kind
+    for source in ("certificate", "exhausted"):
+        for key in PAIR_KEYS:
+            yield source, ("pairs", 0), key, "certificate pair"
+        yield source, ("pairs", 0, "witness"), "pairs", "witness"
+        yield source, ("pairs", 0), None, "certificate pair"
+        yield source, ("pairs", 0, "witness"), None, "witness"
+    for key in ("coloring", "family"):
+        yield "report", ("witnesses", 0), key, "ramsey witness"
+    yield "report", ("witnesses", 0), None, "ramsey witness"
+
+
+class TestMissingKeysAtVerify:
+    """Every object ``verify`` reads names its kind and the key it lacks, or
+    its own type when it is not an object: exit 2, one ``error:`` line and
+    nothing on stdout."""
+
+    @pytest.fixture(scope="class")
+    def documents(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("documents")
+        paths = {
+            "certificate": TestListsAtDecode.certificate(tmp)[0],
+            "exhausted": TestFolnerCommands().run_exhausted(tmp),
+            "report": TestVerifyRamseyReport().report(tmp)[0],
+        }
+        return {name: json.loads(path.read_text()) for name, path in paths.items()}
+
+    def verify(self, tmp_path, capsys, doc):
+        path = write(tmp_path / "edited.json", doc)
+        capsys.readouterr()
+        return dispatch(["verify", path]), capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "source, path, key, kind",
+        [pytest.param(*case, id="-".join(map(str, [case[0], *case[1], case[2] or "list"])))
+         for case in _missing_key_cases()],
+    )
+    def test_missing_key_or_list_names_kind_and_key(self, tmp_path, capsys, documents, source,
+                                                    path, key, kind):
+        doc = copy.deepcopy(documents[source])
+        outer, target = None, doc
+        for step in path:
+            outer, target = target, target[step]
+        if key is None:
+            outer[path[-1]] = list(target.values())
+            want = f"{kind} must be a JSON object, not list"
+        else:
+            del target[key]
+            want = f"{kind} is missing the key {key!r}"
+        assert self.verify(tmp_path, capsys, doc) == (2, ("", f"error: {want}\n"))
 
 
 class TestSweep:

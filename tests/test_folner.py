@@ -465,7 +465,7 @@ class TestCantor:
     def test_full_orbit_invariant(self):
         act = rotation_action(6)
         p = Covering(GroundSet(act.points), [["0", "2", "4"], ["1", "3", "5"]])
-        ok, _ = cantor_check(act, act.points, list(act.group.elements()), p, 0)
+        ok, _ = cantor_check(act, act.points, list(range(act.group.order)), p, 0)
         assert ok
 
     def test_rotation_gaps(self):
@@ -507,6 +507,19 @@ class TestSearch:
         )
         assert result.status == "EXHAUSTED"
         assert result.best_ratio < Fraction(9, 10)
+
+    @pytest.mark.parametrize("strategy", [BallsStrategy(3), LocalSetStrategy(seed=3, budget=60)])
+    def test_exhausted_carries_the_certificate_of_best_f(self, strategy):
+        # the certificate of the best F, status FAIL, whose min ratio the
+        # search's own counters give
+        e_set = [(1,), (-1,), (2,), (-2,)]
+        cover = first_letter_coloring(F2.ball(5)).partition()
+        theta = Fraction(9, 10)
+        result = folner_search(F2, e_set, cover, theta, strategy=strategy)
+        assert result.status == "EXHAUSTED"
+        assert result.certificate == build_certificate(F2, result.best_f, e_set, cover, theta)
+        assert result.certificate.status == "FAIL"
+        assert result.certificate.min_ratio == result.best_ratio
 
     def test_local_strategy_finds_interval(self):
         cover = z_parity_cover(-15, 15)
@@ -802,7 +815,7 @@ class TestCoveringRecount:
                 # count the drops that unmatch an atom of gF and a different
                 # atom of hF in the same pair: two matched edges go
                 for (g, h), (_, _, mate_l, mate_r) in zip(pairs, counts._sides):
-                    a, c = (cover.ground.position(model.multiply(x, y)) for x in (g, h))
+                    a, c = (cover.ground.atoms.index(model.multiply(x, y)) for x in (g, h))
                     if a in mate_l and c in mate_r and mate_l[a] != c:
                         both_sides += 1
                         break
@@ -1214,14 +1227,14 @@ def net_cases() -> list:
         ("z12", z12, [0, 1, 2]),
         ("s3", s3, [s3.identity, s3.parse_elem("102")]),
         # the stabilizer of the last point: the blocks are its right cosets
-        ("s4-subgroup", s4, [g for g in s4.elements() if s4.elem_str(g)[3] == "3"]),
+        ("s4-subgroup", s4, [g for g in range(s4.order) if s4.elem_str(g)[3] == "3"]),
     ]
     for k in range(3):
         others = rng.sample(s4.generators(), rng.randint(1, 6))
         cases.append((f"s4-random{k}", s4, [s4.identity, *others]))
     # the benchmark's S_5 shape: the identity, the 3-cycles, one transposition
-    three_cycles = [g for g in s5.elements() if fixed_points(s5, g) == 2]
-    transpositions = [g for g in s5.elements() if fixed_points(s5, g) == 3]
+    three_cycles = [g for g in range(s5.order) if fixed_points(s5, g) == 2]
+    transpositions = [g for g in range(s5.order) if fixed_points(s5, g) == 3]
     for k in range(2):
         cases.append(
             (f"s5-bench{k}", s5, [s5.identity, *three_cycles, rng.choice(transpositions)])

@@ -57,7 +57,7 @@ class TestConstruction:
 
     def test_uniform_weights(self):
         nu = uniform(Z, [(0,), (1,)])
-        assert nu.weight((0,)) == nu.weight((1,)) == Fraction(1, 2)
+        assert dict(nu.items()) == {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
 
     def test_uniform_rejects_empty(self):
         with pytest.raises(ValueError):
