@@ -4,11 +4,12 @@ A certificate fixes a finite candidate set F, a translate set E, a covering
 of an explicit finite window, and a rational threshold theta.  It records,
 for every required pair of translates, the exact matching number together
 with a witness matching.  The checker recomputes the translates itself,
-verifies each stored witness by block lookup and proves it maximum by an
-alternating search on the block incidence (Berge's theorem), augmenting a
-witness that is not maximum until it is, and builds no covering graph;
-nothing outside the window is ever consulted, and any reference escaping
-the window is an error rather than a silent truncation.
+each distinct translate once per certificate and straight into ground
+order, verifies each stored witness by block lookup and proves it maximum
+by an alternating search on the block incidence (Berge's theorem),
+augmenting a witness that is not maximum until it is, and builds no
+covering graph; nothing outside the window is ever consulted, and any
+reference escaping the window is an error rather than a silent truncation.
 
 Two pair modes ship side by side: ``asym`` compares F against each
 translate gF, while ``sym`` compares all pairs of translates gF, hF.  The
@@ -576,22 +577,33 @@ def _augment(left: tuple, right_pos: dict, cover: Covering, mate: dict) -> list 
     return None
 
 
-def _check_pair(model: GroupModel, f_canon: tuple, cover: Covering, pair, need: int) -> list:
+def _ground_translate(model: GroupModel, g, f_canon: tuple, ground: GroundSet) -> tuple:
+    """The translate gF in ground order, for a valid g and a canonical F.
+
+    The products are put in order by their ground positions alone.  When
+    one is missing, the window check runs on the translate in canonical
+    order instead, so the WindowEscape names the first escapees in that
+    order.
+    """
+    mul = model.unchecked_multiply
+    products = [mul(g, x) for x in f_canon]
+    try:
+        return ground.canon(products)
+    except ValueError:
+        what = f"translate {model.unchecked_elem_str(g)}F"
+        _require_window(model, model.unchecked_translate(g, f_canon), ground, what)
+        raise
+
+
+def _check_pair(left: tuple, right: tuple, cover: Covering, pair, label: str, need: int) -> list:
     """Findings for one stored pair, on the checker's own route.
 
-    ``f_canon`` must be valid and duplicate-free (``canon_set`` output); the
-    pair's g and h are validated here, once each.  The witness is validated
-    by block lookup and proved maximum by ``_augment``; a valid witness that
-    is not maximum is augmented until it is, which gives the value it should
-    have had.
+    ``left`` and ``right`` are the pair's translates gF and hF in ground
+    order (``_ground_translate``), and ``label`` names the pair in every
+    finding.  The witness is validated by block lookup and proved maximum by
+    ``_augment``; a valid witness that is not maximum is augmented until it
+    is, which gives the value it should have had.
     """
-    gf = model.unchecked_translate(model.validate(pair.g), f_canon)
-    hf = model.unchecked_translate(model.validate(pair.h), f_canon)
-    _require_window(model, gf, cover.ground, f"translate {model.elem_str(pair.g)}F")
-    _require_window(model, hf, cover.ground, f"translate {model.elem_str(pair.h)}F")
-    left = cover.ground.canon(gf)
-    right = cover.ground.canon(hf)
-    label = f"({model.elem_str(pair.g)},{model.elem_str(pair.h)})"
     error = _witness_error(left, right, cover, pair.witness)
     if error is not None:
         return [Finding("witness-invalid", f"pair {label}: {error}")]
@@ -629,7 +641,9 @@ def check_certificate(cert: FolnerCertificate) -> CheckReport:
 
     Witness validation, matching-number checks, threshold tests, and pair
     coverage are reported as separate findings so a tampered certificate
-    pinpoints what was altered.  Window escapes raise, since such a
+    pinpoints what was altered.  Each pair's g and h are validated in turn,
+    and each distinct translate is built once, in ground order, when a pair
+    first uses it; later pairs share it.  Window escapes raise, since such a
     certificate is malformed rather than merely wrong.
     """
     model = cert.group
@@ -643,8 +657,15 @@ def check_certificate(cert: FolnerCertificate) -> CheckReport:
             Finding("pairs-mismatch", f"stored pairs {stored!r} != required {expected!r}")
         )
     f_canon = model.canon_set(cert.f_set)
+    ground = cert.cover.ground
+    built: dict = {}  # validated translator -> its translate in ground order
     for pair in cert.pairs:
-        findings.extend(_check_pair(model, f_canon, cert.cover, pair, need))
+        g, h = model.validate(pair.g), model.validate(pair.h)
+        for x in (g, h):
+            if x not in built:
+                built[x] = _ground_translate(model, x, f_canon, ground)
+        label = f"({model.unchecked_elem_str(g)},{model.unchecked_elem_str(h)})"
+        findings.extend(_check_pair(built[g], built[h], cert.cover, pair, label, need))
     all_good = not findings
     if all_good != (cert.status == "PASS"):
         findings.append(

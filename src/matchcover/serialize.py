@@ -188,7 +188,10 @@ def _read_covering(obj: dict, parse) -> Covering:
     """A covering whose atoms go through ``parse``, one ``_atom_parser``."""
     ground, blocks = _fields(obj, "covering", "ground", "blocks")
     ground = GroundSet([parse(s) for s in _list(ground, "covering ground")])
-    blocks = [[parse(s) for s in _list(block, "covering block")] for block in blocks]
+    blocks = [
+        [parse(s) for s in _list(block, "covering block")]
+        for block in _list(blocks, "covering blocks")
+    ]
     return Covering(ground, blocks)
 
 
@@ -203,7 +206,8 @@ def coloring_to_json(col: Coloring, model: GroupModel | None = None) -> dict:
 def coloring_from_json(obj: dict, model: GroupModel | None = None) -> Coloring:
     ground, colors, k = _fields(obj, "coloring", "ground", "colors", "k")
     ground = GroundSet(elems_from_json(model, _list(ground, "coloring ground")))
-    return Coloring(ground, _ints(colors, "coloring color"), _require_int(k, "coloring k"))
+    colors = _ints(_list(colors, "coloring colors"), "coloring color")
+    return Coloring(ground, colors, _require_int(k, "coloring k"))
 
 
 # -- graphs and witnesses ---------------------------------------------------

@@ -1009,6 +1009,13 @@ class TestListsAtDecode:
                      "--theta", "1/2", "--max-radius", "0"]
 
     @staticmethod
+    def covering(tmp_path):
+        cover = tmp_path / "cover.json"
+        write(cover, {"ground": ["a", "b"], "blocks": [["a", "b"]]})
+        left = write(tmp_path / "left.json", ["a", "b"])
+        return cover, ["mu", "--cover", str(cover), "--left", left, "--right", left]
+
+    @staticmethod
     def elements(tmp_path):
         cover = write(tmp_path / "cover.json", {"ground": ["a", "b"], "blocks": [["a", "b"]]})
         left = tmp_path / "left.json"
@@ -1044,6 +1051,34 @@ class TestListsAtDecode:
             holder[last] = "".join(holder[last])
         else:
             doc = "".join(doc)
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert dispatch(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {what} must be a list\n")
+
+    @pytest.mark.parametrize("value", ["01", {"a": 1}, 7], ids=["string", "object", "number"])
+    @pytest.mark.parametrize(
+        "source, path, what",
+        [
+            pytest.param("coloring", ("colors",), "coloring colors", id="coloring-colors"),
+            pytest.param("covering", ("blocks",), "covering blocks", id="covering-blocks"),
+            pytest.param(
+                "certificate", ("cover", "blocks"), "covering blocks", id="certificate-blocks"
+            ),
+        ],
+    )
+    def test_colors_and_blocks_must_be_lists(self, tmp_path, capsys, source, path, what, value):
+        """The outer list is refused whole, not read item by item: a string
+        was read one character at a time and an object key by key, so the
+        error named a color, a block or the vector length."""
+        out, argv = getattr(self, source)(tmp_path)
+        assert dispatch(argv) == 0
+        doc = json.loads(out.read_text())
+        *outer, last = path
+        holder = doc
+        for key in outer:
+            holder = holder[key]
+        holder[last] = value
         out.write_text(json.dumps(doc))
         capsys.readouterr()
         assert dispatch(argv) == 2

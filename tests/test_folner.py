@@ -315,6 +315,17 @@ def _witness_variants(rng, value, witness, nl, nr, edges, non_edges):
     return [(v, MatchingWitness(tuple(sorted(w)))) for v, w in out]
 
 
+def _checker_route(model, f_set, cover, pair, need):
+    """``_check_pair`` on the pair's translates, built by the checker's own
+    ``_ground_translate``."""
+    left, right = (
+        folner._ground_translate(model, model.validate(x), f_set, cover.ground)
+        for x in (pair.g, pair.h)
+    )
+    label = f"({model.elem_str(pair.g)},{model.elem_str(pair.h)})"
+    return folner._check_pair(left, right, cover, pair, label, need)
+
+
 class TestCheckerRoute:
     """``_check_pair`` (block lookup plus an alternating search) against the
     general route in ``oracles.check_pair_reference`` (whole covering graph,
@@ -347,7 +358,7 @@ class TestCheckerRoute:
             )
             for stored, w in variants:
                 pair = folner.PairResult(g, h, stored, w)
-                got = folner._check_pair(model, f_set, cover, pair, need)
+                got = _checker_route(model, f_set, cover, pair, need)
                 want = check_pair_reference(model, f_set, cover, pair, need)
                 assert [(x.code, x.message) for x in got] == [
                     (x.code, x.message) for x in want
@@ -397,7 +408,7 @@ class TestCheckerRoute:
             deep += all(i in used_l or j in used_r for i, j in graph.edges)
             witness = MatchingWitness(tuple(sorted(pairs)))
             pair = folner.PairResult(g, h, len(pairs), witness)
-            got = folner._check_pair(model, f_set, cover, pair, 0)
+            got = _checker_route(model, f_set, cover, pair, 0)
             assert [(x.code, x.message) for x in got] == [
                 ("value-mismatch", f"pair ({g},{h}): stored {len(pairs)}, recomputed {best}")
             ], trial
@@ -428,6 +439,107 @@ class TestCheckerRoute:
             cert = dataclasses.replace(cert, pairs=(pair,))
         with pytest.raises(GroupError, match=r"not a Z\^1 element"):
             check_certificate(cert)
+
+
+def _z2_box(lo, hi):
+    return [(x, y) for x in range(lo, hi + 1) for y in range(lo, hi + 1)]
+
+
+def _z2_mod3_partition(window):
+    """Blocks by (x + 2y) mod 3: not invariant under any translate of E."""
+    return Covering(GroundSet(window), [
+        [a for a in window if (a[0] + 2 * a[1]) % 3 == r] for r in range(3)
+    ])
+
+
+def _z2_diagonal_strips(window):
+    """Overlapping blocks: x + y in {2k, 2k + 1, 2k + 2}, so each atom on an
+    even diagonal lies in two blocks."""
+    sums = sorted({x + y for x, y in window})
+    return Covering(GroundSet(window), [
+        [a for a in window if 2 * k <= a[0] + a[1] <= 2 * k + 2]
+        for k in range(sums[0] // 2, sums[-1] // 2 + 1)
+    ])
+
+
+def _tampers(model, cert, index):
+    """The certificate with pair ``index`` given a wrong value, a witness
+    short of one pair, and a witness holding a non-edge."""
+    pair = cert.pairs[index]
+    pairs = pair.witness.pairs
+    yield _with_witness(cert, index, pair.value + 1, pair.witness)
+    yield _with_witness(cert, index, pair.value, MatchingWitness(pairs[1:]))
+    ground, blocks_of = cert.cover.ground, cert.cover.blocks_of
+    left = ground.canon(model.translate(pair.g, cert.f_set))
+    right = ground.canon(model.translate(pair.h, cert.f_set))
+    non_edge = next(
+        (i, j)
+        for i in range(len(left))
+        for j in range(len(right))
+        if blocks_of[left[i]].isdisjoint(blocks_of[right[j]])
+    )
+    bad = MatchingWitness(tuple(sorted((non_edge,) + pairs[1:])))
+    yield _with_witness(cert, index, pair.value, bad)
+
+
+class TestTranslateMemo:
+    """The checker builds each distinct translate once and hands it to every
+    pair that uses it; the findings stay those of checking each pair on its
+    own, in pair order."""
+
+    @pytest.mark.parametrize("cover_of", [_z2_mod3_partition, _z2_diagonal_strips],
+                             ids=["partition", "overlapping"])
+    @pytest.mark.parametrize("mode, e_set", [
+        ("asym", [(1, 0), (0, 1), (1, 1), (-2, 1)]),
+        ("sym", [(0, 0), (1, 0), (0, 1), (1, -1)]),
+    ])
+    def test_findings_are_the_per_pair_reference(self, cover_of, mode, e_set):
+        f_set = tuple(sorted(Z2.ball(3)))
+        cover = cover_of(_z2_box(-6, 6))
+        cert = build_certificate(Z2, f_set, e_set, cover, Fraction(1, 4), mode)
+        assert cert.status == "PASS" and len(cert.pairs) >= 4
+        need = theta_threshold(cert.theta, len(f_set))
+        checked = 0
+        for index in range(len(cert.pairs)):
+            for tampered in _tampers(Z2, cert, index):
+                want = [
+                    (x.code, x.message)
+                    for pair in tampered.pairs
+                    for x in check_pair_reference(Z2, f_set, tampered.cover, pair, need)
+                ]
+                assert want  # each tamper shows
+                want.append(("status-inconsistent", "certificate marked PASS"))
+                got = check_certificate(tampered).findings
+                assert [(x.code, x.message) for x in got] == want, (index, tampered.pairs[index])
+                checked += 1
+        assert checked == 3 * len(cert.pairs)
+
+    def test_escape_text_names_the_second_translate(self, tmp_path, capsys):
+        """A window that misses part of the second distinct translate: the
+        escape names its first four escapees in canonical order, whatever
+        the ground order, and ``verify`` exits 2 with that one line."""
+        f_set = tuple(_z2_box(0, 2))
+        e_set = [(0, 0), (0, 3), (3, 0)]
+        kept = [(0, 3), (2, 4), (1, 5)]  # of (0,3)F = [0,2] x [3,5]
+        window = sorted(
+            set(f_set) | {Z2.multiply((3, 0), x) for x in f_set} | set(kept), reverse=True
+        )
+        cover = Covering(GroundSet(window), [window])
+        pairs = tuple(
+            folner.PairResult(g, h, 0, MatchingWitness(()))
+            for g, h in required_pairs(Z2, e_set, "sym")
+        )
+        cert = folner.FolnerCertificate(
+            Z2, f_set, tuple(e_set), Fraction(1, 2), "sym", cover, pairs, "PASS"
+        )
+        text = "translate 0,3F escapes the window at: 0,4, 0,5, 1,3, 1,4"
+        with pytest.raises(WindowEscape) as got:
+            check_certificate(cert)
+        assert str(got.value) == text
+        path = tmp_path / "escape.json"
+        path.write_text(canonical_dumps(certificate_to_json(cert)))
+        assert dispatch(["verify", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {text}\n")
 
 
 class TestMooreGap:

@@ -4,6 +4,10 @@ Every command runs in-process in a fresh directory, with relative paths and
 SOURCE_DATE_EPOCH=0, so each output file is fully determined by the code.
 A refactor must reproduce these digests.  A change that alters emitted bytes
 on purpose must say which bytes and why, and record the new digests here.
+
+``verify`` is guarded the same way: the digest of its exit code, stdout and
+stderr on every golden certificate and report, and on fixed tampered copies
+of the certificates, pins its findings, not only the emitted bytes.
 """
 
 import hashlib
@@ -108,6 +112,74 @@ DIGESTS = {
 }
 
 
+# the documents ``verify`` replays
+VERIFIED = (
+    "balls-pass.json",
+    "balls-exhausted.json",
+    "sym.json",
+    "overlap-cert.json",
+    "local-f2.json",
+    "balls-free2-exhausted.json",
+    "ramsey.json",
+)
+
+
+def _tamper_mu(doc):
+    doc["pairs"][-1]["mu"] -= 1
+
+
+def _tamper_witness(doc):
+    del doc["pairs"][-1]["witness"]["pairs"][0]
+
+
+def _tamper_status(doc):
+    doc["status"] = "FAIL" if doc["status"] == "PASS" else "PASS"
+
+
+def _tamper_best_ratio(doc):
+    doc["best_ratio"] = "1"  # a search that ran out stays below theta <= 1
+
+
+# each applies to every golden Folner document that has the field
+TAMPERS = {
+    "mu": _tamper_mu,
+    "witness": _tamper_witness,
+    "status": _tamper_status,
+    "best_ratio": _tamper_best_ratio,
+}
+
+TRANSCRIPTS = {
+    "balls-pass.json": "08c606e99c15d94cb53d694afba83891b1a1f8dee6c164982c571b0539bef01e",
+    "balls-pass.json:mu": "4db3fa9fc0576b307b7d09d929125fc4b57fe433b987a8d576f73fb8ac3b3618",
+    "balls-pass.json:witness": "12a10ddbb3348cbb8d7c752a21112a3b1befc685c7789f3d33ff41246977a6e5",
+    "balls-pass.json:status": "dbe6a810d7c9babf1816a082accc97becc4da4472c2cb673fc4aaecd4771aea5",
+    "balls-exhausted.json": "b41d97c375172eb0871a3bf37d4f5cc5e1873526783a13ffe40c0b1772710411",
+    "balls-exhausted.json:mu": "e8d89bf090b93464a3f365e89716fd6284b5db20c1c5a7c202dfedf3349085df",
+    "balls-exhausted.json:witness": "058fc6f3e4d31164b79f952029e2308a2282a097c179be39ac92bbae14dc7e57",
+    "balls-exhausted.json:status": "812ea09f6f63b3166c9ea52803f499d9cce6d3761d178ddc6d167b28e3c3f5f8",
+    "balls-exhausted.json:best_ratio": "81b91db19fcc36f1c59690bfbac48b84b8a7f8e4a9607860b467eb315b5dbff9",
+    "sym.json": "08c606e99c15d94cb53d694afba83891b1a1f8dee6c164982c571b0539bef01e",
+    "sym.json:mu": "b79d02d99348b70c0bd22598b685ad97846ea0d4e530b1b4032b1d954f7b6403",
+    "sym.json:witness": "a7c315c3135bccce4313dfd0ba655a852e7270bad0864fa8fc1d84d478e635d7",
+    "sym.json:status": "dbe6a810d7c9babf1816a082accc97becc4da4472c2cb673fc4aaecd4771aea5",
+    "overlap-cert.json": "08c606e99c15d94cb53d694afba83891b1a1f8dee6c164982c571b0539bef01e",
+    "overlap-cert.json:mu": "77124f32a041936073ff96e2f2e9a1aecd6f205f7aa3cd36cfab5e4aab306581",
+    "overlap-cert.json:witness": "923d66c1d797f296ac2e887f4fc8a42ff807fa5d2e9f06a578b83e7e9bb7caa6",
+    "overlap-cert.json:status": "dbe6a810d7c9babf1816a082accc97becc4da4472c2cb673fc4aaecd4771aea5",
+    "local-f2.json": "8b37adc1b77dd6e409a8f91cac428a2882db99529b37940e977780e6e3997a63",
+    "local-f2.json:mu": "330a6c1889d60ae553a19bb2da75c42978f9f8aa7b442a7b544c77d51ccca714",
+    "local-f2.json:witness": "ba3dcc88ba9d7d37b9f94781ed6015f2c69af17b7440a452c918b91b1ef80bf5",
+    "local-f2.json:status": "9bcb22832a8361cb60d8f39933ea613e2f91da4ba81ee9192fa89113a1c54fb2",
+    "local-f2.json:best_ratio": "ff175428f7bbbcfc2c127d609efd1b14fe2c95e3051b30694528b5a29552c1ef",
+    "balls-free2-exhausted.json": "c899eb61d7d45f98f96cef893158b4d0bec73b81e2e2b9fb1292a9c727b6e36a",
+    "balls-free2-exhausted.json:mu": "ec5a50957c03bef27e753f70a91553e4d0110f5735834f3f95ffa8c3b19599b0",
+    "balls-free2-exhausted.json:witness": "dd8870b2cccfe85f24be792012de6679eb79cd7e3de8fe7f4c0b6446a580d060",
+    "balls-free2-exhausted.json:status": "77c6bd9bcd664dc157133ff9a07c9101c1c39048e429297a8e9e432fcbcd00fd",
+    "balls-free2-exhausted.json:best_ratio": "b71b234034781425a8e8ac161065c4a7a318f307e16385084c86af0cfdbe9747",
+    "ramsey.json": "08c606e99c15d94cb53d694afba83891b1a1f8dee6c164982c571b0539bef01e",
+}
+
+
 def run_corpus(directory) -> dict:
     """Write the inputs into ``directory``, run the corpus there, hash outputs.
 
@@ -132,3 +204,35 @@ def corpus_dir(tmp_path, monkeypatch):
 
 def test_corpus_bytes_unchanged(corpus_dir):
     assert run_corpus(corpus_dir) == DIGESTS
+
+
+def verify_transcripts(directory, capsys) -> dict:
+    """sha256 of ``verify``'s (exit code, stdout, stderr) on each golden
+    document in ``VERIFIED``, and on each tamper of each golden Folner
+    document that has the field, keyed ``<file>`` or ``<file>:<tamper>``.
+
+    The corpus must already have been run in ``directory``.
+    """
+    documents = []
+    for name in VERIFIED:
+        doc = json.loads((directory / name).read_text())
+        documents.append((name, doc))
+        if doc["schema"].startswith("folner-"):
+            for how, tamper in TAMPERS.items():
+                if how in doc or how in ("mu", "witness"):
+                    copy = json.loads(json.dumps(doc))
+                    tamper(copy)
+                    documents.append((f"{name}:{how}", copy))
+    capsys.readouterr()
+    digests = {}
+    for key, doc in documents:
+        (directory / "replayed.json").write_text(json.dumps(doc))
+        code = dispatch(["verify", "replayed.json"])
+        out, err = capsys.readouterr()
+        digests[key] = hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
+    return digests
+
+
+def test_verify_transcripts_unchanged(corpus_dir, capsys):
+    run_corpus(corpus_dir)
+    assert verify_transcripts(corpus_dir, capsys) == TRANSCRIPTS
