@@ -172,8 +172,9 @@ def _search_window(model, e_set, strategy) -> tuple:
     else:
         base = model.ball(4)  # roaming room for local moves
     window = set(base)
+    mul = model.unchecked_multiply
     for g in e_set:  # E is validated by _parse_elems, the ball by construction
-        window.update(model.unchecked_translate(g, base))
+        window.update([mul(g, x) for x in base])
     return tuple(sorted(window, key=model.sort_key))
 
 
@@ -475,8 +476,10 @@ def _cmd_sweep(args, argv) -> int:
         cover = builtin_coloring(model, "parity", window).partition()
     pairs = required_pairs(model, e_set, args.mode)
     per_radius = [
-        (radius, len(f_set), min_mu)
-        for radius, (f_set, min_mu) in enumerate(ball_walk(model, args.max_radius, pairs, cover))
+        (radius, f_size, min_mu)
+        for radius, (f_size, min_mu, _) in enumerate(
+            ball_walk(model, args.max_radius, pairs, cover)
+        )
     ]
     rows = []
     for theta in grid:

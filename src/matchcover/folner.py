@@ -17,14 +17,18 @@ distinction is preserved deliberately; the two conditions are recorded
 next to each other and no equivalence between them is assumed.
 
 The candidate search is deterministic given its seed, and is artifact
-machinery: balls by radius plus a boundary-move hill climb.  It keeps counts
-rather than recount: on a partition it keeps the block counts of every
-translate gF and each pair's value, so a ball is scored from its new sphere
-and a local move from the one element it inserts or drops, read without
-applying the move; on any other covering it keeps one maximum matching per
-pair and re-augments it after each change.  Each step of the hill climb is
-one pass over its moves: every boundary element is scored once, and the
-best improving move is kept as the pass goes.
+machinery: balls by radius plus a boundary-move hill climb.  Balls are
+walked sphere by sphere, and a ball is scored by its size and least pair
+value alone; its canonical element tuple is built only when it is read
+(kept as the best, in a ratio tie, on a pass, or to name a window escape),
+so a sweep builds none.  It keeps counts rather than recount: on a
+partition it keeps the block counts of every translate gF and each pair's
+value, so a ball is scored from its new sphere and a local move from the
+one element it inserts or drops, read without applying the move; on any
+other covering it keeps one maximum matching per pair and re-augments it
+after each change.  Each step of the hill climb is one pass over its moves:
+every boundary element is scored once, and the best improving move is kept
+as the pass goes.
 
 The adversary needs no search.  Against a fixed F, the least min ratio over
 colorings of the window is min over pairs of |gF & hF| / |F|: no covering
@@ -443,20 +447,38 @@ def _pair_counts(model: GroupModel, pairs, cover: Covering):
 
 
 def ball_walk(model: GroupModel, radius: int, pairs, cover: Covering):
-    """Yield (ball, least pair value of the ball) for radius 0..radius.
+    """Yield (|B_r|, least pair value of B_r, ball) for radius 0..radius.
 
     The least pair value is the smallest mu(gF, hF) over the pairs, or |F|
     when there are none.  The counts of each ball are those of the last
-    one plus its sphere, so no translate is built twice.  When the ball or
-    one of its translates leaves the covering's ground, this raises the
-    WindowEscape that ``_translates`` gives for that ball.
+    one plus its sphere, so no translate is built twice, and the ball is
+    built only when read: called before the walk's next step, ``ball()``
+    returns the canonical B_r, merging in the spheres walked since its last
+    call.  When the ball or one of its translates leaves the covering's
+    ground, this raises the WindowEscape that ``_translates`` gives for
+    that ball.
     """
     counts = _pair_counts(model, pairs, cover)
-    for ball, sphere in model.ball_layers(radius):
+    key = model.sort_key
+    built = ()
+    walked = []  # the spheres since ``built``, each canonical
+
+    def ball() -> tuple:
+        nonlocal built
+        if walked:
+            # sorted runs, which the sort finds and merges
+            built = tuple(sorted(itertools.chain(built, *walked), key=key))
+            walked.clear()
+        return built
+
+    size = 0
+    for sphere in model.ball_layers(radius):
+        walked.append(sphere)
+        size += len(sphere)
         if not all(map(counts.add, sphere)):
-            _translates(model, ball, pairs, cover.ground)  # raises the escape
+            _translates(model, ball(), pairs, cover.ground)  # raises the escape
             raise AssertionError("the ball and its translates lie inside the window")
-        yield ball, counts.least()
+        yield size, counts.least(), ball
 
 
 def build_certificate(
@@ -738,9 +760,10 @@ def folner_search(
     Both strategies keep the pair counts of the current candidate: balls
     grow by spheres (``ball_walk``), and a local move is scored by the
     counter's ``after_add`` or ``after_drop``, which on a partition reads
-    the least pair value after the move without applying it.  A move's
-    candidate set is built only when it is read: on a tie with the best
-    ratio, when it meets theta, or when it becomes or ties the chosen move.
+    the least pair value after the move without applying it.  A ball or a
+    move's candidate set is built only when it is read: when it becomes or
+    ties the best ratio, when it meets theta, or, for a move, when it
+    becomes or ties the chosen move.
     Only a random restart counts a candidate from scratch.
     """
     theta = _require_fraction(theta)
@@ -765,24 +788,26 @@ def folner_search(
             need[size] = theta_threshold(theta, size)
         return least >= need[size]
 
-    def consider(f_canon, least) -> bool:
-        """Count and track the candidate; True when it meets theta."""
+    def consider(size, least, build) -> bool:
+        """Count and track the candidate of ``size`` elements; True when it
+        meets theta.  ``build()`` gives its canonical set, called only to
+        keep it as the best or to break a ratio tie with the best."""
         nonlocal evaluations, best_f, best_least
         evaluations += 1
         # above, at or below 0 as least/|F| is above, at or below the best ratio
-        ahead = least * len(best_f) - best_least * len(f_canon)
-        if ahead > 0 or ahead == 0 and sorts_first(f_canon, best_f):
-            best_f, best_least = f_canon, least
-        return meets(least, len(f_canon))
+        ahead = least * len(best_f) - best_least * size
+        if ahead > 0 or ahead == 0 and sorts_first(build(), best_f):
+            best_f, best_least = build(), least
+        return meets(least, size)
 
     def finish(status, f_canon, least) -> SearchResult:
         cert = build_certificate(model, f_canon, e_canon, cover, theta, mode)
         return SearchResult(status, cert, f_canon, Fraction(least, len(f_canon)), evaluations)
 
     if isinstance(strategy, BallsStrategy):
-        for f_canon, least in ball_walk(model, strategy.max_radius, pairs, cover):
-            if consider(f_canon, least):
-                return finish("PASS", f_canon, least)
+        for size, least, ball in ball_walk(model, strategy.max_radius, pairs, cover):
+            if consider(size, least, ball):
+                return finish("PASS", ball(), least)
         return finish("EXHAUSTED", best_f, best_least)
 
     if isinstance(strategy, LocalSetStrategy):
@@ -848,7 +873,7 @@ def folner_search(
         current_least = start(current)
         if current_least is None:
             current, current_least = random_start()
-        if consider(current, current_least):
+        if consider(len(current), current_least, lambda: current):
             return finish("PASS", current, current_least)
         while evaluations < strategy.budget:
             choice = None  # the best move that raises the ratio: (least, cand, y, inserted)
@@ -885,7 +910,7 @@ def folner_search(
                     counts.drop(y)
             else:
                 current, current_least = random_start()
-                if consider(current, current_least):
+                if consider(len(current), current_least, lambda: current):
                     return finish("PASS", current, current_least)
         return finish("EXHAUSTED", best_f, best_least)
 

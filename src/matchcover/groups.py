@@ -5,15 +5,21 @@ rank, and finite groups given by an explicit multiplication table that is
 validated on load.  Elements are plain values (int tuples, freely reduced
 words as signed-int tuples, table indices); the model supplies the group
 law, canonical ordering, ball enumeration, and the string codecs used by
-the JSON layer.
+the JSON layer.  Balls come from one BFS that walks sphere by sphere:
+``ball_layers`` yields each sphere sorted once, and ``ball`` sorts all the
+spheres together once, so no element is keyed twice and no ball is copied
+per radius.
 
 Elements are checked where they enter: by the string codecs and by the
 public ``multiply``, ``inverse``, ``canon_set`` and ``translate``.  Each
 model also has one unchecked product, ``unchecked_multiply``, for callers
 whose elements are already valid; the public ``multiply`` is ``validate``
-on both arguments followed by it, so each model has one group law.  In the
-same way ``elem_str`` is ``validate`` followed by ``unchecked_elem_str``,
-the one spelling, which the JSON writer uses on the library's own elements.
+on both arguments followed by it, so each model has one group law (Z^d
+binds it at construction, unrolled for d <= 3).  In the same way
+``elem_str`` is ``validate`` followed by ``unchecked_elem_str``, the one
+spelling, which the JSON writer uses on the library's own elements.
+``parse_elems`` reads a list of strings as ``parse_elem`` reads each; Z^d
+reads it in bulk.
 """
 
 from __future__ import annotations
@@ -22,12 +28,12 @@ import re
 import string
 from fractions import Fraction
 from itertools import chain
-from operator import add, itemgetter
+from operator import add, methodcaller
 from typing import Iterable, Sequence
 
 DEFAULT_BALL_LIMIT = 10**6
 
-_first, _second = itemgetter(0), itemgetter(1)
+_commas = methodcaller("count", ",")
 
 _LETTERS = string.ascii_lowercase
 # Z^d spellings exactly as elem_str writes them: str(int) per coordinate
@@ -132,28 +138,18 @@ class GroupModel:
         mul = self.unchecked_multiply
         return tuple(sorted([mul(g, x) for x in f], key=self.sort_key))
 
-    def ball_layers(self, radius: int):
-        """Yield (ball, sphere) of each radius 0..radius from a single BFS.
-
-        Both are canonically ordered; the ball of radius r + 1 is the ball
-        of radius r merged with the sphere of radius r + 1, and the sphere
-        of radius 0 is the identity alone.  More than ``DEFAULT_BALL_LIMIT``
-        elements is a GroupError.
-        """
+    def _spheres(self, radius: int):
+        """Yield the sphere of each radius 0..radius, in the order the BFS
+        reaches it; the sphere of radius 0 is the identity alone.  More than
+        ``DEFAULT_BALL_LIMIT`` elements is a GroupError."""
         if radius < 0:
             raise ValueError("radius must be non-negative")
         limit = DEFAULT_BALL_LIMIT
         mul = self.unchecked_multiply
-        key = self.sort_key
         gens = self.generators()
         seen = {self.identity}
         frontier = [self.identity]
-        ball = (self.identity,)
-        # (sort key, element) in canonical order: each element is keyed once,
-        # when its sphere is sorted, and each new ball is a merge of two
-        # sorted runs, which the sort finds and merges by key alone
-        keyed = [(key(self.identity), self.identity)]
-        yield ball, ball
+        yield frontier
         for _ in range(radius):
             nxt = []
             for g in frontier:
@@ -165,17 +161,23 @@ class GroupModel:
                         if len(seen) > limit:
                             raise GroupError(f"ball size exceeds cap {limit}")
             frontier = nxt
-            shell = sorted(zip(map(key, nxt), nxt), key=_first)
-            sphere = tuple(map(_second, shell))
-            keyed = sorted(keyed + shell, key=_first)
-            ball = tuple(map(_second, keyed))
-            yield ball, sphere
+            yield nxt
+
+    def ball_layers(self, radius: int):
+        """Yield the sphere of each radius 0..radius from a single BFS, each
+        canonically ordered: one sort per sphere, each element keyed once."""
+        key = self.sort_key
+        for sphere in self._spheres(radius):
+            yield tuple(sorted(sphere, key=key))
 
     def ball(self, radius: int) -> tuple:
-        """All elements of word length <= radius over the symmetric generators."""
-        for last, _ in self.ball_layers(radius):
-            pass
-        return last
+        """All elements of word length <= radius over the symmetric generators,
+        canonically ordered: the spheres of one BFS, sorted once."""
+        return tuple(sorted(chain.from_iterable(self._spheres(radius)), key=self.sort_key))
+
+    def parse_elems(self, strings) -> list:
+        """``parse_elem`` of each string of a list, in order."""
+        return [self.parse_elem(s) for s in strings]
 
 
 def _require_reduced(word: tuple) -> tuple:
@@ -184,6 +186,26 @@ def _require_reduced(word: tuple) -> tuple:
         if a == -b:
             raise GroupError(f"word not freely reduced: {word!r}")
     return word
+
+
+def _zd_add(g, h):
+    return tuple(map(add, g, h))
+
+
+def _z1_add(g, h):
+    return (g[0] + h[0],)
+
+
+def _z2_add(g, h):
+    return (g[0] + h[0], g[1] + h[1])
+
+
+def _z3_add(g, h):
+    return (g[0] + h[0], g[1] + h[1], g[2] + h[2])
+
+
+# the law unrolled where d is small; ``map(add, ...)`` costs about 3x as much
+_ZD_LAWS = {1: _z1_add, 2: _z2_add, 3: _z3_add}
 
 
 class IntegerLattice(GroupModel):
@@ -195,6 +217,7 @@ class IntegerLattice(GroupModel):
         if d < 1:
             raise GroupError("dimension must be positive")
         self.d = d
+        self.unchecked_multiply = _ZD_LAWS.get(d, _zd_add)
 
     @property
     def identity(self):
@@ -211,9 +234,6 @@ class IntegerLattice(GroupModel):
 
     def multiply(self, g, h):
         return self.unchecked_multiply(self.validate(g), self.validate(h))
-
-    def unchecked_multiply(self, g, h):
-        return tuple(map(add, g, h))
 
     def inverse(self, g):
         g = self.validate(g)
@@ -245,6 +265,21 @@ class IntegerLattice(GroupModel):
         if len(vec) != self.d:
             raise GroupError(f"not a Z^{self.d} element: {vec!r}")
         return vec
+
+    def parse_elems(self, strings) -> list:
+        """``parse_elem`` of each string of a list, read in bulk: one ``int``
+        pass over the joined text, kept only when it spells every coordinate
+        back as ``elem_str`` does and every string has d - 1 commas.  Any
+        other list goes string by string, so the error is ``parse_elem``'s
+        for the first bad element."""
+        try:
+            text = ",".join(strings)
+            ints = list(map(int, text.split(",")))
+        except (TypeError, ValueError):  # a non-string, or text int() refuses
+            return super().parse_elems(strings)
+        if ",".join(map(str, ints)) == text and set(map(_commas, strings)) == {self.d - 1}:
+            return list(zip(*[iter(ints)] * self.d))
+        return super().parse_elems(strings)
 
     def describe(self) -> dict:
         return {"kind": "zd", "d": self.d}

@@ -205,7 +205,10 @@ def coloring_to_json(col: Coloring, model: GroupModel | None = None) -> dict:
 
 def coloring_from_json(obj: dict, model: GroupModel | None = None) -> Coloring:
     ground, colors, k = _fields(obj, "coloring", "ground", "colors", "k")
-    ground = GroundSet(elems_from_json(model, _list(ground, "coloring ground")))
+    ground = _list(ground, "coloring ground")
+    # each element once, so no memo: the model reads the whole list (Z^d in bulk)
+    atoms = elems_from_json(None, ground) if model is None else model.parse_elems(ground)
+    ground = GroundSet(atoms)
     colors = _ints(_list(colors, "coloring colors"), "coloring color")
     return Coloring(ground, colors, _require_int(k, "coloring k"))
 

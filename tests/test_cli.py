@@ -1085,6 +1085,31 @@ class TestListsAtDecode:
         assert capsys.readouterr() == ("", f"error: {what} must be a list\n")
 
 
+class TestColoringGround:
+    """A coloring file's Z^d ground is read in bulk; a bad element anywhere
+    in it still exits 2 with ``parse_elem``'s one line for that element."""
+
+    @pytest.mark.parametrize(
+        "bad", ["1, 2", "+1,2", "01,2", "-0,2", "1_0,2", "1;2", "\u0661,2", "1", "1,2,3", 7],
+    )
+    @pytest.mark.parametrize("at", [0, 4, 8])
+    def test_bad_element_is_one_error_line(self, tmp_path, capsys, bad, at):
+        model = IntegerLattice(2)
+        ground = [model.elem_str(g) for g in model.ball(1)] + ["2,0", "0,2", "-2,0"]
+        col = tmp_path / "col.json"
+        argv = ["folner", "search", "--group", "zd2", "--coloring", str(col), "--e", "1,0",
+                "--theta", "1/2", "--max-radius", "0", "--out", str(tmp_path / "cert.json")]
+        write(col, {"ground": ground, "colors": [0] * len(ground), "k": 1})
+        assert dispatch(argv) == 0
+        ground.insert(at, bad)
+        write(col, {"ground": ground, "colors": [0] * len(ground), "k": 1})
+        with pytest.raises(GroupError) as want:
+            model.parse_elem(bad)
+        capsys.readouterr()
+        assert dispatch(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {want.value}\n")
+
+
 class TestObjectsAtDecode:
     """Each reader the CLI hands a whole JSON document to refuses anything
     but an object, and an object without a key it reads, with one line that

@@ -837,8 +837,9 @@ class TestPartitionCounts:
         pairs = required_pairs(Z2, e_set, mode)
         walked = []
         with pytest.raises(WindowEscape) as got:
-            for ball, _ in folner.ball_walk(Z2, 5, pairs, cover):
-                walked.append(ball)
+            for size, _, ball in folner.ball_walk(Z2, 5, pairs, cover):
+                walked.append(ball())
+                assert size == len(walked[-1])
         assert walked == [Z2.ball(r) for r in range(radius)]
         with pytest.raises(WindowEscape) as want:
             folner._translates(Z2, Z2.ball(radius), pairs, cover.ground)
@@ -903,8 +904,10 @@ class TestCoveringRecount:
         assert not cover.is_partition()
         pairs = required_pairs(model, e_set, mode)
         counts = folner._CoveringRecount(model, pairs, cover)
-        for ball, sphere in model.ball_layers(radius):
+        ball: list = []
+        for sphere in model.ball_layers(radius):
             assert all(map(counts.add, sphere))
+            ball.extend(sphere)
             self.assert_warm_is_cold(counts, model, pairs, cover, ball)
 
     @pytest.mark.parametrize("mode", ["asym", "sym"])
@@ -1120,9 +1123,33 @@ class TestBallWalk:
             for e_set in e_sets:
                 for mode in ("asym", "sym"):
                     pairs = required_pairs(model, e_set, mode)
-                    assert list(folner.ball_walk(model, radius, pairs, cover)) == (
-                        sweep_reference(model, radius, pairs, cover)
-                    )
+                    walked = [
+                        (size, least, ball())
+                        for size, least, ball in folner.ball_walk(model, radius, pairs, cover)
+                    ]
+                    assert walked == [
+                        (len(ball), least, ball)
+                        for ball, least in sweep_reference(model, radius, pairs, cover)
+                    ]
+
+    @pytest.mark.parametrize("partition", [True, False], ids=["partition", "covering"])
+    def test_sizes_alone_build_no_ball(self, partition, monkeypatch):
+        # a walk read for sizes and values (a sweep) keys each element once,
+        # when its sphere is sorted, and never puts a ball together
+        window = Z2.ball(8)
+        cover = builtin_partition(Z2, "parity", window)
+        if not partition:
+            cover = Covering(cover.ground, [*cover.blocks, Z2.ball(1)])
+        pairs = required_pairs(Z2, [(1, 0), (0, 1)], "asym")
+        keyed = []
+        sort_key = IntegerLattice.sort_key
+        monkeypatch.setattr(
+            IntegerLattice, "sort_key", lambda self, g: keyed.append(g) or sort_key(self, g)
+        )
+        sizes = [size for size, _, _ in folner.ball_walk(Z2, 6, pairs, cover)]
+        monkeypatch.undo()
+        assert sizes == [len(Z2.ball(r)) for r in range(7)]
+        assert sorted(keyed) == list(Z2.ball(6))
 
     @pytest.mark.parametrize("d, radius, e_text", [(1, 12, "2;-3"), (2, 7, "1,0;0,-2;1,1"),
                                                     (3, 4, "1,0,0;0,1,-1")])

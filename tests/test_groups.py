@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 import time
 
@@ -77,6 +78,20 @@ class TestMultiply:
         with pytest.raises(GroupError):
             s3.inverse(6)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_lattice_law_is_componentwise_addition(self, d):
+        model = IntegerLattice(d)
+        rng = random.Random(d)
+        for _ in range(500):
+            g = tuple(rng.randint(-10**6, 10**6) for _ in range(d))
+            h = tuple(rng.randint(-50, 50) for _ in range(d))
+            want = tuple(map(operator.add, g, h))
+            assert model.unchecked_multiply(g, h) == want
+            assert model.multiply(g, h) == want and type(model.multiply(g, h)) is tuple
+        # large coordinates stay exact
+        big = (10**30,) * d
+        assert model.unchecked_multiply(big, big) == (2 * 10**30,) * d
+
     def test_unchecked_product_is_the_group_law(self):
         rng = random.Random(3)
         for _ in range(200):
@@ -142,9 +157,12 @@ class TestBall:
             (symmetric_group(4), 3),
         ]
         for model, radius in models:
-            balls = [ball for ball, _ in model.ball_layers(radius)]
-            assert len(balls) == radius + 1
-            for r, ball in enumerate(balls):
+            spheres = list(model.ball_layers(radius))
+            assert len(spheres) == radius + 1
+            union: list = []
+            for r, sphere in enumerate(spheres):
+                union.extend(sphere)
+                ball = tuple(sorted(union, key=model.sort_key))
                 assert ball == ball_reference(model, r), (model.describe(), r)
                 assert model.ball(r) == ball
 
@@ -154,23 +172,28 @@ class TestBall:
         ids=["zd2", "zd3", "free2", "s4"],
     )
     def test_layers_are_sorted_merges_keyed_once(self, model, radius, monkeypatch):
-        """Each layer equals the sorted reference: the ball of radius r and
-        the sphere of its new elements.  The merge keys each element once."""
+        """Each layer is the sorted sphere of the reference balls: the new
+        elements of the ball of radius r.  The walk keys each element once,
+        and so does ``ball``, which sorts the spheres together."""
         keyed = []
         sort_key = type(model).sort_key
         monkeypatch.setattr(
             type(model), "sort_key", lambda self, g: keyed.append(g) or sort_key(self, g)
         )
         layers = list(model.ball_layers(radius))
+        walk_keyed = keyed[:]
+        keyed.clear()
+        ball = model.ball(radius)
         monkeypatch.undo()
         previous: set = set()
-        for r, (ball, sphere) in enumerate(layers):
+        for r, sphere in enumerate(layers):
             want = ball_reference(model, r)
-            assert ball == want, (model.describe(), r)
             new = [g for g in want if g not in previous]
             assert sphere == tuple(sorted(new, key=model.sort_key)), (model.describe(), r)
             previous = set(want)
-        assert sorted(keyed, key=model.sort_key) == list(layers[-1][0])
+        assert ball == want
+        assert sorted(walk_keyed, key=model.sort_key) == list(want)
+        assert sorted(keyed, key=model.sort_key) == list(want)
 
     def test_balls_cap_and_negative_radius(self, monkeypatch):
         monkeypatch.setattr(groups, "DEFAULT_BALL_LIMIT", 100)
@@ -187,6 +210,34 @@ class TestBall:
     def test_sorted_output(self):
         b = F2.ball(2)
         assert list(b) == sorted(b, key=F2.sort_key)
+
+    @pytest.mark.parametrize(
+        "model", [IntegerLattice(1), Z2, IntegerLattice(3), F2, symmetric_group(4)],
+        ids=["zd1", "zd2", "zd3", "free2", "s4"],
+    )
+    def test_cap_and_negative_radius_on_every_route(self, model, monkeypatch):
+        # the cap counts the ball, the identity included, on the walk and on ball()
+        size = len(model.ball(3))
+        monkeypatch.setattr(groups, "DEFAULT_BALL_LIMIT", size - 1)
+        for run in (lambda r: list(model.ball_layers(r)), model.ball):
+            with pytest.raises(GroupError) as caught:
+                run(3)
+            assert str(caught.value) == f"ball size exceeds cap {size - 1}"
+            with pytest.raises(ValueError) as caught:
+                run(-1)
+            assert str(caught.value) == "radius must be non-negative"
+        monkeypatch.setattr(groups, "DEFAULT_BALL_LIMIT", size)
+        assert len(model.ball(3)) == size
+
+    def test_z2_radius_300_is_fast(self):
+        # one BFS and one sort, about 0.25 s on a 2-core host; re-sorting
+        # the whole ball at every radius took about 4.9 s there
+        start = time.perf_counter()
+        ball = Z2.ball(300)
+        elapsed = time.perf_counter() - start
+        assert len(ball) == 2 * 300 * 300 + 2 * 300 + 1
+        assert ball[0] == (-300, 0) and ball[-1] == (300, 0)
+        assert elapsed < 2.0, f"Z^2 ball(300) took {elapsed:.2f} s"
 
 
 class TestTranslate:
@@ -380,6 +431,60 @@ class TestElementCodecs:
         with pytest.raises(GroupError) as caught:
             model.parse_elem(value)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bulk_parse_is_the_per_element_parse(self, d):
+        model = IntegerLattice(d)
+        rng = random.Random(100 + d)
+        for size in (0, 1, 2, 50, 400):
+            spread = rng.choice([1, 9, 10**12])
+            elems = [tuple(rng.randint(-spread, spread) for _ in range(d)) for _ in range(size)]
+            strings = [model.elem_str(g) for g in elems]
+            parsed = model.parse_elems(strings)
+            assert parsed == [model.parse_elem(s) for s in strings] == elems
+            assert all(type(g) is tuple and len(g) == d for g in parsed)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "bad",
+        [" 1", "+1", "01", "-0", "1_0", "1;2", "\u0661", "", "arity-", "arity+", 1, None, ["1"]],
+    )
+    @pytest.mark.parametrize("at", [0, 3, 7])
+    def test_bulk_parse_names_the_first_bad_element(self, d, bad, at):
+        # a bad coordinate, too few or too many commas, or a non-string, at
+        # the start, inside or at the end of the list: parse_elem's error
+        model = IntegerLattice(d)
+        if bad == "arity-":
+            bad = ",".join(["1"] * (d - 1)) if d > 1 else "1,1"
+        elif bad == "arity+":
+            bad = ",".join(["1"] * (d + 1))
+        elif isinstance(bad, str):
+            bad = ",".join(["0"] * (d - 1) + [bad])
+        strings = [model.elem_str((i,) * d) for i in range(7)]
+        strings.insert(at, bad)
+        with pytest.raises(GroupError) as want:
+            model.parse_elem(bad)
+        with pytest.raises(GroupError) as got:
+            model.parse_elems(strings)
+        assert str(got.value) == str(want.value)
+
+    def test_bulk_parse_counts_commas_per_element(self):
+        # the joined text is the same as that of valid elements; only each
+        # element's own arity shows the fault
+        for strings, message in [
+            (["1,2,3", "4"], "not a Z^2 element: (1, 2, 3)"),
+            (["1", "2,3,4"], "not a Z^2 element: (1,)"),
+        ]:
+            with pytest.raises(GroupError) as caught:
+                Z2.parse_elems(strings)
+            assert str(caught.value) == message
+
+    @pytest.mark.parametrize("model", [F2, cyclic_group(3)], ids=["free2", "c3"])
+    def test_parse_elems_elsewhere_is_parse_elem_in_order(self, model):
+        strings = [model.elem_str(g) for g in model.ball(2)][::-1]
+        assert model.parse_elems(strings) == [model.parse_elem(s) for s in strings]
+        with pytest.raises(GroupError, match="element must be a string"):
+            model.parse_elems([*strings, 0])
 
     @pytest.mark.parametrize("rank", [1, 2, 5, 26])
     def test_free_parses_every_letter_of_its_rank(self, rank):
