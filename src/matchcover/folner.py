@@ -44,6 +44,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .bipartite import (
@@ -59,6 +60,9 @@ from .groups import FiniteTableGroup, GroupModel, _require_fraction
 MODES = ("asym", "sym")
 
 DEFAULT_NET_CAP = 60
+
+_first = itemgetter(0)
+_second = itemgetter(1)
 
 
 class WindowEscape(ValueError):
@@ -454,28 +458,30 @@ def ball_walk(model: GroupModel, radius: int, pairs, cover: Covering):
     one plus its sphere, so no translate is built twice, and the ball is
     built only when read: called before the walk's next step, ``ball()``
     returns the canonical B_r, merging in the spheres walked since its last
-    call.  When the ball or one of its translates leaves the covering's
+    call by the sort keys stored with them, so no element is keyed twice
+    however often the ball is read.  When the ball or one of its translates leaves the covering's
     ground, this raises the WindowEscape that ``_translates`` gives for
     that ball.
     """
     counts = _pair_counts(model, pairs, cover)
-    key = model.sort_key
+    keyed = []  # (sort key, element) of the ball last built, canonical
     built = ()
-    walked = []  # the spheres since ``built``, each canonical
+    walked = []  # the keyed spheres since ``built``, each canonical
 
     def ball() -> tuple:
-        nonlocal built
+        nonlocal keyed, built
         if walked:
-            # sorted runs, which the sort finds and merges
-            built = tuple(sorted(itertools.chain(built, *walked), key=key))
+            # sorted runs, which the sort finds and merges by the stored key
+            keyed = sorted(itertools.chain(keyed, *walked), key=_first)
+            built = tuple(map(_second, keyed))
             walked.clear()
         return built
 
     size = 0
-    for sphere in model.ball_layers(radius):
-        walked.append(sphere)
-        size += len(sphere)
-        if not all(map(counts.add, sphere)):
+    for layer in model.ball_layers(radius):
+        walked.append(layer)
+        size += len(layer)
+        if not all(map(counts.add, map(_second, layer))):
             _translates(model, ball(), pairs, cover.ground)  # raises the escape
             raise AssertionError("the ball and its translates lie inside the window")
         yield size, counts.least(), ball

@@ -6,16 +6,16 @@ validated on load.  Elements are plain values (int tuples, freely reduced
 words as signed-int tuples, table indices); the model supplies the group
 law, canonical ordering, ball enumeration, and the string codecs used by
 the JSON layer.  Balls come from one BFS that walks sphere by sphere:
-``ball_layers`` yields each sphere sorted once, and ``ball`` sorts all the
-spheres together once, so no element is keyed twice and no ball is copied
-per radius.
+``ball_layers`` yields each sphere sorted once, each element with its sort
+key, and ``ball`` sorts all the spheres together once, so no element is
+keyed twice and no ball is copied per radius.
 
 Elements are checked where they enter: by the string codecs and by the
 public ``multiply``, ``inverse``, ``canon_set`` and ``translate``.  Each
 model also has one unchecked product, ``unchecked_multiply``, for callers
 whose elements are already valid; the public ``multiply`` is ``validate``
 on both arguments followed by it, so each model has one group law (Z^d
-binds it at construction, unrolled for d <= 3).  In the same way
+binds it at construction, unrolled for d = 2 and 3).  In the same way
 ``elem_str`` is ``validate`` followed by ``unchecked_elem_str``, the one
 spelling, which the JSON writer uses on the library's own elements.
 ``parse_elems`` reads a list of strings as ``parse_elem`` reads each; Z^d
@@ -28,12 +28,13 @@ import re
 import string
 from fractions import Fraction
 from itertools import chain
-from operator import add, methodcaller
+from operator import add, itemgetter, methodcaller
 from typing import Iterable, Sequence
 
 DEFAULT_BALL_LIMIT = 10**6
 
 _commas = methodcaller("count", ",")
+_first = itemgetter(0)
 
 _LETTERS = string.ascii_lowercase
 # Z^d spellings exactly as elem_str writes them: str(int) per coordinate
@@ -164,11 +165,13 @@ class GroupModel:
             yield nxt
 
     def ball_layers(self, radius: int):
-        """Yield the sphere of each radius 0..radius from a single BFS, each
-        canonically ordered: one sort per sphere, each element keyed once."""
+        """Yield the sphere of each radius 0..radius from a single BFS as a
+        list of (sort key, element) in canonical order: one sort per sphere,
+        each element keyed once.  Runs of these merge by key alone, so a
+        caller that puts spheres together never keys an element again."""
         key = self.sort_key
         for sphere in self._spheres(radius):
-            yield tuple(sorted(sphere, key=key))
+            yield sorted(zip(map(key, sphere), sphere), key=_first)
 
     def ball(self, radius: int) -> tuple:
         """All elements of word length <= radius over the symmetric generators,
@@ -192,10 +195,6 @@ def _zd_add(g, h):
     return tuple(map(add, g, h))
 
 
-def _z1_add(g, h):
-    return (g[0] + h[0],)
-
-
 def _z2_add(g, h):
     return (g[0] + h[0], g[1] + h[1])
 
@@ -205,7 +204,7 @@ def _z3_add(g, h):
 
 
 # the law unrolled where d is small; ``map(add, ...)`` costs about 3x as much
-_ZD_LAWS = {1: _z1_add, 2: _z2_add, 3: _z3_add}
+_ZD_LAWS = {2: _z2_add, 3: _z3_add}
 
 
 class IntegerLattice(GroupModel):

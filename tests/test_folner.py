@@ -41,6 +41,7 @@ from lemmas import (
 )
 from oracles import (
     adversary_exhaustive_reference,
+    ball_reference,
     check_pair_reference,
     folner_search_reference,
     max_matching_bruteforce,
@@ -905,7 +906,8 @@ class TestCoveringRecount:
         pairs = required_pairs(model, e_set, mode)
         counts = folner._CoveringRecount(model, pairs, cover)
         ball: list = []
-        for sphere in model.ball_layers(radius):
+        for layer in model.ball_layers(radius):
+            sphere = [g for _, g in layer]
             assert all(map(counts.add, sphere))
             ball.extend(sphere)
             self.assert_warm_is_cold(counts, model, pairs, cover, ball)
@@ -1150,6 +1152,24 @@ class TestBallWalk:
         monkeypatch.undo()
         assert sizes == [len(Z2.ball(r)) for r in range(7)]
         assert sorted(keyed) == list(Z2.ball(6))
+
+    @pytest.mark.parametrize("model, radius", [(Z2, 6), (IntegerLattice(3), 4), (F2, 4)],
+                             ids=["zd2", "zd3", "free2"])
+    def test_ball_read_at_every_radius_keys_each_element_once(self, model, radius, monkeypatch):
+        # a ball search whose ratio improves at every radius reads each ball;
+        # the merge goes by the keys stored with the spheres
+        window = model.ball(radius + 2)
+        cover = Covering(GroundSet(window), [window])
+        pairs = required_pairs(model, model.generators(), "asym")
+        keyed = []
+        sort_key = type(model).sort_key
+        monkeypatch.setattr(
+            type(model), "sort_key", lambda self, g: keyed.append(g) or sort_key(self, g)
+        )
+        balls = [ball() for _, _, ball in folner.ball_walk(model, radius, pairs, cover)]
+        monkeypatch.undo()
+        assert balls == [ball_reference(model, r) for r in range(radius + 1)]
+        assert sorted(keyed, key=model.sort_key) == list(balls[-1])
 
     @pytest.mark.parametrize("d, radius, e_text", [(1, 12, "2;-3"), (2, 7, "1,0;0,-2;1,1"),
                                                     (3, 4, "1,0,0;0,1,-1")])

@@ -157,7 +157,7 @@ class TestBall:
             (symmetric_group(4), 3),
         ]
         for model, radius in models:
-            spheres = list(model.ball_layers(radius))
+            spheres = [[g for _, g in layer] for layer in model.ball_layers(radius)]
             assert len(spheres) == radius + 1
             union: list = []
             for r, sphere in enumerate(spheres):
@@ -172,24 +172,25 @@ class TestBall:
         ids=["zd2", "zd3", "free2", "s4"],
     )
     def test_layers_are_sorted_merges_keyed_once(self, model, radius, monkeypatch):
-        """Each layer is the sorted sphere of the reference balls: the new
-        elements of the ball of radius r.  The walk keys each element once,
-        and so does ``ball``, which sorts the spheres together."""
+        """Each layer is the sorted sphere of the reference balls, the new
+        elements of the ball of radius r, each with its sort key.  The walk
+        keys each element once, and so does ``ball``, which sorts the
+        spheres together."""
         keyed = []
         sort_key = type(model).sort_key
         monkeypatch.setattr(
             type(model), "sort_key", lambda self, g: keyed.append(g) or sort_key(self, g)
         )
-        layers = list(model.ball_layers(radius))
+        keyed_layers = list(model.ball_layers(radius))
         walk_keyed = keyed[:]
         keyed.clear()
         ball = model.ball(radius)
         monkeypatch.undo()
         previous: set = set()
-        for r, sphere in enumerate(layers):
+        for r, layer in enumerate(keyed_layers):
             want = ball_reference(model, r)
-            new = [g for g in want if g not in previous]
-            assert sphere == tuple(sorted(new, key=model.sort_key)), (model.describe(), r)
+            new = sorted((g for g in want if g not in previous), key=model.sort_key)
+            assert layer == [(model.sort_key(g), g) for g in new], (model.describe(), r)
             previous = set(want)
         assert ball == want
         assert sorted(walk_keyed, key=model.sort_key) == list(want)
