@@ -5,10 +5,11 @@ that returns an explicit matching.  Its core runs on adjacency rows, which
 library callers build directly (a covering's rows come from its block
 index); ``BipartiteGraph`` is the checked type for graphs from outside, and
 ``covering_graph`` spells a covering graph out edge by edge for display and
-for reference checks.  The Hall deficiency, computed
-from alternating reachability on a maximum matching (Koenig's
-construction), certifies maximality from the dual side: matching size plus
-deficiency always equals the size of the left part.
+for reference checks.  The Hall deficiency certifies maximality from the
+dual side: matching size plus deficiency always equals the size of the left
+part.  Its attaining subset is Koenig's set, the left vertices on
+alternating paths from the unmatched ones, which the matcher's last phase
+has already reached when it finds no augmenting path.
 
 Covering-induced graphs connect x to y whenever some block of the covering
 contains both, so matching numbers between finite sets with respect to a
@@ -84,17 +85,20 @@ def validate_witness(graph: BipartiteGraph, witness: MatchingWitness) -> None:
 
 def max_matching(graph: BipartiteGraph) -> tuple[int, MatchingWitness]:
     """Maximum matching via Hopcroft-Karp on the graph's adjacency rows."""
-    return _match_rows(graph.adjacency(), len(graph.right))
+    return _match_rows(graph.adjacency(), len(graph.right))[:2]
 
 
-def _match_rows(adj: Sequence, n_right: int) -> tuple[int, MatchingWitness]:
+def _match_rows(adj: Sequence, n_right: int) -> tuple[int, MatchingWitness, list]:
     """Hopcroft-Karp on ``adj[i]``, the right indices (below ``n_right``,
-    ascending) joined to left index i.
+    ascending) joined to left index i: (size, witness, reached).
 
     Left vertices are scanned in index order and rows ascend, so the
     witness depends only on the rows.  Rows are trusted: callers inside the
     library build them in range and in order, and ``BipartiteGraph`` checks
-    graphs that come from outside.
+    graphs that come from outside.  ``reached`` lists the left indices
+    that the last phase's search reached, in the order it reached them: it
+    finds no augmenting path, so these are the left vertices on alternating
+    paths from the unmatched ones (Koenig's set).
     """
     nl = len(adj)
     match_l = [_UNSET] * nl
@@ -102,7 +106,8 @@ def _match_rows(adj: Sequence, n_right: int) -> tuple[int, MatchingWitness]:
     dist = [0] * nl
     inf = nl + 1
 
-    def bfs() -> bool:
+    def bfs() -> list | None:
+        # the left vertices reached, in order, or None if a path was found
         queue = []
         for u in range(nl):
             if match_l[u] == _UNSET:
@@ -122,7 +127,7 @@ def _match_rows(adj: Sequence, n_right: int) -> tuple[int, MatchingWitness]:
                 elif dist[w] == inf:
                     dist[w] = dist[u] + 1
                     queue.append(w)
-        return found
+        return None if found else queue
 
     def augment(root: int) -> bool:
         # Depth-first search along the layered graph on an explicit stack, so
@@ -153,52 +158,32 @@ def _match_rows(adj: Sequence, n_right: int) -> tuple[int, MatchingWitness]:
         return False
 
     size = 0
-    while bfs():
+    while (reached := bfs()) is None:
         for u in range(nl):
             if match_l[u] == _UNSET and augment(u):
                 size += 1
     pairs = tuple((u, match_l[u]) for u in range(nl) if match_l[u] != _UNSET)
-    return size, MatchingWitness(pairs)
+    return size, MatchingWitness(pairs), reached
 
 
 def hall_deficiency(graph: BipartiteGraph) -> tuple[int, tuple]:
     """Largest value of |S| - |N(S)| over S inside the left part.
 
     The deficiency is recovered from a maximum matching, with the attaining
-    subset rebuilt from alternating reachability (the Koenig construction).
-    Every maximizer contains the left vertices the matching leaves unmatched
-    and is closed under alternating steps, so the reachable set is the
-    unique inclusion-minimal maximizer; it is reported in left order.
+    subset read from the matcher's last phase: alternating reachability
+    from the unmatched left vertices (the Koenig construction).  Every
+    maximizer contains the left vertices the matching leaves unmatched and
+    is closed under alternating steps, so the reachable set is the unique
+    inclusion-minimal maximizer; it is reported in left order.
     """
     return _match_with_deficiency(graph)[2:]
 
 
 def _match_with_deficiency(graph: BipartiteGraph) -> tuple[int, MatchingWitness, int, tuple]:
-    """``max_matching`` and ``hall_deficiency`` from one adjacency and one
-    matching: (size, witness, deficiency, attaining subset)."""
-    nl = len(graph.left)
-    adj = graph.adjacency()
-    size, witness = _match_rows(adj, len(graph.right))
-    matched_l = {i: j for i, j in witness.pairs}
-    matched_r = {j: i for i, j in witness.pairs}
-    # alternating reachability from unmatched left vertices
-    reach = [u for u in range(nl) if u not in matched_l]
-    seen_l = set(reach)
-    seen_r: set = set()
-    head = 0
-    while head < len(reach):
-        u = reach[head]
-        head += 1
-        for v in adj[u]:
-            if v in seen_r:
-                continue
-            seen_r.add(v)
-            w = matched_r.get(v)
-            if w is not None and w not in seen_l:
-                seen_l.add(w)
-                reach.append(w)
-    atoms = tuple(graph.left[i] for i in sorted(seen_l))
-    return size, witness, nl - size, atoms
+    """``max_matching`` and ``hall_deficiency`` from one matcher run:
+    (size, witness, deficiency, attaining subset)."""
+    size, witness, reached = _match_rows(graph.adjacency(), len(graph.right))
+    return size, witness, len(graph.left) - size, tuple(graph.left[i] for i in sorted(reached))
 
 
 def covering_graph(e: Iterable, f: Iterable, u: Covering) -> BipartiteGraph:
@@ -249,7 +234,7 @@ def mu_with_witness(e: Iterable, f: Iterable, u: Covering) -> tuple[int, Matchin
     """Maximum matching of the covering graph, on ``_covering_rows``: the
     value and witness of ``max_matching(covering_graph(e, f, u))``."""
     _, right, rows = _covering_rows(e, f, u)
-    return _match_rows(rows, len(right))
+    return _match_rows(rows, len(right))[:2]
 
 
 def mu(e: Iterable, f: Iterable, u: Covering) -> int:

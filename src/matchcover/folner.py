@@ -3,13 +3,16 @@
 A certificate fixes a finite candidate set F, a translate set E, a covering
 of an explicit finite window, and a rational threshold theta.  It records,
 for every required pair of translates, the exact matching number together
-with a witness matching.  The checker recomputes the translates itself,
-each distinct translate once per certificate and straight into ground
-order, verifies each stored witness by block lookup and proves it maximum
-by an alternating search on the block incidence (Berge's theorem),
-augmenting a witness that is not maximum until it is, and builds no
-covering graph; nothing outside the window is ever consulted, and any
-reference escaping the window is an error rather than a silent truncation.
+with a witness matching.  The checker works on ground positions: it reads
+the covering once per certificate as a block incidence, recomputes each
+distinct translate once as its ascending positions, verifies each stored
+witness by block lookup and proves it maximum by an alternating search on
+the incidence (Berge's theorem), augmenting a witness that is not maximum
+until it is, and builds no covering graph.  The search's counter on a
+covering that is not a partition runs the same alternating search; the
+builder matches with Hopcroft-Karp, so the checker stays independent of
+it.  Nothing outside the window is ever consulted, and any reference
+escaping the window is an error rather than a silent truncation.
 
 Two pair modes ship side by side: ``asym`` compares F against each
 translate gF, while ``sym`` compares all pairs of translates gF, hF.  The
@@ -45,7 +48,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .bipartite import (
     _match_rows,
@@ -155,7 +158,7 @@ def required_pairs(model: GroupModel, e_set: Iterable, mode: str) -> tuple:
     return tuple(itertools.combinations(e, 2))
 
 
-def _require_window(model: GroupModel, elems: Iterable, ground: GroundSet, what: str):
+def _require_window(model: GroupModel, elems: Iterable, ground: Container, what: str):
     missing = [g for g in elems if g not in ground]
     if missing:
         names = ", ".join(model.elem_str(g) for g in missing[:4])
@@ -322,17 +325,14 @@ class _CoveringRecount(_PairIndex):
     window as ``_PartitionCounts`` does; a drop takes them out together with
     their matched edges, at most two per pair.  A read re-augments every
     pair: first a direct edge for each free left atom, to a free right atom
-    in one of its blocks, then ``_path`` until no augmenting path is left.
-    The search reads values only, so the matching may differ from the one a
-    cold ``mu_with_witness`` finds.
+    in one of its blocks, then the checker's ``_augment_fully`` on the
+    covering's ``_incidence``.  The search reads values only, so the
+    matching may differ from the one a cold ``mu_with_witness`` finds.
     """
 
     def __init__(self, model: GroupModel, pairs, cover: Covering) -> None:
-        atoms = cover.ground.atoms
-        pos = {a: p for p, a in enumerate(atoms)}
-        self._members = [tuple(map(pos.__getitem__, block)) for block in cover.blocks]
-        self._blocks_at = list(map(cover.blocks_of.__getitem__, atoms))
-        self._near: list = [None] * len(atoms)  # position -> the positions sharing a block
+        pos, self._members, self._blocks_at = _incidence(cover)
+        self._near: list = [None] * len(pos)  # position -> the positions sharing a block
         super().__init__(model, pairs, pos)
 
     def reset(self) -> None:
@@ -355,10 +355,7 @@ class _CoveringRecount(_PairIndex):
                         open_right.remove(c)
                         mate_l[a], mate_r[c] = c, a
                         free.remove(a)
-            while free and (path := self._path(free, right, mate_l, mate_r)):
-                for a, c in path:
-                    mate_l[a], mate_r[c] = c, a
-                free.remove(a)  # the free atom the path started from
+                _augment_fully(free, right, mate_l, mate_r, self._members, self._blocks_at)
             least = min(least, len(mate_l))
         return least
 
@@ -370,35 +367,6 @@ class _CoveringRecount(_PairIndex):
             near = frozenset(itertools.chain.from_iterable(members[b] for b in self._blocks_at[a]))
             self._near[a] = near
         return near
-
-    def _path(self, free, right, mate_l: dict, mate_r: dict) -> list | None:
-        """An augmenting path from the free left atoms, or None when the
-        pair's matching is maximum: the alternating search of the checker's
-        ``_augment``, on positions, returning (left, right) pairs from the
-        free right atom back to the free left atom it started from."""
-        blocks_at, members = self._blocks_at, self._members
-        queue = list(free)
-        via = dict.fromkeys(queue)  # left atom reached -> the left atom it came from
-        expanded: set = set()
-        for a in queue:  # grows while it is walked
-            for b in blocks_at[a]:
-                if b in expanded:
-                    continue
-                expanded.add(b)
-                for c in members[b]:
-                    if c not in right:
-                        continue
-                    k = mate_r.get(c)
-                    if k is None:
-                        path = [(a, c)]
-                        while via[a] is not None:
-                            path.append((via[a], mate_l[a]))
-                            a = via[a]
-                        return path
-                    if k not in via:
-                        via[k] = a
-                        queue.append(k)
-        return None
 
     def add(self, y) -> bool:
         """Insert y, which is not in F; False, changing nothing, on an escape."""
@@ -538,20 +506,28 @@ def build_certificate(
     )
 
 
-def _witness_error(left: tuple, right: tuple, cover: Covering, witness) -> str | None:
+def _incidence(cover: Covering) -> tuple[dict, list, list]:
+    """The covering on ground positions: (atom -> its position, block index
+    -> its member positions, position -> its frozenset of block indices)."""
+    atoms = cover.ground.atoms
+    pos = {a: p for p, a in enumerate(atoms)}
+    members = [tuple(map(pos.__getitem__, block)) for block in cover.blocks]
+    return pos, members, list(map(cover.blocks_of.__getitem__, atoms))
+
+
+def _witness_error(left: list, right: list, blocks_at: list, witness) -> str | None:
     """Why the witness is not a matching of the covering graph, else None.
 
-    An index pair is an edge when both indices are in range and their atoms
-    share a block.  Checks and messages follow ``validate_witness``.
+    An index pair is an edge when both indices are in range and the two
+    positions share a block.  Checks and messages follow ``validate_witness``.
     """
-    blocks_of = cover.blocks_of
     seen_left: set = set()
     seen_right: set = set()
     for i, j in witness.pairs:
         if not (
             0 <= i < len(left)
             and 0 <= j < len(right)
-            and not blocks_of[left[i]].isdisjoint(blocks_of[right[j]])
+            and not blocks_at[left[i]].isdisjoint(blocks_at[right[j]])
         ):
             return f"pair ({i},{j}) is not an edge"
         if i in seen_left:
@@ -563,76 +539,81 @@ def _witness_error(left: tuple, right: tuple, cover: Covering, witness) -> str |
     return None
 
 
-def _augment(left: tuple, right_pos: dict, cover: Covering, mate: dict) -> list | None:
-    """An augmenting path of a valid witness, or None when it is maximum.
+def _augment_fully(free: set, right, mate_l: dict, mate_r: dict, members, blocks_at) -> None:
+    """Augment a matching on the block incidence until it is maximum.
 
-    ``mate`` maps each matched right index to its left index, and
-    ``right_pos`` each right atom to its index.  Alternating search from
-    the unmatched left vertices on the block incidence: a left vertex
-    expands each of its blocks not yet expanded, reaching every right
-    vertex in it; a matched right vertex leads on to its mate, and a free
-    one ends an augmenting path.  Each block is expanded at most once, and
-    no edge is built.  The path comes back as (left index, right index)
-    pairs, from the free right vertex back to the free left vertex it
-    started from; setting ``mate[j] = i`` for each pair makes the matching
-    one larger (Berge).
+    Vertices are ground positions: ``free`` holds the unmatched left ones,
+    ``right`` the right ones, ``mate_l`` and ``mate_r`` the matching both
+    ways, all updated in place; ``members`` and ``blocks_at`` come from
+    ``_incidence``.  Each round searches from the free left vertices: a
+    left vertex expands each of its blocks not yet expanded, reaching every
+    right vertex in it; a matched right vertex leads on to its mate, and a
+    free one ends an augmenting path, which is flipped (Berge).  No edge is
+    built, and a round that finds no path ends the search.
     """
-    blocks_of = cover.blocks_of
-    matched = set(mate.values())
-    queue = [i for i in range(len(left)) if i not in matched]
-    via = dict.fromkeys(queue)  # left vertex reached -> the left vertex it came from
-    expanded: set = set()
-    for i in queue:  # grows while it is walked
-        for b in blocks_of[left[i]]:
-            if b in expanded:
-                continue
-            expanded.add(b)
-            for atom in cover.blocks[b]:
-                j = right_pos.get(atom)
-                if j is None:
+    while free:
+        queue = list(free)
+        via = dict.fromkeys(queue)  # left vertex reached -> the left vertex it came from
+        expanded: set = set()
+        for a in queue:  # grows while it is walked
+            for b in blocks_at[a]:
+                if b in expanded:
                     continue
-                k = mate.get(j)
-                if k is None:
-                    mate_of = {i: j for j, i in mate.items()}
-                    path = [(i, j)]
-                    while via[i] is not None:
-                        path.append((via[i], mate_of[i]))
-                        i = via[i]
-                    return path
-                if k not in via:
-                    via[k] = i
-                    queue.append(k)
-    return None
+                expanded.add(b)
+                for c in members[b]:
+                    if c not in right:
+                        continue
+                    k = mate_r.get(c)
+                    if k is None:
+                        break
+                    if k not in via:
+                        via[k] = a
+                        queue.append(k)
+                else:  # no free right vertex in block b
+                    continue
+                break
+            else:  # none in any block of a
+                continue
+            break  # a reaches the free right vertex c
+        else:
+            return  # no augmenting path: the matching is maximum
+        while True:  # flip the path back to the free left vertex it started from
+            c_before = mate_l.get(a)
+            mate_l[a], mate_r[c] = c, a
+            if via[a] is None:
+                break
+            a, c = via[a], c_before
+        free.remove(a)
 
 
-def _ground_translate(model: GroupModel, g, f_canon: tuple, ground: GroundSet) -> tuple:
-    """The translate gF in ground order, for a valid g and a canonical F.
+def _ground_translate(model: GroupModel, g, f_canon: tuple, pos: dict) -> list:
+    """The ground positions of gF, ascending, for a valid g and a canonical F.
 
-    The products are put in order by their ground positions alone.  When
-    one is missing, the window check runs on the translate in canonical
-    order instead, so the WindowEscape names the first escapees in that
-    order.
+    ``pos`` maps each atom of the ground to its position.  When a product
+    is missing, the window check runs on the translate in canonical order
+    instead, so the WindowEscape names the first escapees in that order.
     """
     mul = model.unchecked_multiply
-    products = [mul(g, x) for x in f_canon]
     try:
-        return ground.canon(products)
-    except ValueError:
+        return sorted([pos[mul(g, x)] for x in f_canon])
+    except KeyError:
         what = f"translate {model.unchecked_elem_str(g)}F"
-        _require_window(model, model.unchecked_translate(g, f_canon), ground, what)
+        _require_window(model, model.unchecked_translate(g, f_canon), pos, what)
         raise
 
 
-def _check_pair(left: tuple, right: tuple, cover: Covering, pair, label: str, need: int) -> list:
+def _check_pair(left: list, right: list, members, blocks_at, pair, label: str, need: int) -> list:
     """Findings for one stored pair, on the checker's own route.
 
-    ``left`` and ``right`` are the pair's translates gF and hF in ground
-    order (``_ground_translate``), and ``label`` names the pair in every
-    finding.  The witness is validated by block lookup and proved maximum by
-    ``_augment``; a valid witness that is not maximum is augmented until it
-    is, which gives the value it should have had.
+    ``left`` and ``right`` are the ground positions of the pair's
+    translates gF and hF, ascending (``_ground_translate``), so witness
+    index i names ``left[i]``; ``members`` and ``blocks_at`` are the
+    covering's ``_incidence``, and ``label`` names the pair in every
+    finding.  The witness is validated by block lookup and proved maximum
+    by ``_augment_fully``; a valid witness that is not maximum is augmented
+    until it is, which gives the value it should have had.
     """
-    error = _witness_error(left, right, cover, pair.witness)
+    error = _witness_error(left, right, blocks_at, pair.witness)
     if error is not None:
         return [Finding("witness-invalid", f"pair {label}: {error}")]
     findings = []
@@ -644,12 +625,10 @@ def _check_pair(left: tuple, right: tuple, cover: Covering, pair, label: str, ne
                 f"claimed {pair.value}",
             )
         )
-    right_pos = {a: j for j, a in enumerate(right)}
-    mate = {j: i for i, j in pair.witness.pairs}
-    value = len(mate)
-    while path := _augment(left, right_pos, cover, mate):
-        mate.update((j, i) for i, j in path)
-        value += 1
+    mate_l = {left[i]: right[j] for i, j in pair.witness.pairs}
+    mate_r = {c: a for a, c in mate_l.items()}
+    _augment_fully(set(left).difference(mate_l), set(right), mate_l, mate_r, members, blocks_at)
+    value = len(mate_l)
     if value != pair.value:
         findings.append(
             Finding("value-mismatch", f"pair {label}: stored {pair.value}, recomputed {value}")
@@ -685,15 +664,15 @@ def check_certificate(cert: FolnerCertificate) -> CheckReport:
             Finding("pairs-mismatch", f"stored pairs {stored!r} != required {expected!r}")
         )
     f_canon = model.canon_set(cert.f_set)
-    ground = cert.cover.ground
-    built: dict = {}  # validated translator -> its translate in ground order
+    pos, members, blocks_at = _incidence(cert.cover)
+    built: dict = {}  # validated translator -> the ground positions of its translate
     for pair in cert.pairs:
         g, h = model.validate(pair.g), model.validate(pair.h)
         for x in (g, h):
             if x not in built:
-                built[x] = _ground_translate(model, x, f_canon, ground)
+                built[x] = _ground_translate(model, x, f_canon, pos)
         label = f"({model.unchecked_elem_str(g)},{model.unchecked_elem_str(h)})"
-        findings.extend(_check_pair(built[g], built[h], cert.cover, pair, label, need))
+        findings.extend(_check_pair(built[g], built[h], members, blocks_at, pair, label, need))
     all_good = not findings
     if all_good != (cert.status == "PASS"):
         findings.append(
@@ -1087,7 +1066,7 @@ def perfect_net(model: FiniteTableGroup, u_set: Iterable) -> PerfectNet:
     for g in range(n):
         gf = model.unchecked_translate(g, f_canon)
         rows = [[j for j, b in enumerate(gf) if b in reach] for reach in near]
-        size, witness = _match_rows(rows, len(gf))
+        size, witness, _ = _match_rows(rows, len(gf))
         if size != len(f_canon):
             raise RuntimeError(
                 f"imperfect matching for translate {model.elem_str(g)}"

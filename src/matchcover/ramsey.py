@@ -40,7 +40,7 @@ from operator import gt
 from typing import Mapping, Sequence
 
 from .bipartite import _match_rows
-from .folner import CheckReport, Finding
+from .folner import CheckReport, Finding, theta_threshold
 from .groups import _require_fraction
 
 MAX_SOURCE_POINTS = 6
@@ -237,12 +237,6 @@ def _matcher_mu(left: Sequence, right: Sequence) -> int:
     return _match_rows(rows, len(right))[0]
 
 
-def _need(eps: Fraction, size: int) -> int:
-    """ceil((1 - eps) * size), the least matching number a family of that
-    size must reach, in integer arithmetic."""
-    return -((eps.numerator - eps.denominator) * size // eps.denominator)
-
-
 def _family_holds(masks, need: int, mu) -> bool:
     """Whether every pair (alpha, beta) of rows of a family's mask matrix
     reaches ``need``, with ``mu`` the mask matcher."""
@@ -339,7 +333,7 @@ def ramsey_condition_check(
     close, comp = _kernel(c.dist, eps, emb_ab, emb_ac, emb_bc)
     # no b -> c embedding means no family, however large max_family is
     sizes = range(1, max_family + 1) if emb_bc else ()
-    need = {size: _need(eps, size) for size in sizes}
+    need = {size: theta_threshold(1 - eps, size) for size in sizes}
     memo = _Memo(comp)
     verdicts = memo.verdicts
     witnesses = []
@@ -414,7 +408,8 @@ def check_report(
     if replay:
         close, comp = _kernel(c.dist, eps, emb_ab, emb_ac, emb_bc)
         memo = _Memo(comp)
-        need = {len(family): _need(eps, len(family)) for _, family in outcome.witnesses}
+        sizes = {len(family) for _, family in outcome.witnesses}
+        need = {size: theta_threshold(1 - eps, size) for size in sizes}
         for vector, family in outcome.witnesses:
             # a stored vector may have any length and colors (a witnesses-
             # mismatch already): past its end no color, and Hall's defect,

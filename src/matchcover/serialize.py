@@ -220,6 +220,7 @@ def graph_from_json(obj: dict) -> BipartiteGraph:
     left, right, edges = _fields(obj, "graph", "left", "right", "edges")
     left = tuple(elems_from_json(None, left))
     right = tuple(elems_from_json(None, right))
+    edges = _list(edges, "graph edges")
     # one pass over the edge types, one over their lengths, one over the index types
     if (
         set(map(type, edges)) <= _SEQ

@@ -4,8 +4,10 @@ The matching oracle never touches augmenting paths: it enumerates matchings
 as injections directly (memoized over right-vertex subsets), after splitting
 the graph into connected components to keep the subset space small.  The
 Hall-deficiency oracle never touches a matching: it enumerates every subset
-of the left part.  The ball oracle runs one BFS per radius on the validating
-group law, and the adversary oracle tries every coloring up to a cap.  The
+of the left part; the Koenig reference, for graphs too large for that,
+walks alternating paths from a given maximum matching by its own search.
+The ball oracle runs one BFS per radius on the validating group law, and
+the adversary oracle tries every coloring up to a cap.  The
 candidate-search and sweep oracles build every translate of every candidate
 and recount its blocks with ``mu_partition`` (``mu`` on a covering that is
 not a partition).  The ramsey oracle is the object-level loop: embeddings
@@ -139,6 +141,32 @@ def hall_deficiency_bruteforce(graph: BipartiteGraph) -> tuple[int, tuple]:
             best = value
             best_mask = mask
     return best, tuple(graph.left[i] for i in range(nl) if best_mask >> i & 1)
+
+
+def koenig_reference(graph: BipartiteGraph, witness) -> tuple[int, tuple]:
+    """(|left| - |witness|, Koenig's set) for a maximum matching ``witness``:
+    the left vertices that alternating paths reach from the unmatched ones,
+    found by a breadth-first search of its own, in left order."""
+    nl = len(graph.left)
+    adj = graph.adjacency()
+    matched_l = {i: j for i, j in witness.pairs}
+    matched_r = {j: i for i, j in witness.pairs}
+    reach = [u for u in range(nl) if u not in matched_l]
+    seen_l = set(reach)
+    seen_r: set = set()
+    head = 0
+    while head < len(reach):
+        u = reach[head]
+        head += 1
+        for v in adj[u]:
+            if v in seen_r:
+                continue
+            seen_r.add(v)
+            w = matched_r.get(v)
+            if w is not None and w not in seen_l:
+                seen_l.add(w)
+                reach.append(w)
+    return nl - len(witness), tuple(graph.left[i] for i in sorted(seen_l))
 
 
 def random_graph(rng, max_left: int, max_right: int, density: float = 0.4) -> BipartiteGraph:

@@ -21,6 +21,7 @@ from matchcover.cover import Covering, GroundSet, refines, star_iterate
 from lemmas import compose_matchings
 from oracles import (
     hall_deficiency_bruteforce,
+    koenig_reference,
     max_matching_bruteforce,
     random_covering,
     random_graph,
@@ -40,6 +41,13 @@ def complete(nl, nr):
 DEFICIENT_GRAPH = BipartiteGraph(
     ("a", "b", "c"), ("1", "2"), frozenset({(0, 0), (1, 0), (2, 1)})
 )
+
+
+def long_alternating_path(n: int) -> BipartiteGraph:
+    """Left i sees rights i and i+1, the last left only right 0: the final
+    augmenting path runs through every vertex."""
+    edges = {(i, i) for i in range(n - 1)} | {(i, i + 1) for i in range(n - 1)}
+    return BipartiteGraph(tuple(range(n)), tuple(range(n)), frozenset(edges | {(n - 1, 0)}))
 
 
 class TestMaxMatching:
@@ -64,11 +72,8 @@ class TestMaxMatching:
             assert max_matching(g) == max_matching(g)
 
     def test_long_alternating_path_needs_no_recursion(self):
-        # left i sees rights i and i+1, the last left only right 0: the final
-        # augmenting path runs through every vertex
         n = 100_000
-        edges = {(i, i) for i in range(n - 1)} | {(i, i + 1) for i in range(n - 1)}
-        g = BipartiteGraph(tuple(range(n)), tuple(range(n)), frozenset(edges | {(n - 1, 0)}))
+        g = long_alternating_path(n)
         size, witness = max_matching(g)
         assert size == n
         validate_witness(g, witness)
@@ -101,6 +106,31 @@ class TestHallDeficiency:
         for _ in range(80):
             g = random_graph(rng, 12, 12)
             assert bipartite._match_with_deficiency(g) == (*max_matching(g), *hall_deficiency(g))
+
+    def test_last_phase_is_the_koenig_reference(self):
+        """The subset read from the matcher's last phase is the one a
+        separate alternating search finds, on graphs past the brute force."""
+        rng = random.Random(11)
+        beyond_unmatched = 0
+        for trial in range(60):
+            g = random_graph(rng, 200, 200, density=rng.choice((0.005, 0.01, 0.03)))
+            deficiency, subset = hall_deficiency(g)
+            assert (deficiency, subset) == koenig_reference(g, max_matching(g)[1]), trial
+            beyond_unmatched += len(subset) > deficiency
+        # most subsets hold matched left vertices too, reached by alternating paths
+        assert beyond_unmatched >= 30
+
+    @pytest.mark.parametrize("drop_right_zero", [False, True], ids=["perfect", "deficient"])
+    def test_long_alternating_path_is_the_koenig_reference(self, drop_right_zero):
+        """Hopcroft-Karp runs many phases here; without right 0 the last
+        left vertex has no edge and one left vertex stays unmatched."""
+        g = long_alternating_path(100_000)
+        if drop_right_zero:
+            edges = frozenset((i, j - 1) for i, j in g.edges if j)
+            g = BipartiteGraph(g.left, g.right[1:], edges)
+        got = hall_deficiency(g)
+        assert got == koenig_reference(g, max_matching(g)[1])
+        assert got[0] == drop_right_zero
 
 
 class TestPerfectMatching:

@@ -275,11 +275,12 @@ class TestMuAndMatch:
             ([[0, 0], [0, 0, 0]], "ValueError", "too many values to unpack (expected 2)"),
             ([[0, 0], "01"], "GroupError", "edge index must be an integer, not '0'"),
             ([[0, 0], None], "TypeError", "cannot unpack non-iterable NoneType object"),
-            (5, "TypeError", "'int' object is not iterable"),
+            (5, "ValueError", "graph edges must be a list"),
+            ({}, "ValueError", "graph edges must be a list"),
         ],
         ids=["index-before-short", "short-before-index", "range-before-short", "bool", "float",
              "long", "str",
-             "null", "not-a-list"],
+             "null", "not-a-list", "empty-object"],
     )
     def test_malformed_edges_keep_their_messages(self, edges, kind, message):
         """Edges are type-checked in one pass; a failing list raises what a
@@ -288,6 +289,12 @@ class TestMuAndMatch:
         with pytest.raises(Exception) as got:
             ser.graph_from_json(doc)
         assert (type(got.value).__name__, str(got.value)) == (kind, message)
+
+    def test_edges_object_is_exit_two(self, tmp_path, capsys):
+        # an object is not an edge list, even an empty one: no edgeless graph
+        graph = write(tmp_path / "graph.json", {"left": ["a"], "right": ["x"], "edges": {}})
+        assert dispatch(["match", "--graph", graph]) == 2
+        assert capsys.readouterr() == ("", "error: graph edges must be a list\n")
 
     def test_deficiency_matches_once(self, tmp_path, capsys, monkeypatch):
         calls = []

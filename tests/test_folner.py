@@ -319,12 +319,13 @@ def _witness_variants(rng, value, witness, nl, nr, edges, non_edges):
 def _checker_route(model, f_set, cover, pair, need):
     """``_check_pair`` on the pair's translates, built by the checker's own
     ``_ground_translate``."""
+    pos, members, blocks_at = folner._incidence(cover)
     left, right = (
-        folner._ground_translate(model, model.validate(x), f_set, cover.ground)
+        folner._ground_translate(model, model.validate(x), f_set, pos)
         for x in (pair.g, pair.h)
     )
     label = f"({model.elem_str(pair.g)},{model.elem_str(pair.h)})"
-    return folner._check_pair(left, right, cover, pair, label, need)
+    return folner._check_pair(left, right, members, blocks_at, pair, label, need)
 
 
 class TestCheckerRoute:
