@@ -107,6 +107,25 @@ class Covering:
         self._blocks_of = index
         self._partition = sum(map(len, self.blocks)) == len(ground)
 
+    @classmethod
+    def _of_classes(cls, ground: GroundSet, classes: Iterable[Iterable[Atom]]) -> "Covering":
+        """The partition of ``ground`` into ``classes``, taken as given.
+
+        The classes must already be canonical: disjoint, non-empty, covering
+        the ground, each in ground order, and listed by first atom, as a
+        coloring's classes are when read off the ground in order.  Nothing is
+        re-checked, so a covering read from a document never comes here.
+        """
+        self = cls.__new__(cls)
+        self.ground = ground
+        self.blocks = tuple(map(tuple, classes))
+        index: dict = {}
+        for b, block in enumerate(self.blocks):
+            index.update(dict.fromkeys(block, frozenset((b,))))
+        self._blocks_of = index
+        self._partition = True
+        return self
+
     @property
     def blocks_of(self) -> Mapping:
         """Atom -> frozenset of the indices of the blocks that contain it."""

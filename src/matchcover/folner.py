@@ -45,6 +45,7 @@ import bisect
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -95,10 +96,13 @@ class Coloring:
                 raise ValueError(f"color {c} out of range 0..{self.k}")
 
     def partition(self) -> Covering:
+        """The color classes.  Read off the ground in order, they are already
+        canonical (disjoint, non-empty, in ground order, listed by first
+        atom), so the covering is built once, without ``Covering``'s checks."""
         classes: dict = {}
         for atom, c in zip(self.ground.atoms, self.colors):
             classes.setdefault(c, []).append(atom)
-        return Covering(self.ground, classes.values())
+        return Covering._of_classes(self.ground, classes.values())
 
 
 @dataclass(frozen=True)
@@ -189,7 +193,9 @@ class _PairIndex:
     where each g*y lies, read from ``where`` (atom -> block on a partition,
     atom -> ground position otherwise), or None when y or some g*y leaves
     the window.  Kept per y: a local search scores the same elements again
-    and again."""
+    and again.  ``add_all`` inserts a ball's sphere; here it is one ``add``
+    per element, and ``_PartitionCounts`` tallies the sphere per translator
+    instead, without the per-y memo."""
 
     def __init__(self, model: GroupModel, pairs, where: dict) -> None:
         self._mul = model.unchecked_multiply
@@ -213,6 +219,11 @@ class _PairIndex:
             self._known[y] = found
         return found
 
+    def add_all(self, ys: Sequence) -> bool:
+        """Insert ys, none of which is in F, one by one; False on an escape,
+        the counts being then unusable."""
+        return all(map(self.add, ys))
+
 
 class _PartitionCounts(_PairIndex):
     """Incremental pair values of a candidate set F under a partition.
@@ -225,6 +236,14 @@ class _PartitionCounts(_PairIndex):
     before the counts change.  Dropping y is the same rule with <=, and the
     value falls.  An add that would put y or some g*y outside the window is
     refused and changes nothing.
+
+    ``add_all`` inserts a whole sphere at once: it tallies the blocks of
+    g*y over the sphere for each translator g in one pass, t_g[B], and a
+    pair's value rises by the sum over the blocks either tally touches of
+    min(c_g[B] + t_g[B], c_h[B] + t_h[B]) - min(c_g[B], c_h[B]), so a pair
+    with g = h rises by the sphere's size.  It reads and fills no per-y
+    memo: a ball element is inserted once, and only the local search scores
+    elements again.
     """
 
     def __init__(self, model: GroupModel, pairs, cover: Covering) -> None:
@@ -258,6 +277,32 @@ class _PartitionCounts(_PairIndex):
         for count, b in zip(counts, found):
             count[b] += 1
         self.size += 1
+        return True
+
+    def add_all(self, ys: Sequence) -> bool:
+        """Insert ys, none of which is in F; False, changing nothing, when
+        some y or g*y leaves the window."""
+        where = self._where
+        if not all(map(where.__contains__, ys)):
+            return False
+        mul = self._mul
+        tallies = []
+        for g in self._translators:
+            tally = Counter(map(where.get, map(mul, itertools.repeat(g), ys)))
+            if None in tally:
+                return False
+            tallies.append(tally)
+        counts, values = self.counts, self.values
+        for p, (s, t) in enumerate(self._pairs):
+            cs, ct, ts, tt = counts[s], counts[t], tallies[s], tallies[t]
+            rise = 0
+            for b in ts.keys() | tt.keys():
+                rise += min(cs[b] + ts[b], ct[b] + tt[b]) - min(cs[b], ct[b])
+            values[p] += rise
+        for count, tally in zip(counts, tallies):
+            for b, n in tally.items():
+                count[b] += n
+        self.size += len(ys)
         return True
 
     def drop(self, y) -> None:
@@ -423,11 +468,13 @@ def ball_walk(model: GroupModel, radius: int, pairs, cover: Covering):
 
     The least pair value is the smallest mu(gF, hF) over the pairs, or |F|
     when there are none.  The counts of each ball are those of the last
-    one plus its sphere, so no translate is built twice, and the ball is
-    built only when read: called before the walk's next step, ``ball()``
-    returns the canonical B_r, merging in the spheres walked since its last
-    call by the sort keys stored with them, so no element is keyed twice
-    however often the ball is read.  When the ball or one of its translates leaves the covering's
+    one plus its sphere, inserted at once by the counter's ``add_all`` (on
+    a partition, one block tally of the sphere per translator), so no
+    translate is built twice, and the ball is built only when read: called
+    before the walk's next step, ``ball()`` returns the canonical B_r,
+    merging in the spheres walked since its last call by the sort keys
+    stored with them, so no element is keyed twice however often the ball
+    is read.  When the ball or one of its translates leaves the covering's
     ground, this raises the WindowEscape that ``_translates`` gives for
     that ball.
     """
@@ -449,7 +496,7 @@ def ball_walk(model: GroupModel, radius: int, pairs, cover: Covering):
     for layer in model.ball_layers(radius):
         walked.append(layer)
         size += len(layer)
-        if not all(map(counts.add, map(_second, layer))):
+        if not counts.add_all(list(map(_second, layer))):
             _translates(model, ball(), pairs, cover.ground)  # raises the escape
             raise AssertionError("the ball and its translates lie inside the window")
         yield size, counts.least(), ball

@@ -1,6 +1,7 @@
 import copy
 import csv
 import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -1195,6 +1196,165 @@ class TestBallWalk:
         assert len(rows) == 3 * len(want)
         got = [(row["radius"], row["f_size"], row["min_mu"]) for row in rows]
         assert got == want * 3
+
+
+def seeded_coloring(model, window, rng, k=2) -> Coloring:
+    return Coloring(GroundSet(window), tuple(rng.randrange(k + 1) for _ in window), k)
+
+
+# (id, model, ball radius walked, window radius); S_4's generators are all
+# of its elements, so its window is the whole group and nothing escapes
+TALLY_CASES = [
+    ("zd2", Z2, 6, 8),
+    ("zd3", IntegerLattice(3), 3, 5),
+    ("free2", F2, 3, 5),
+    ("s4", symmetric_group(4), 1, 1),
+]
+
+
+class TestSphereTally:
+    """``_PartitionCounts.add_all`` against one ``add`` per element."""
+
+    @staticmethod
+    def state(counts):
+        return (list(counts.values), [list(c) for c in counts.counts], counts.size, counts.least())
+
+    @pytest.mark.parametrize("mode", ["asym", "sym"])
+    @pytest.mark.parametrize(
+        "name, model, radius, window_radius", TALLY_CASES, ids=[c[0] for c in TALLY_CASES]
+    )
+    def test_equals_one_add_per_element(self, name, model, radius, window_radius, mode):
+        rng = random.Random(f"{name}/{mode}/tally")
+        window = model.ball(window_radius)
+        ball2 = [g for g in model.ball(2) if g != model.identity]
+        for trial in range(3):
+            cover = seeded_coloring(model, window, rng).partition()
+            # the identity is in E: in asym mode its pair (e, e) has g = h
+            e_set = [model.identity, *rng.sample(ball2, 3)]
+            pairs = required_pairs(model, e_set, mode)
+            assert (model.identity, model.identity) in pairs or mode == "sym"
+            tallied, stepped = (folner._PartitionCounts(model, pairs, cover) for _ in range(2))
+            for layer in model.ball_layers(radius):
+                sphere = [y for _, y in layer]
+                rng.shuffle(sphere)
+                assert tallied.add_all(sphere)
+                assert all(map(stepped.add, sphere))
+                assert self.state(tallied) == self.state(stepped)
+            assert tallied._known == {}
+
+    @pytest.mark.parametrize("mode", ["asym", "sym"])
+    @pytest.mark.parametrize(
+        "name, model, radius, window_radius", TALLY_CASES[:3], ids=[c[0] for c in TALLY_CASES[:3]]
+    )
+    def test_one_escape_refuses_the_sphere(self, name, model, radius, window_radius, mode):
+        # a sphere with one element outside the window, or one whose translate
+        # leaves it, is refused and changes nothing
+        rng = random.Random(f"{name}/{mode}/escape")
+        window = model.ball(window_radius)
+        cover = seeded_coloring(model, window, rng).partition()
+        pairs = required_pairs(model, [model.identity, *model.generators()], mode)
+        counts = folner._PartitionCounts(model, pairs, cover)
+        layers = [[y for _, y in layer] for layer in model.ball_layers(window_radius + 1)]
+        for sphere in layers[:radius]:
+            assert counts.add_all(sphere)
+        before = self.state(counts)
+        outside, rim = rng.choice(layers[window_radius + 1]), rng.choice(layers[window_radius])
+        for stray in (outside, rim):
+            sphere = layers[radius] + [stray]
+            rng.shuffle(sphere)
+            assert not counts.add_all(sphere)
+            assert self.state(counts) == before
+        assert counts.add_all(layers[radius])
+
+    @pytest.mark.parametrize(
+        "name, model, radius, window_radius", TALLY_CASES[:3], ids=[c[0] for c in TALLY_CASES[:3]]
+    )
+    def test_a_hole_in_the_window_is_an_escape(self, name, model, radius, window_radius):
+        # sym mode without the identity: y itself is no translate, so a sphere
+        # element missing from the window is caught by its own check; the
+        # generators move an element one step, so no translate meets the hole
+        rng = random.Random(f"{name}/hole")
+        layers = [[y for _, y in layer] for layer in model.ball_layers(radius)]
+        hole = rng.choice(layers[radius])
+        window = [x for x in model.ball(window_radius) if x != hole]
+        cover = seeded_coloring(model, window, rng).partition()
+        pairs = required_pairs(model, model.generators(), "sym")
+        assert model.identity not in {g for pair in pairs for g in pair}
+        tallied, stepped = (folner._PartitionCounts(model, pairs, cover) for _ in range(2))
+        for counts in (tallied, stepped):
+            assert counts.add_all(layers[radius - 2])
+        before = self.state(tallied)
+        assert not tallied.add_all(layers[radius])
+        assert self.state(tallied) == before
+        assert not all(map(stepped.add, layers[radius]))
+
+    @pytest.mark.parametrize("partition", [True, False], ids=["partition", "covering"])
+    @pytest.mark.parametrize(
+        "e_set, mode, text",
+        [
+            ([(1, 0)], "asym", "translate 1,0F escapes the window at: 1,-3, 1,3, 2,-2, 2,2"),
+            ([(1, 0), (0, 2)], "sym",
+             "translate 0,2F escapes the window at: -2,2, -1,3, 0,4, 1,3"),
+            ([(1, 0)], "sym", "candidate set F escapes the window at: -4,0, -3,-1, -3,1, -2,-2"),
+        ],
+        ids=["translate", "translate-of-two", "ball-itself"],
+    )
+    def test_ball_walk_escape_text_is_pinned(self, partition, e_set, mode, text):
+        cover = builtin_partition(Z2, "parity", Z2.ball(3))
+        if not partition:
+            cover = Covering(cover.ground, [*cover.blocks, Z2.ball(1)])
+        with pytest.raises(WindowEscape) as got:
+            list(folner.ball_walk(Z2, 5, required_pairs(Z2, e_set, mode), cover))
+        assert str(got.value) == text
+
+    def test_ball_walk_fills_no_memo(self, monkeypatch):
+        # a ball element is inserted once, so the walk keeps no per-element
+        # memo; the local search, which scores elements again, still does
+        made = []
+        pair_counts = folner._pair_counts
+        monkeypatch.setattr(
+            folner, "_pair_counts", lambda *args: made.append(pair_counts(*args)) or made[-1]
+        )
+        cover = builtin_partition(Z2, "parity", Z2.ball(22))
+        pairs = required_pairs(Z2, [(1, 0), (0, 1), (1, 1)], "asym")
+        assert len(list(folner.ball_walk(Z2, 20, pairs, cover))) == 21
+        assert type(made[0]) is folner._PartitionCounts and made[0]._known == {}
+        folner_search(Z2, [(1, 0), (0, 1)], cover, Fraction(99, 100),
+                      strategy=LocalSetStrategy(seed=3, budget=200))
+        assert type(made[1]) is folner._PartitionCounts and made[1]._known
+
+
+class TestColoringPartition:
+    """``Coloring.partition`` against the checked ``Covering`` constructor."""
+
+    @pytest.mark.parametrize(
+        "name, model, radius",
+        [("zd2", Z2, 4), ("zd3", IntegerLattice(3), 2), ("free2", F2, 3),
+         ("s4", symmetric_group(4), 1)],
+        ids=["zd2", "zd3", "free2", "s4"],
+    )
+    def test_equals_the_checked_covering(self, name, model, radius):
+        rng = random.Random(f"{name}/partition")
+        window = model.ball(radius)
+        for k, unused in [(1, None), (2, None), (3, 2), (4, 0)]:
+            colors = [rng.choice([c for c in range(k + 1) if c != unused]) for _ in window]
+            coloring = Coloring(GroundSet(window), tuple(colors), k)
+            classes = [
+                [a for a, c in zip(window, colors) if c == color]
+                for color in range(k + 1)
+                if color != unused
+            ]
+            rng.shuffle(classes)
+            got, want = coloring.partition(), Covering(coloring.ground, classes)
+            assert got == want and hash(got) == hash(want)
+            assert got.blocks == want.blocks and len(got) == k + (unused is None)
+            assert dict(got.blocks_of) == dict(want.blocks_of)
+            assert list(got.blocks_of) == list(want.blocks_of)
+            assert got.is_partition() and want.is_partition()
+            # one shared index entry per block, as the checked constructor gives
+            assert len({id(bs) for bs in got.blocks_of.values()}) == len(got)
+            again = pickle.loads(pickle.dumps(got))
+            assert again == got and dict(again.blocks_of) == dict(got.blocks_of)
 
 
 class TestAdversary:
