@@ -165,8 +165,9 @@ def _cover_for_search(model, args, e_set, strategy) -> tuple:
     raise ValueError("one of --cover or --coloring is required")
 
 
-def _search_window(model, e_set, strategy) -> tuple:
-    """The ball the strategy roams, with its translates by E."""
+def _search_window(model, e_set, strategy) -> set:
+    """The ball the strategy roams, with its translates by E, as a set:
+    ``builtin_coloring``, its one reader, puts it in canonical order."""
     if isinstance(strategy, BallsStrategy):
         base = model.ball(strategy.max_radius)
     else:
@@ -175,7 +176,7 @@ def _search_window(model, e_set, strategy) -> tuple:
     mul = model.unchecked_multiply
     for g in e_set:  # E is validated by _parse_elems, the ball by construction
         window.update([mul(g, x) for x in base])
-    return tuple(sorted(window, key=model.sort_key))
+    return window
 
 
 def _emit(args, doc: dict, summary: str | None = None) -> None:

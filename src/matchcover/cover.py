@@ -72,59 +72,69 @@ class GroundSet:
 class Covering:
     """A finite family of blocks whose union is the ground set.
 
-    Duplicate blocks are silently merged; empty blocks are rejected.
+    Duplicate blocks are silently merged; empty blocks are rejected.  The
+    constructor checks its input; the coverings derived here from a
+    covering, and a coloring's classes, are canonical as built and reach
+    the same core, ``_store``, through ``_unchecked``, which checks nothing.
     """
 
     __slots__ = ("ground", "blocks", "_blocks_of", "_partition")
 
     def __init__(self, ground: GroundSet, blocks: Iterable[Iterable[Atom]]) -> None:
         canon_blocks = []
-        seen = set()
-        covered: set = set()
         for raw in blocks:
             block = ground.canon(raw)
             if not block:
                 raise ValueError("empty block not permitted")
-            if block in seen:
-                continue
-            seen.add(block)
             canon_blocks.append(block)
-            covered.update(block)
-        if covered != set(ground.atoms):
+        covered = set().union(*canon_blocks)
+        if len(covered) != len(ground):
             missing = [a for a in ground.atoms if a not in covered]
             raise ValueError(f"blocks do not cover the ground set; missing {missing!r}")
-        canon_blocks.sort(key=lambda b: tuple(map(ground._pos.__getitem__, b)))
-        self.ground = ground
-        self.blocks = tuple(canon_blocks)
-        index: dict = {}
-        for b, block in enumerate(self.blocks):
-            for atom in block:
-                index.setdefault(atom, []).append(b)
-        shared: dict = {}  # equal entries share one frozenset: one per block on a partition
-        for atom, bs in index.items():
-            entry = frozenset(bs)
-            index[atom] = shared.setdefault(entry, entry)
-        self._blocks_of = index
-        self._partition = sum(map(len, self.blocks)) == len(ground)
+        self._store(ground, canon_blocks)
 
     @classmethod
-    def _of_classes(cls, ground: GroundSet, classes: Iterable[Iterable[Atom]]) -> "Covering":
-        """The partition of ``ground`` into ``classes``, taken as given.
-
-        The classes must already be canonical: disjoint, non-empty, covering
-        the ground, each in ground order, and listed by first atom, as a
-        coloring's classes are when read off the ground in order.  Nothing is
-        re-checked, so a covering read from a document never comes here.
-        """
+    def _unchecked(cls, ground: GroundSet, blocks: Iterable[Iterable[Atom]]) -> "Covering":
+        """The covering of ``ground`` by ``blocks``, taken as given: each
+        block non-empty and in ground order, and together covering the
+        ground.  Nothing is checked, so a covering read from a document
+        never comes here."""
         self = cls.__new__(cls)
-        self.ground = ground
-        self.blocks = tuple(map(tuple, classes))
-        index: dict = {}
-        for b, block in enumerate(self.blocks):
-            index.update(dict.fromkeys(block, frozenset((b,))))
-        self._blocks_of = index
-        self._partition = True
+        self._store(ground, map(tuple, blocks))
         return self
+
+    def _store(self, ground: GroundSet, blocks: Iterable[tuple]) -> None:
+        """Store canonical blocks, each in ground order, and index them.
+
+        Repeats merge, and the blocks are ordered by their position tuples.
+        Blocks that cover the ground with sizes summing to its size are a
+        partition: listed by first atom, each block's atoms share one
+        frozenset entry.  Otherwise equal index entries share one frozenset.
+        """
+        blocks = list(blocks)
+        pos = ground._pos
+        partition = sum(map(len, blocks)) == len(ground)
+        if partition:
+            blocks.sort(key=lambda b: pos[b[0]])
+        else:
+            blocks = sorted(set(blocks), key=lambda b: tuple(map(pos.__getitem__, b)))
+            partition = sum(map(len, blocks)) == len(ground)
+        self.ground = ground
+        self.blocks = tuple(blocks)
+        self._partition = partition
+        index: dict = {}
+        if partition:
+            for b, block in enumerate(self.blocks):
+                index.update(dict.fromkeys(block, frozenset((b,))))
+        else:
+            for b, block in enumerate(self.blocks):
+                for atom in block:
+                    index.setdefault(atom, []).append(b)
+            shared: dict = {}  # equal entries share one frozenset
+            for atom, bs in index.items():
+                entry = frozenset(bs)
+                index[atom] = shared.setdefault(entry, entry)
+        self._blocks_of = index
 
     @property
     def blocks_of(self) -> Mapping:
@@ -157,16 +167,13 @@ class Covering:
         """Covering induced on a subset: blocks are intersected, empties dropped.
 
         Intersecting blocks preserves every pair relation inside the subset,
-        so matching numbers between subsets of ``atoms`` are unchanged.
+        so matching numbers between subsets of ``atoms`` are unchanged.  The
+        trimmed blocks stay in ground order, so they need no check.
         """
-        keep = set(self.ground.canon(atoms))
-        sub_ground = GroundSet(a for a in self.ground.atoms if a in keep)
-        sub_blocks = []
-        for block in self.blocks:
-            trimmed = [a for a in block if a in keep]
-            if trimmed:
-                sub_blocks.append(trimmed)
-        return Covering(sub_ground, sub_blocks)
+        sub_ground = GroundSet(self.ground.canon(atoms))
+        keep = sub_ground._pos
+        trimmed = ([a for a in block if a in keep] for block in self.blocks)
+        return Covering._unchecked(sub_ground, filter(None, trimmed))
 
 
 def _require_same_ground(u: Covering, v: Covering) -> None:
@@ -190,7 +197,7 @@ def join(u: Covering, v: Covering) -> Covering:
         for i in u.blocks_of[a]:
             for j in v.blocks_of[a]:
                 common.setdefault((i, j), []).append(a)
-    return Covering(u.ground, common.values())
+    return Covering._unchecked(u.ground, common.values())
 
 
 def star_set(s: Iterable[Atom], u: Covering) -> tuple:
@@ -201,7 +208,7 @@ def star_set(s: Iterable[Atom], u: Covering) -> tuple:
 
 def star_covering(u: Covering) -> Covering:
     """Covering of block stars; each block is contained in its own star."""
-    return Covering(u.ground, (star_set(block, u) for block in u.blocks))
+    return Covering._unchecked(u.ground, (star_set(block, u) for block in u.blocks))
 
 
 def star_iterate(u: Covering, n: int) -> Covering:

@@ -48,7 +48,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Container, Iterable, Sequence
 
 from .bipartite import (
@@ -64,9 +63,6 @@ from .groups import FiniteTableGroup, GroupModel, _require_fraction
 MODES = ("asym", "sym")
 
 DEFAULT_NET_CAP = 60
-
-_first = itemgetter(0)
-_second = itemgetter(1)
 
 
 class WindowEscape(ValueError):
@@ -96,13 +92,13 @@ class Coloring:
                 raise ValueError(f"color {c} out of range 0..{self.k}")
 
     def partition(self) -> Covering:
-        """The color classes.  Read off the ground in order, they are already
-        canonical (disjoint, non-empty, in ground order, listed by first
-        atom), so the covering is built once, without ``Covering``'s checks."""
+        """The color classes.  Read off the ground in order, they are
+        non-empty, in ground order and cover the ground, so the covering is
+        built once, without ``Covering``'s checks."""
         classes: dict = {}
         for atom, c in zip(self.ground.atoms, self.colors):
             classes.setdefault(c, []).append(atom)
-        return Covering._of_classes(self.ground, classes.values())
+        return Covering._unchecked(self.ground, classes.values())
 
 
 @dataclass(frozen=True)
@@ -173,18 +169,23 @@ def _translates(model: GroupModel, f_canon: tuple, pairs, ground: GroundSet) -> 
     """The translate pair (gF, hF) of each pair, all inside the window.
 
     F must be canonical and the pairs must come from ``required_pairs``;
-    the translates are then built with the unchecked group law.  F is
-    checked against the window first; then each distinct translate is
-    built once and checked, in order of first use, so the first escape
-    raised is the first one met when walking the pairs.
+    each distinct translate is then built once with the unchecked group
+    law, as its products g*x in F's order (the matchers put each side in
+    ground order), and checked by membership in order of first use, after
+    F itself, so the first escape raised is the first one met when walking
+    the pairs.  Only an escaping translate is sorted, so the WindowEscape
+    names its first escapees in canonical order.
     """
     _require_window(model, f_canon, ground, "candidate set F")
+    mul = model.unchecked_multiply
     built: dict = {}
     for pair in pairs:
         for g in pair:
             if g not in built:
-                built[g] = model.unchecked_translate(g, f_canon)
-                _require_window(model, built[g], ground, f"translate {model.elem_str(g)}F")
+                gf = built[g] = [mul(g, x) for x in f_canon]
+                if not all(map(ground.__contains__, gf)):
+                    what = f"translate {model.unchecked_elem_str(g)}F"
+                    _require_window(model, sorted(gf, key=model.sort_key), ground, what)
     return [(built[g], built[h]) for g, h in pairs]
 
 
@@ -472,23 +473,19 @@ def ball_walk(model: GroupModel, radius: int, pairs, cover: Covering):
     a partition, one block tally of the sphere per translator), so no
     translate is built twice, and the ball is built only when read: called
     before the walk's next step, ``ball()`` returns the canonical B_r,
-    merging in the spheres walked since its last call by the sort keys
-    stored with them, so no element is keyed twice however often the ball
-    is read.  When the ball or one of its translates leaves the covering's
-    ground, this raises the WindowEscape that ``_translates`` gives for
-    that ball.
+    sorting the spheres walked since its last call into the ball it last
+    built, so a walk read for sizes alone sorts nothing.  When the ball or
+    one of its translates leaves the covering's ground, this raises the
+    WindowEscape that ``_translates`` gives for that ball.
     """
     counts = _pair_counts(model, pairs, cover)
-    keyed = []  # (sort key, element) of the ball last built, canonical
     built = ()
-    walked = []  # the keyed spheres since ``built``, each canonical
+    walked = []  # the spheres since ``built``, as the BFS gives them
 
     def ball() -> tuple:
-        nonlocal keyed, built
+        nonlocal built
         if walked:
-            # sorted runs, which the sort finds and merges by the stored key
-            keyed = sorted(itertools.chain(keyed, *walked), key=_first)
-            built = tuple(map(_second, keyed))
+            built = tuple(sorted(itertools.chain(built, *walked), key=model.sort_key))
             walked.clear()
         return built
 
@@ -496,7 +493,7 @@ def ball_walk(model: GroupModel, radius: int, pairs, cover: Covering):
     for layer in model.ball_layers(radius):
         walked.append(layer)
         size += len(layer)
-        if not counts.add_all(list(map(_second, layer))):
+        if not counts.add_all(layer):
             _translates(model, ball(), pairs, cover.ground)  # raises the escape
             raise AssertionError("the ball and its translates lie inside the window")
         yield size, counts.least(), ball

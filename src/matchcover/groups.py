@@ -6,9 +6,9 @@ validated on load.  Elements are plain values (int tuples, freely reduced
 words as signed-int tuples, table indices); the model supplies the group
 law, canonical ordering, ball enumeration, and the string codecs used by
 the JSON layer.  Balls come from one BFS that walks sphere by sphere:
-``ball_layers`` yields each sphere sorted once, each element with its sort
-key, and ``ball`` sorts all the spheres together once, so no element is
-keyed twice and no ball is copied per radius.
+``ball_layers`` yields each sphere as the BFS reaches it, unsorted, and
+``ball`` sorts all the spheres together once, so a caller that reads only
+sphere sizes sorts nothing and no ball is copied per radius.
 
 Elements are checked where they enter: by the string codecs and by the
 public ``multiply``, ``inverse``, ``canon_set`` and ``translate``.  Each
@@ -28,13 +28,12 @@ import re
 import string
 from fractions import Fraction
 from itertools import chain
-from operator import add, itemgetter, methodcaller
+from operator import add, methodcaller
 from typing import Iterable, Sequence
 
 DEFAULT_BALL_LIMIT = 10**6
 
 _commas = methodcaller("count", ",")
-_first = itemgetter(0)
 
 _LETTERS = string.ascii_lowercase
 # Z^d spellings exactly as elem_str writes them: str(int) per coordinate
@@ -139,10 +138,10 @@ class GroupModel:
         mul = self.unchecked_multiply
         return tuple(sorted([mul(g, x) for x in f], key=self.sort_key))
 
-    def _spheres(self, radius: int):
-        """Yield the sphere of each radius 0..radius, in the order the BFS
-        reaches it; the sphere of radius 0 is the identity alone.  More than
-        ``DEFAULT_BALL_LIMIT`` elements is a GroupError."""
+    def ball_layers(self, radius: int):
+        """Yield the sphere of each radius 0..radius as a list, in the order
+        one BFS reaches it, unsorted; the sphere of radius 0 is the identity
+        alone.  More than ``DEFAULT_BALL_LIMIT`` elements is a GroupError."""
         if radius < 0:
             raise ValueError("radius must be non-negative")
         limit = DEFAULT_BALL_LIMIT
@@ -164,19 +163,10 @@ class GroupModel:
             frontier = nxt
             yield nxt
 
-    def ball_layers(self, radius: int):
-        """Yield the sphere of each radius 0..radius from a single BFS as a
-        list of (sort key, element) in canonical order: one sort per sphere,
-        each element keyed once.  Runs of these merge by key alone, so a
-        caller that puts spheres together never keys an element again."""
-        key = self.sort_key
-        for sphere in self._spheres(radius):
-            yield sorted(zip(map(key, sphere), sphere), key=_first)
-
     def ball(self, radius: int) -> tuple:
         """All elements of word length <= radius over the symmetric generators,
         canonically ordered: the spheres of one BFS, sorted once."""
-        return tuple(sorted(chain.from_iterable(self._spheres(radius)), key=self.sort_key))
+        return tuple(sorted(chain.from_iterable(self.ball_layers(radius)), key=self.sort_key))
 
     def parse_elems(self, strings) -> list:
         """``parse_elem`` of each string of a list, in order."""

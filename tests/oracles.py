@@ -542,20 +542,32 @@ def rho(alpha: Embedding, beta: Embedding) -> Fraction:
     return max(alpha.target.d(i, j) for i, j in zip(alpha.images, beta.images))
 
 
-def _ramsey_mu_reference(psi, alpha, beta, phi, eps) -> int:
+def _ramsey_mu_reference(psi, alpha, beta, phi, eps, memo: dict | None = None) -> int:
+    """mu of the family psi between alpha and beta under the coloring phi.
+
+    ``memo``, when given, is shared by the calls on one coloring and eps:
+    it keeps the colors near each composite, keyed by the image tuples of
+    its two factors, so each is computed once per coloring.  Image tuples
+    hash cheaply; ``Embedding`` objects hash their ``Fraction`` matrices.
+    """
     classes: dict = {}
     for emb, color in phi.items():
         classes.setdefault(color, []).append(emb)
+    memo = {} if memo is None else memo
 
-    def near(delta) -> frozenset:
-        return frozenset(
-            color
-            for color, members in classes.items()
-            if any(rho(delta, member) < eps for member in members)
-        )
+    def near(inner, p) -> frozenset:
+        key = (inner.images, p.images)
+        if key not in memo:
+            delta = compose(inner, p)
+            memo[key] = frozenset(
+                color
+                for color, members in classes.items()
+                if any(rho(delta, member) < eps for member in members)
+            )
+        return memo[key]
 
-    left = [near(compose(alpha, p)) for p in psi]
-    right = [near(compose(beta, p)) for p in psi]
+    left = [near(alpha, p) for p in psi]
+    right = [near(beta, p) for p in psi]
     m = len(psi)
     edges = frozenset((i, j) for i in range(m) for j in range(m) if left[i] & right[j])
     return max_matching(BipartiteGraph(tuple(range(m)), tuple(range(m)), edges))[0]
@@ -578,6 +590,7 @@ def ramsey_check_reference(
     for vector in itertools.product(range(k + 1), repeat=len(emb_ac)):
         checked += 1
         phi = dict(zip(emb_ac, vector))
+        memo: dict = {}  # the near colors of each composite under phi
         found = None
         spent = 0
         for size in range(1, max_family + 1):
@@ -589,7 +602,7 @@ def ramsey_check_reference(
                     break
                 psi = [emb_bc[i] for i in combo]
                 if all(
-                    _ramsey_mu_reference(psi, alpha, beta, phi, eps) >= (1 - eps) * size
+                    _ramsey_mu_reference(psi, alpha, beta, phi, eps, memo) >= (1 - eps) * size
                     for alpha in emb_ab
                     for beta in emb_ab
                 ):

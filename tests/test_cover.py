@@ -17,6 +17,8 @@ from matchcover.cover import (
     star_set,
 )
 
+from matchcover.folner import Coloring
+
 from oracles import random_covering, random_partition
 
 
@@ -240,3 +242,107 @@ class TestBlockIndex:
         cover = cov([1, 2, 3], [1, 2], [2, 3])
         for again in (pickle.loads(pickle.dumps(cover)), copy.deepcopy(cover)):
             assert again == cover and dict(again.blocks_of) == dict(cover.blocks_of)
+
+
+def entry_sharing(cover) -> list:
+    """The atoms of each distinct ``blocks_of`` entry object, in index order."""
+    groups: dict = {}
+    for atom, entry in cover.blocks_of.items():
+        groups.setdefault(id(entry), []).append(atom)
+    return list(groups.values())
+
+
+def assert_checked_equal(got, ground, blocks) -> None:
+    """``got`` reads as ``Covering(ground, blocks)`` does, in every way."""
+    want = Covering(ground, blocks)
+    assert got == want and hash(got) == hash(want)
+    assert got.ground == want.ground and got.blocks == want.blocks
+    assert dict(got.blocks_of) == dict(want.blocks_of)
+    assert list(got.blocks_of) == list(want.blocks_of)
+    assert entry_sharing(got) == entry_sharing(want)
+    assert got.is_partition() == want.is_partition()
+
+
+def reordered(cover, rng) -> Covering:
+    """The same blocks over the same atoms in a shuffled ground order."""
+    atoms = list(cover.ground.atoms)
+    rng.shuffle(atoms)
+    return Covering(GroundSet(atoms), cover.blocks)
+
+
+class TestUncheckedCoverings:
+    """``restrict``, ``join``, ``star_covering`` and ``Coloring.partition``
+    skip the constructor's checks; each must build the covering that the
+    checked ``Covering`` builds from the same blocks."""
+
+    @staticmethod
+    def seeded(rng, trials: int) -> list:
+        out = []
+        for trial in range(trials):
+            n = rng.randint(1, 10)
+            raw = random_partition(rng, n) if trial % 2 else random_covering(rng, n)
+            out.append(reordered(raw, rng) if trial % 3 else raw)
+        return out
+
+    def test_restrict(self):
+        rng = random.Random(31)
+        kinds = set()
+        for u in self.seeded(rng, 200):
+            window = rng.sample(u.ground.atoms, rng.randint(1, len(u.ground)))
+            keep = set(window)
+            sub_ground = GroundSet(a for a in u.ground.atoms if a in keep)
+            trimmed = [[a for a in block if a in keep] for block in u.blocks]
+            got = u.restrict(window)
+            assert_checked_equal(got, sub_ground, [b for b in trimmed if b])
+            kinds.add((u.is_partition(), got.is_partition()))
+        assert kinds == {(True, True), (False, False), (False, True)}
+
+    def test_join(self):
+        rng = random.Random(32)
+        for trial, u in enumerate(self.seeded(rng, 150)):
+            other = random_partition if trial % 4 < 2 else random_covering
+            v = Covering(u.ground, other(rng, len(u.ground)).blocks)  # the same atoms
+            common = [set(a) & set(b) for a in u.blocks for b in v.blocks]
+            assert_checked_equal(join(u, v), u.ground, [c for c in common if c])
+
+    def test_star_covering(self):
+        rng = random.Random(33)
+        for u in self.seeded(rng, 150):
+            stars = [
+                {a for b in u.blocks if set(b) & set(block) for a in b} for block in u.blocks
+            ]
+            assert_checked_equal(star_covering(u), u.ground, stars)
+
+    def test_coloring_partition(self):
+        rng = random.Random(34)
+        for u in self.seeded(rng, 150):
+            k = rng.randint(1, 4)
+            colors = tuple(rng.randint(0, k) for _ in u.ground.atoms)
+            classes = [[a for a, c in zip(u.ground.atoms, colors) if c == color]
+                       for color in range(k + 1)]
+            rng.shuffle(classes)
+            got = Coloring(u.ground, colors, k).partition()
+            assert_checked_equal(got, u.ground, [c for c in classes if c])
+            assert got.is_partition()
+
+    def test_restrict_reorders_overlapping_blocks(self):
+        u = cov(range(6), [0, 1, 5], [0, 2], [3, 4])
+        assert u.blocks == ((0, 1, 5), (0, 2), (3, 4))
+        got = u.restrict([0, 2, 3, 4, 5])
+        assert got.blocks == ((0, 2), (0, 5), (3, 4)) and not got.is_partition()
+        assert_checked_equal(got, GroundSet([0, 2, 3, 4, 5]), [[0, 5], [0, 2], [3, 4]])
+
+    def test_restrict_reorders_a_partition(self):
+        u = cov(range(6), [0, 5], [1, 2], [3, 4])
+        assert u.blocks == ((0, 5), (1, 2), (3, 4)) and u.is_partition()
+        got = u.restrict([1, 2, 3, 4, 5])
+        assert got.blocks == ((1, 2), (3, 4), (5,)) and got.is_partition()
+        assert_checked_equal(got, GroundSet([1, 2, 3, 4, 5]), [[5], [1, 2], [3, 4]])
+
+    def test_restrict_merges_repeats_into_a_partition(self):
+        u = cov(range(4), [0, 1, 2], [1, 2], [3])
+        assert not u.is_partition()
+        got = u.restrict([1, 2, 3])
+        assert got.blocks == ((1, 2), (3,)) and got.is_partition()
+        assert len(entry_sharing(got)) == len(got)  # one entry per block
+        assert_checked_equal(got, GroundSet([1, 2, 3]), [[1, 2], [1, 2], [3]])

@@ -545,6 +545,36 @@ class TestTranslateMemo:
         assert capsys.readouterr() == ("", f"error: {text}\n")
 
 
+class TestBuilderTranslates:
+    """``folner._translates`` builds each translate as its products in F's
+    order and sorts one only to name an escape."""
+
+    def test_sorts_only_on_an_escape(self, monkeypatch):
+        f_canon = F2.ball(2)
+        pairs = required_pairs(F2, [(1,), (-2,), (1, 2)], "sym")
+        # B{a, b, ab} = {Ba, 1, Bab}: the products come out of canonical order
+        f_small = F2.canon_set([(1,), (2,), (1, 2)])
+        only_b = required_pairs(F2, [(-2,)], "asym")
+        inside = GroundSet(F2.ball(4))
+        holed = GroundSet(x for x in inside.atoms if x not in {(), (-2, 1)})
+        keyed = []
+        sort_key = FreeGroup.sort_key
+        monkeypatch.setattr(
+            FreeGroup, "sort_key", lambda self, g: keyed.append(g) or sort_key(self, g)
+        )
+        built = folner._translates(F2, f_canon, pairs, inside)
+        assert keyed == []
+        with pytest.raises(WindowEscape) as got:
+            folner._translates(F2, f_small, only_b, holed)
+        assert sorted(keyed, key=F2.sort_key) == list(F2.translate((-2,), f_small))
+        monkeypatch.undo()
+        assert [(sorted(gf), sorted(hf)) for gf, hf in built] == [
+            (sorted(F2.translate(g, f_canon)), sorted(F2.translate(h, f_canon)))
+            for g, h in pairs
+        ]
+        assert str(got.value) == "translate BF escapes the window at: 1, Ba"
+
+
 class TestMooreGap:
     def test_empty_a(self):
         window = z_atoms(-1, 10)
@@ -908,8 +938,7 @@ class TestCoveringRecount:
         pairs = required_pairs(model, e_set, mode)
         counts = folner._CoveringRecount(model, pairs, cover)
         ball: list = []
-        for layer in model.ball_layers(radius):
-            sphere = [g for _, g in layer]
+        for sphere in spheres(model, radius):
             assert all(map(counts.add, sphere))
             ball.extend(sphere)
             self.assert_warm_is_cold(counts, model, pairs, cover, ball)
@@ -1138,8 +1167,8 @@ class TestBallWalk:
 
     @pytest.mark.parametrize("partition", [True, False], ids=["partition", "covering"])
     def test_sizes_alone_build_no_ball(self, partition, monkeypatch):
-        # a walk read for sizes and values (a sweep) keys each element once,
-        # when its sphere is sorted, and never puts a ball together
+        # a walk read for sizes and values (a sweep) keys no element: its
+        # spheres come unsorted, and it never puts a ball together
         window = Z2.ball(8)
         cover = builtin_partition(Z2, "parity", window)
         if not partition:
@@ -1153,25 +1182,18 @@ class TestBallWalk:
         sizes = [size for size, _, _ in folner.ball_walk(Z2, 6, pairs, cover)]
         monkeypatch.undo()
         assert sizes == [len(Z2.ball(r)) for r in range(7)]
-        assert sorted(keyed) == list(Z2.ball(6))
+        assert keyed == []
 
     @pytest.mark.parametrize("model, radius", [(Z2, 6), (IntegerLattice(3), 4), (F2, 4)],
                              ids=["zd2", "zd3", "free2"])
-    def test_ball_read_at_every_radius_keys_each_element_once(self, model, radius, monkeypatch):
+    def test_ball_read_at_every_radius_is_the_reference(self, model, radius):
         # a ball search whose ratio improves at every radius reads each ball;
-        # the merge goes by the keys stored with the spheres
+        # each read sorts the new spheres into the ball read before
         window = model.ball(radius + 2)
         cover = Covering(GroundSet(window), [window])
         pairs = required_pairs(model, model.generators(), "asym")
-        keyed = []
-        sort_key = type(model).sort_key
-        monkeypatch.setattr(
-            type(model), "sort_key", lambda self, g: keyed.append(g) or sort_key(self, g)
-        )
         balls = [ball() for _, _, ball in folner.ball_walk(model, radius, pairs, cover)]
-        monkeypatch.undo()
         assert balls == [ball_reference(model, r) for r in range(radius + 1)]
-        assert sorted(keyed, key=model.sort_key) == list(balls[-1])
 
     @pytest.mark.parametrize("d, radius, e_text", [(1, 12, "2;-3"), (2, 7, "1,0;0,-2;1,1"),
                                                     (3, 4, "1,0,0;0,1,-1")])
@@ -1200,6 +1222,20 @@ class TestBallWalk:
 
 def seeded_coloring(model, window, rng, k=2) -> Coloring:
     return Coloring(GroundSet(window), tuple(rng.randrange(k + 1) for _ in window), k)
+
+
+def spheres(model, radius) -> list:
+    """The walk's spheres 0..radius, each checked to hold exactly the new
+    elements of ``ball_reference`` at its radius, each once, and returned
+    in canonical order, so seeded picks from a sphere do not depend on the
+    BFS's order."""
+    layers = [sorted(layer, key=model.sort_key) for layer in model.ball_layers(radius)]
+    previous: set = set()
+    for r, layer in enumerate(layers):
+        want = set(ball_reference(model, r))
+        assert len(layer) == len(want - previous) and set(layer) == want - previous
+        previous = want
+    return layers
 
 
 # (id, model, ball radius walked, window radius); S_4's generators are all
@@ -1234,8 +1270,7 @@ class TestSphereTally:
             pairs = required_pairs(model, e_set, mode)
             assert (model.identity, model.identity) in pairs or mode == "sym"
             tallied, stepped = (folner._PartitionCounts(model, pairs, cover) for _ in range(2))
-            for layer in model.ball_layers(radius):
-                sphere = [y for _, y in layer]
+            for sphere in spheres(model, radius):
                 rng.shuffle(sphere)
                 assert tallied.add_all(sphere)
                 assert all(map(stepped.add, sphere))
@@ -1254,7 +1289,7 @@ class TestSphereTally:
         cover = seeded_coloring(model, window, rng).partition()
         pairs = required_pairs(model, [model.identity, *model.generators()], mode)
         counts = folner._PartitionCounts(model, pairs, cover)
-        layers = [[y for _, y in layer] for layer in model.ball_layers(window_radius + 1)]
+        layers = spheres(model, window_radius + 1)
         for sphere in layers[:radius]:
             assert counts.add_all(sphere)
         before = self.state(counts)
@@ -1274,7 +1309,7 @@ class TestSphereTally:
         # element missing from the window is caught by its own check; the
         # generators move an element one step, so no translate meets the hole
         rng = random.Random(f"{name}/hole")
-        layers = [[y for _, y in layer] for layer in model.ball_layers(radius)]
+        layers = spheres(model, radius)
         hole = rng.choice(layers[radius])
         window = [x for x in model.ball(window_radius) if x != hole]
         cover = seeded_coloring(model, window, rng).partition()

@@ -157,10 +157,12 @@ class TestBall:
             (symmetric_group(4), 3),
         ]
         for model, radius in models:
-            spheres = [[g for _, g in layer] for layer in model.ball_layers(radius)]
+            spheres = list(model.ball_layers(radius))
             assert len(spheres) == radius + 1
             union: list = []
             for r, sphere in enumerate(spheres):
+                # the new elements at radius r, each once, in the BFS's order
+                assert set(sphere).isdisjoint(union) and len(set(sphere)) == len(sphere)
                 union.extend(sphere)
                 ball = tuple(sorted(union, key=model.sort_key))
                 assert ball == ball_reference(model, r), (model.describe(), r)
@@ -171,29 +173,28 @@ class TestBall:
         [(IntegerLattice(2), 9), (IntegerLattice(3), 5), (F2, 5), (symmetric_group(4), 3)],
         ids=["zd2", "zd3", "free2", "s4"],
     )
-    def test_layers_are_sorted_merges_keyed_once(self, model, radius, monkeypatch):
-        """Each layer is the sorted sphere of the reference balls, the new
-        elements of the ball of radius r, each with its sort key.  The walk
-        keys each element once, and so does ``ball``, which sorts the
-        spheres together."""
+    def test_layers_are_the_new_elements_unsorted(self, model, radius, monkeypatch):
+        """Each layer holds exactly the new elements of the reference ball of
+        radius r, each once, and the walk keys no element; ``ball`` keys
+        each element once, sorting the spheres together."""
         keyed = []
         sort_key = type(model).sort_key
         monkeypatch.setattr(
             type(model), "sort_key", lambda self, g: keyed.append(g) or sort_key(self, g)
         )
-        keyed_layers = list(model.ball_layers(radius))
+        layers = list(model.ball_layers(radius))
         walk_keyed = keyed[:]
         keyed.clear()
         ball = model.ball(radius)
         monkeypatch.undo()
         previous: set = set()
-        for r, layer in enumerate(keyed_layers):
+        for r, layer in enumerate(layers):
             want = ball_reference(model, r)
-            new = sorted((g for g in want if g not in previous), key=model.sort_key)
-            assert layer == [(model.sort_key(g), g) for g in new], (model.describe(), r)
+            new = [g for g in want if g not in previous]
+            assert len(layer) == len(new) and set(layer) == set(new), (model.describe(), r)
             previous = set(want)
         assert ball == want
-        assert sorted(walk_keyed, key=model.sort_key) == list(want)
+        assert walk_keyed == []
         assert sorted(keyed, key=model.sort_key) == list(want)
 
     def test_balls_cap_and_negative_radius(self, monkeypatch):
