@@ -29,7 +29,9 @@ class GroundSet:
 
     The construction order fixes the canonical order used for every block
     and every set output derived from this ground set, which keeps all
-    downstream certificates byte-reproducible.
+    downstream certificates byte-reproducible.  ``_pos`` maps each atom to
+    its position; it is built in one pass, and the atoms are scanned for
+    the first one seen twice only when that index comes out short.
     """
 
     __slots__ = ("atoms", "_pos")
@@ -38,11 +40,13 @@ class GroundSet:
         self.atoms = tuple(atoms)
         if not self.atoms:
             raise ValueError("ground set must be non-empty")
-        self._pos: dict[Atom, int] = {}
-        for i, atom in enumerate(self.atoms):
-            if atom in self._pos:
-                raise ValueError(f"duplicate atom in ground set: {atom!r}")
-            self._pos[atom] = i
+        self._pos: dict[Atom, int] = dict(zip(self.atoms, range(len(self.atoms))))
+        if len(self._pos) != len(self.atoms):
+            seen: set = set()
+            for atom in self.atoms:
+                if atom in seen:
+                    raise ValueError(f"duplicate atom in ground set: {atom!r}")
+                seen.add(atom)
 
     def __len__(self) -> int:
         return len(self.atoms)

@@ -231,20 +231,19 @@ class _PartitionCounts(_PairIndex):
 
     For each distinct translator g of the pairs it keeps the block counts
     c_g[B] = |gF & B|, and for each pair (g, h) the value sum over B of
-    min(c_g[B], c_h[B]), which is ``mu_partition(gF, hF)``.  Adding y puts
-    g*y in block b and h*y in block b': the pair's value rises by 1 when
-    b = b', and otherwise by [c_g[b] < c_h[b]] + [c_h[b'] < c_g[b']], read
-    before the counts change.  Dropping y is the same rule with <=, and the
-    value falls.  An add that would put y or some g*y outside the window is
-    refused and changes nothing.
+    min(c_g[B], c_h[B]), which is ``mu_partition(gF, hF)``.  An add that
+    would put y or some g*y outside the window is refused and changes nothing.
 
-    ``add_all`` inserts a whole sphere at once: it tallies the blocks of
-    g*y over the sphere for each translator g in one pass, t_g[B], and a
-    pair's value rises by the sum over the blocks either tally touches of
-    min(c_g[B] + t_g[B], c_h[B] + t_h[B]) - min(c_g[B], c_h[B]), so a pair
-    with g = h rises by the sphere's size.  It reads and fills no per-y
-    memo: a ball element is inserted once, and only the local search scores
-    elements again.
+    ``_tally`` moves the counts for a whole sphere (``add_all``) or one
+    dropped element, with no per-y memo: with t_g[B] the blocks of g*y
+    tallied over the elements and s = 1 to insert or -1 to remove, a pair's
+    value moves by the sum over the blocks either tally touches of
+    min(c_g[B] + s*t_g[B], c_h[B] + s*t_h[B]) - min(c_g[B], c_h[B]).
+    ``add`` inserts one element on the memo by its own rule, since the local
+    search inserts and scores single elements again and again: g*y in block
+    b and h*y in block b' raise the value by 1 when b = b', and otherwise by
+    [c_g[b] < c_h[b]] + [c_h[b'] < c_g[b']], read before the counts change;
+    ``after_add`` reads that rule, and ``after_drop`` the same rule with <=.
     """
 
     def __init__(self, model: GroupModel, pairs, cover: Covering) -> None:
@@ -283,6 +282,16 @@ class _PartitionCounts(_PairIndex):
     def add_all(self, ys: Sequence) -> bool:
         """Insert ys, none of which is in F; False, changing nothing, when
         some y or g*y leaves the window."""
+        return self._tally(ys, 1)
+
+    def drop(self, y) -> None:
+        """Remove y, which is in F."""
+        self._tally((y,), -1)
+
+    def _tally(self, ys: Sequence, sign: int) -> bool:
+        """Insert (sign 1) or remove (sign -1) ys by one block tally per
+        translator; False, changing nothing, when some y or g*y leaves the
+        window, which a removal of elements of F never does."""
         where = self._where
         if not all(map(where.__contains__, ys)):
             return False
@@ -298,28 +307,13 @@ class _PartitionCounts(_PairIndex):
             cs, ct, ts, tt = counts[s], counts[t], tallies[s], tallies[t]
             rise = 0
             for b in ts.keys() | tt.keys():
-                rise += min(cs[b] + ts[b], ct[b] + tt[b]) - min(cs[b], ct[b])
+                rise += min(cs[b] + sign * ts[b], ct[b] + sign * tt[b]) - min(cs[b], ct[b])
             values[p] += rise
         for count, tally in zip(counts, tallies):
             for b, n in tally.items():
-                count[b] += n
-        self.size += len(ys)
+                count[b] += sign * n
+        self.size += sign * len(ys)
         return True
-
-    def drop(self, y) -> None:
-        """Remove y, which is in F."""
-        found = self._at(y)
-        counts, values = self.counts, self.values
-        for p, (s, t) in enumerate(self._pairs):
-            b, b2 = found[s], found[t]
-            if b == b2:
-                values[p] -= 1
-            else:
-                cs, ct = counts[s], counts[t]
-                values[p] -= (cs[b] <= ct[b]) + (ct[b2] <= cs[b2])
-        for count, b in zip(counts, found):
-            count[b] -= 1
-        self.size -= 1
 
     def after_add(self, y) -> int | None:
         """``least()`` as it would be after ``add(y)``, changing nothing;
@@ -551,36 +545,11 @@ def build_certificate(
 
 
 def _incidence(cover: Covering) -> tuple[dict, list, list]:
-    """The covering on ground positions: (atom -> its position, block index
-    -> its member positions, position -> its frozenset of block indices)."""
-    atoms = cover.ground.atoms
-    pos = {a: p for p, a in enumerate(atoms)}
+    """The covering on ground positions: (the ground's atom -> position index,
+    block index -> member positions, position -> frozenset of block indices)."""
+    pos = cover.ground._pos
     members = [tuple(map(pos.__getitem__, block)) for block in cover.blocks]
-    return pos, members, list(map(cover.blocks_of.__getitem__, atoms))
-
-
-def _witness_error(left: list, right: list, blocks_at: list, witness) -> str | None:
-    """Why the witness is not a matching of the covering graph, else None.
-
-    An index pair is an edge when both indices are in range and the two
-    positions share a block.  Checks and messages follow ``validate_witness``.
-    """
-    seen_left: set = set()
-    seen_right: set = set()
-    for i, j in witness.pairs:
-        if not (
-            0 <= i < len(left)
-            and 0 <= j < len(right)
-            and not blocks_at[left[i]].isdisjoint(blocks_at[right[j]])
-        ):
-            return f"pair ({i},{j}) is not an edge"
-        if i in seen_left:
-            return f"left index {i} matched twice"
-        if j in seen_right:
-            return f"right index {j} matched twice"
-        seen_left.add(i)
-        seen_right.add(j)
-    return None
+    return pos, members, list(map(cover.blocks_of.__getitem__, cover.ground.atoms))
 
 
 def _augment_fully(free: set, right, mate_l: dict, mate_r: dict, members, blocks_at) -> None:
@@ -653,12 +622,29 @@ def _check_pair(left: list, right: list, members, blocks_at, pair, label: str, n
     translates gF and hF, ascending (``_ground_translate``), so witness
     index i names ``left[i]``; ``members`` and ``blocks_at`` are the
     covering's ``_incidence``, and ``label`` names the pair in every
-    finding.  The witness is validated by block lookup and proved maximum
-    by ``_augment_fully``; a valid witness that is not maximum is augmented
-    until it is, which gives the value it should have had.
+    finding.  One pass enters the witness into the matching, checking each
+    index pair as ``validate_witness`` does (the positions of a translate
+    are distinct, so a position seen twice is an index seen twice);
+    ``_augment_fully`` then proves it maximum, or augments it to the value
+    it should have had.
     """
-    error = _witness_error(left, right, blocks_at, pair.witness)
-    if error is not None:
+    mate_l: dict = {}  # left position -> right position, and back
+    mate_r: dict = {}
+    n_left, n_right = len(left), len(right)
+    for i, j in pair.witness.pairs:
+        if not (
+            0 <= i < n_left
+            and 0 <= j < n_right
+            and not blocks_at[a := left[i]].isdisjoint(blocks_at[c := right[j]])
+        ):
+            error = f"pair ({i},{j}) is not an edge"
+        elif a in mate_l:
+            error = f"left index {i} matched twice"
+        elif c in mate_r:
+            error = f"right index {j} matched twice"
+        else:
+            mate_l[a], mate_r[c] = c, a
+            continue
         return [Finding("witness-invalid", f"pair {label}: {error}")]
     findings = []
     if len(pair.witness) != pair.value:
@@ -669,8 +655,6 @@ def _check_pair(left: list, right: list, members, blocks_at, pair, label: str, n
                 f"claimed {pair.value}",
             )
         )
-    mate_l = {left[i]: right[j] for i, j in pair.witness.pairs}
-    mate_r = {c: a for a, c in mate_l.items()}
     _augment_fully(set(left).difference(mate_l), set(right), mate_l, mate_r, members, blocks_at)
     value = len(mate_l)
     if value != pair.value:

@@ -234,7 +234,9 @@ def graph_from_json(obj: dict) -> BipartiteGraph:
 
 
 def witness_to_json(w: MatchingWitness) -> dict:
-    return {"pairs": sorted(map(list, w.pairs))}
+    """The pairs as stored: every matcher of the library stores them in
+    ascending left index, and ``witness_from_json`` sorts them on the way in."""
+    return {"pairs": list(map(list, w.pairs))}
 
 
 def witness_from_json(obj: dict) -> MatchingWitness:

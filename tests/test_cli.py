@@ -1117,6 +1117,25 @@ class TestColoringGround:
         assert capsys.readouterr() == ("", f"error: {want.value}\n")
 
 
+class TestGroundDuplicates:
+    """A file whose ground repeats an atom exits 2 with one line naming it."""
+
+    def test_covering_file(self, tmp_path, capsys):
+        doc = {"ground": ["a", "b", "c", "b"], "blocks": [["a", "b"], ["c"]]}
+        cover = write(tmp_path / "cover.json", doc)
+        side = write(tmp_path / "side.json", ["a"])
+        assert dispatch(["mu", "--cover", cover, "--left", side, "--right", side]) == 2
+        assert capsys.readouterr() == ("", "error: duplicate atom in ground set: 'b'\n")
+
+    def test_coloring_file(self, tmp_path, capsys):
+        doc = {"ground": ["0,0", "1,0", "0,1", "1,0"], "colors": [0, 1, 1, 0], "k": 2}
+        col = write(tmp_path / "col.json", doc)
+        argv = ["folner", "search", "--group", "zd2", "--coloring", col, "--e", "1,0",
+                "--theta", "1/2", "--max-radius", "0"]
+        assert dispatch(argv) == 2
+        assert capsys.readouterr() == ("", "error: duplicate atom in ground set: (1, 0)\n")
+
+
 class TestObjectsAtDecode:
     """Each reader the CLI hands a whole JSON document to refuses anything
     but an object, and an object without a key it reads, with one line that

@@ -31,6 +31,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             GroundSet([1, 2, 2])
 
+    @pytest.mark.parametrize(
+        "atoms, named", [(["a", "b", "b", "a"], "'b'"), (["a", "b", "a", "b"], "'a'")]
+    )
+    def test_ground_names_the_first_atom_seen_twice(self, atoms, named):
+        with pytest.raises(ValueError) as error:
+            GroundSet(atoms)
+        assert str(error.value) == f"duplicate atom in ground set: {named}"
+
     def test_ground_rejects_empty(self):
         with pytest.raises(ValueError):
             GroundSet([])
